@@ -60,8 +60,8 @@ class LevelChain:
     labels: Optional[tuple] = None
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.transition, dtype=float)
-        s = np.asarray(self.start, dtype=float)
+        t = np.array(self.transition, dtype=float)
+        s = np.array(self.start, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError("transition matrix must be square")
         if s.shape != (t.shape[0],):
@@ -74,6 +74,8 @@ class LevelChain:
             raise ValueError("start distribution must sum to 1")
         if np.any(np.abs(np.tril(t, k=-1)) > 0):
             raise ValueError("level process must be non-decreasing (lower triangle not zero)")
+        t.flags.writeable = False  # private copies, so the chain is immutable
+        s.flags.writeable = False
         object.__setattr__(self, "transition", t)
         object.__setattr__(self, "start", s)
 
@@ -255,6 +257,20 @@ def _check_no_absorbing_interior(chain: LevelChain, reach: np.ndarray) -> None:
         raise ValueError(f"absorbing non-top level(s) reachable: {levels.tolist()}")
 
 
+def _forward_visits(chain: LevelChain, v: np.ndarray) -> np.ndarray:
+    """Run the forward visit recursion in place on the start law(s) ``v``:
+    v[..., i] += sum_{j<i} v[..., j] T[j][i] / (1 - T[j][j])."""
+    p = chain.leave_probs
+    m = chain.m_levels
+    ratio = np.zeros((m, m))
+    positive = p > 0.0
+    ratio[positive] = chain.transition[positive] / p[positive, None]
+    for i in range(m):
+        v[..., i] += v[..., :i] @ ratio[:i, i]
+    _check_no_absorbing_interior(chain, np.atleast_2d(v).max(axis=0))
+    return v
+
+
 def visit_probabilities(chain: LevelChain) -> np.ndarray:
     """Exact probability of ever occupying each level.
 
@@ -262,33 +278,13 @@ def visit_probabilities(chain: LevelChain) -> np.ndarray:
     v_i = start_i + sum_{j<i} v_j T[j][i] / (1 - T[j][j]); exact because a
     non-decreasing level process visits each level at most once.
     """
-    t = chain.transition
-    p = chain.leave_probs
-    m = chain.m_levels
-    v = np.zeros(m)
-    ratio = np.zeros((m, m))
-    positive = p > 0.0
-    ratio[positive] = t[positive] / p[positive, None]
-    for i in range(m):
-        v[i] = chain.start[i] + v[:i] @ ratio[:i, i]
-    _check_no_absorbing_interior(chain, v)
-    return v
+    return _forward_visits(chain, chain.start.copy())
 
 
 def visit_probability_matrix(chain: LevelChain) -> np.ndarray:
     """V[k, i] = probability of ever visiting level i when started at level k
     (point mass), for all start levels at once."""
-    t = chain.transition
-    p = chain.leave_probs
-    m = chain.m_levels
-    ratio = np.zeros((m, m))
-    positive = p > 0.0
-    ratio[positive] = t[positive] / p[positive, None]
-    v = np.eye(m)
-    for i in range(m):
-        v[:, i] += v[:, :i] @ ratio[:i, i]
-    _check_no_absorbing_interior(chain, v.max(axis=0))
-    return v
+    return _forward_visits(chain, np.eye(chain.m_levels))
 
 
 def expected_hitting_time(chain: LevelChain) -> tuple[float, np.ndarray]:

@@ -14,16 +14,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import benchmarks, bounds, chains, formulas, serialize
 from .experiments import (
     ExperimentConfig,
+    _parse_init,
     compare_report,
-    default_thread_cap,
     resolve_mutation_rate,
     run_experiment,
 )
@@ -43,9 +44,7 @@ def _add_common(parser: argparse.ArgumentParser, benchmark: bool = True) -> None
     parser.add_argument("--config", default=None, help="JSON file mirroring the flags")
     if benchmark:
         # required, but checked after parsing so a --config file can supply them
-        parser.add_argument(
-            "--benchmark", choices=("onemax", "leadingones", "jump", "longpath"), default=None
-        )
+        parser.add_argument("--benchmark", choices=tuple(_FAMILIES), default=None)
         parser.add_argument("--n", type=int, default=None)
         parser.add_argument("--k", type=int, default=None)
         parser.add_argument("--p", default="1/n", help="mutation rate: real, fraction, or c/n")
@@ -76,14 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--replicates", type=int, default=1000)
     p_sim.add_argument("--init", default="random", help="random, level:<int> or point:<bits>")
     p_sim.add_argument("--max-iterations", type=int, default=10**9)
-    p_sim.add_argument("--threads", type=int, default=0, help="0: use FLM_THREADS or 1")
+    p_sim.add_argument("--threads", type=int, default=0, help="accepted and ignored")
 
     p_cmp = sub.add_parser("compare", help="simulate, compute bounds and report verdicts")
     _add_common(p_cmp)
     p_cmp.add_argument("--replicates", type=int, default=1000)
     p_cmp.add_argument("--init", default="random")
     p_cmp.add_argument("--max-iterations", type=int, default=10**9)
-    p_cmp.add_argument("--threads", type=int, default=0)
+    p_cmp.add_argument("--threads", type=int, default=0, help="accepted and ignored")
 
     p_path = sub.add_parser("path-check", help="build and exhaustively verify a long k-path")
     _add_common(p_path, benchmark=False)
@@ -136,30 +135,161 @@ def _write_output(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _benchmark_of(args) -> benchmarks.Benchmark:
-    return benchmarks.make_benchmark(args.benchmark, args.n, args.k)
+def _chain_start(args):
+    """Start law of an exact oracle: "random" or a level index."""
+    return _parse_init(args.init, args.n, point=False)
 
 
-def _parse_chain_start(init: str):
-    if init == "random":
-        return "random"
-    if init.startswith("level:"):
-        return int(init.split(":", 1)[1])
-    raise ValueError(f"chain start must be 'random' or 'level:<int>', got {init!r}")
+def _require_k(args) -> int:
+    if args.k is None:
+        raise ValueError(f"{args.benchmark} requires --k")
+    return args.k
 
 
-def _exact_chain(args, p: float):
-    """Exact chain for the configured benchmark, or None when unavailable."""
-    if args.benchmark == "onemax":
-        return chains.onemax_level_matrix(args.n, p, start=_parse_chain_start(args.init))
-    if args.benchmark == "jump":
-        start = _parse_chain_start(args.init)
-        return chains.jump_level_matrix(args.n, args.k, p, start=start)
-    if args.benchmark == "longpath":
-        path = benchmarks.build_long_k_path(args.n, args.k)
-        start = _parse_chain_start(args.init)
-        return chains.longpath_level_matrix(path, p, start=0 if start == "random" else start)
-    return None  # leadingones: no level matrix by design
+# ---------------------------------------------------------------------------
+# per-family ingredients: exact chain, bounds document, compare inputs
+# ---------------------------------------------------------------------------
+
+
+def _onemax_chain(args, p: float) -> chains.LevelChain:
+    return chains.onemax_level_matrix(args.n, p, start=_chain_start(args))
+
+
+def _onemax_bounds(args, p: float):
+    k = 0 if args.from_level is None else args.from_level
+    l = args.n if args.to_level is None else args.to_level
+    om = formulas.onemax_bounds(args.n, k, l)
+    fields = {
+        "from": k,
+        "to": l,
+        "e_n": om.e_n,
+        "tilde_T": om.tilde_t,
+        "tilde_T_plus": om.tilde_t_plus,
+        "tilde_T_minus": om.tilde_t_minus,
+        "thm_lower": om.thm_lower,
+        "thm_lower_clamped": om.clamped,
+    }
+    return fields, [
+        bounds.BoundResult(om.tilde_t, "upper", "onemax-tilde-T"),
+        bounds.BoundResult(om.tilde_t_plus, "upper", "onemax-tilde-T-plus"),
+        bounds.BoundResult(om.thm_lower, "lower", "onemax-visit-lower"),
+    ]
+
+
+def _onemax_compare(args, p: float, summary: chains.ChainSummary):
+    bound_list = [
+        bounds.BoundResult(float(np.sum(1.0 / summary.leave_probs)), "upper", "flm-upper-classic"),
+        bounds.flm_lower_visit(summary.leave_probs, summary.visit_probs[:-1]),
+    ]
+    visit_lower = {i: float(v) for i, v in enumerate(summary.visit_probs[:-1])}
+    return bound_list, summary.expected_time, visit_lower
+
+
+def _leadingones_bounds(args, p: float):
+    exact = formulas.leadingones_exact(args.n, p)
+    return {"exact_expected_runtime": exact}, [
+        bounds.BoundResult(exact, "lower", "leadingones-exact"),
+        bounds.BoundResult(exact, "upper", "leadingones-exact"),
+    ]
+
+
+def _leadingones_compare(args, p: float, summary: None):
+    fields, lower_upper = _leadingones_bounds(args, p)
+    visit_lower = {i: 0.5 for i in range(args.n)} if args.init == "random" else {}
+    return lower_upper[::-1], fields["exact_expected_runtime"], visit_lower  # reports list the upper first
+
+
+def _jump_chain(args, p: float) -> chains.LevelChain:
+    return chains.jump_level_matrix(args.n, _require_k(args), p, start=_chain_start(args))
+
+
+def _jump_bounds(args, p: float):
+    k = _require_k(args)
+    init = args.init if args.init in ("random", "arbitrary") else "random"
+    jb = formulas.jump_bounds(args.n, k, init=init)
+    fields = {
+        "k": k,
+        "init": init,
+        "p_k": jb.p_k,
+        "skip_bound_arbitrary": jb.skip_bound_arbitrary,
+        "skip_bound_random": jb.skip_bound_random,
+        "lower_bound": jb.lower_bound,
+    }
+    return fields, [bounds.BoundResult(jb.lower_bound, "lower", f"jump-skip-{init}")]
+
+
+def _jump_compare(args, p: float, summary: chains.ChainSummary):
+    bound_list: list[bounds.BoundResult] = []
+    visit_lower: dict[int, float] = {}
+    init = "random" if args.init == "random" else "arbitrary"
+    if abs(p - 1.0 / args.n) < 1e-15:  # explicit jump bounds are stated for rate 1/n
+        jb = formulas.jump_bounds(args.n, args.k, init=init)
+        bound_list.append(bounds.BoundResult(jb.lower_bound, "lower", f"jump-skip-{init}"))
+        skip = jb.skip_bound_random if init == "random" else jb.skip_bound_arbitrary
+        visit_lower[args.k] = 1.0 - float(skip)  # canonical non-gap level
+    return bound_list, summary.expected_time, visit_lower
+
+
+def _longpath_chain(args, p: float) -> chains.LevelChain:
+    path = benchmarks.build_long_k_path(args.n, _require_k(args))
+    start = _chain_start(args)
+    # known defect: simulate starts from a uniform random string, not path position 0
+    return chains.longpath_level_matrix(path, p, start=0 if start == "random" else start)
+
+
+def _longpath_bounds(args, p: float):
+    k = _require_k(args)
+    main_bound = formulas.longpath_lower_bound(args.n, k, p)
+    fields = {
+        "k": k,
+        "p": p,
+        "lower_bound": main_bound,
+        "reference_bound": formulas.sudholt_reference_bound(args.n, k, p),
+        "reference_bound_unproven": True,
+        "leave_prob": formulas.longpath_leave_prob(args.n, k, p),
+        "leave_prob_bound": formulas.longpath_leave_prob_bound(args.n, p),
+        "visit_lower": formulas.longpath_visit_lower(p),
+    }
+    return fields, [bounds.BoundResult(main_bound, "lower", "longpath-visit-lower")]
+
+
+def _longpath_compare(args, p: float, summary: chains.ChainSummary):
+    bound_list = [
+        bounds.BoundResult(formulas.longpath_lower_bound(args.n, args.k, p), "lower", "longpath-visit-lower")
+    ]
+    v_low = formulas.longpath_visit_lower(p)
+    visit_lower = {i: v_low for i in range(1, len(summary.visit_probs) - 1)}
+    return bound_list, summary.expected_time, visit_lower
+
+
+@dataclass(frozen=True)
+class _Family:
+    """Everything the CLI knows about one benchmark family.
+
+    ``chain`` builds the exact level chain; a full-state-only family has none
+    and gives its leave probabilities in closed form by ``leave``.  ``bounds``
+    returns the family's fields of the ``bounds`` document and its bounds;
+    ``compare`` returns the bounds, exact runtime and visit lower bounds of a
+    comparison from the exact chain's summary.
+    """
+
+    chain: Optional[Callable]
+    bounds: Callable
+    compare: Callable
+    leave: Optional[Callable] = None
+
+
+# The entries call library functions through their modules at call time, so
+# wrappers installed on those modules (as by a profiler) see every call.
+_FAMILIES = {
+    "onemax": _Family(_onemax_chain, _onemax_bounds, _onemax_compare),
+    "leadingones": _Family(
+        None, _leadingones_bounds, _leadingones_compare,
+        leave=lambda args, p: formulas.leadingones_leave_probs(args.n, p),
+    ),
+    "jump": _Family(_jump_chain, _jump_bounds, _jump_compare),
+    "longpath": _Family(_longpath_chain, _longpath_bounds, _longpath_compare),
+}
 
 
 def _bound_entry(b: bounds.BoundResult) -> dict:
@@ -173,68 +303,8 @@ def _bound_entry(b: bounds.BoundResult) -> dict:
 
 def _cmd_bounds(args) -> int:
     p = resolve_mutation_rate(args.p, args.n)
-    doc: dict = {"benchmark": args.benchmark, "n": args.n}
-    results: list[bounds.BoundResult] = []
-
-    if args.benchmark == "onemax":
-        k = 0 if args.from_level is None else args.from_level
-        l = args.n if args.to_level is None else args.to_level
-        om = formulas.onemax_bounds(args.n, k, l)
-        doc.update(
-            {
-                "from": k,
-                "to": l,
-                "e_n": om.e_n,
-                "tilde_T": om.tilde_t,
-                "tilde_T_plus": om.tilde_t_plus,
-                "tilde_T_minus": om.tilde_t_minus,
-                "thm_lower": om.thm_lower,
-                "thm_lower_clamped": om.clamped,
-            }
-        )
-        results.append(bounds.BoundResult(om.tilde_t, "upper", "onemax-tilde-T"))
-        results.append(bounds.BoundResult(om.tilde_t_plus, "upper", "onemax-tilde-T-plus"))
-        results.append(bounds.BoundResult(om.thm_lower, "lower", "onemax-visit-lower"))
-    elif args.benchmark == "leadingones":
-        exact = formulas.leadingones_exact(args.n, p)
-        doc["exact_expected_runtime"] = exact
-        results.append(bounds.BoundResult(exact, "lower", "leadingones-exact"))
-        results.append(bounds.BoundResult(exact, "upper", "leadingones-exact"))
-    elif args.benchmark == "jump":
-        if args.k is None:
-            raise ValueError("jump bounds require --k")
-        init = args.init if args.init in ("random", "arbitrary") else "random"
-        jb = formulas.jump_bounds(args.n, args.k, init=init)
-        doc.update(
-            {
-                "k": args.k,
-                "init": init,
-                "p_k": jb.p_k,
-                "skip_bound_arbitrary": jb.skip_bound_arbitrary,
-                "skip_bound_random": jb.skip_bound_random,
-                "lower_bound": jb.lower_bound,
-            }
-        )
-        results.append(bounds.BoundResult(jb.lower_bound, "lower", f"jump-skip-{init}"))
-    else:
-        if args.k is None:
-            raise ValueError("longpath bounds require --k")
-        main_bound = formulas.longpath_lower_bound(args.n, args.k, p)
-        reference = formulas.sudholt_reference_bound(args.n, args.k, p)
-        doc.update(
-            {
-                "k": args.k,
-                "p": p,
-                "lower_bound": main_bound,
-                "reference_bound": reference,
-                "reference_bound_unproven": True,
-                "leave_prob": formulas.longpath_leave_prob(args.n, args.k, p),
-                "leave_prob_bound": formulas.longpath_leave_prob_bound(args.n, p),
-                "visit_lower": formulas.longpath_visit_lower(p),
-            }
-        )
-        results.append(bounds.BoundResult(main_bound, "lower", "longpath-visit-lower"))
-
+    fields, results = _FAMILIES[args.benchmark].bounds(args, p)
+    doc = {"benchmark": args.benchmark, "n": args.n, **fields}
     doc["bounds"] = [_bound_entry(b) for b in results]
     if args.format == "csv":
         lines = ["theorem,kind,value"]
@@ -248,33 +318,26 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_oracle(args) -> int:
     p = resolve_mutation_rate(args.p, args.n)
-    use_full_state = args.full_state or args.benchmark == "leadingones"
-    if use_full_state:
-        benchmark = _benchmark_of(args)
-        start = _parse_chain_start(args.init)
-        result = chains.full_state_expected_time(benchmark, p, start=start)
-        if args.benchmark == "leadingones":
-            leave = formulas.leadingones_leave_probs(args.n, p)
+    family = _FAMILIES[args.benchmark]
+    if args.full_state or family.chain is None:
+        benchmark = benchmarks.make_benchmark(args.benchmark, args.n, args.k)
+        result = chains.full_state_expected_time(benchmark, p, start=_chain_start(args))
+        if family.chain is None:
+            leave = family.leave(args, p)
         else:
-            chain = _exact_chain(args, p)
-            leave = chains.summarize(chain).leave_probs
-        doc = {
-            "levels": len(result.visit_probs),
-            "p": [float(x) for x in leave],
-            "v": [float(x) for x in result.visit_probs],
-            "expected_T": result.expected_time,
-            "oracle": "full-state",
-        }
+            leave = chains.summarize(family.chain(args, p)).leave_probs
+        visit, expected, oracle = result.visit_probs, result.expected_time, "full-state"
     else:
-        chain = _exact_chain(args, p)
-        summary = chains.summarize(chain)
-        doc = {
-            "levels": chain.m_levels,
-            "p": [float(x) for x in summary.leave_probs],
-            "v": [float(x) for x in summary.visit_probs],
-            "expected_T": summary.expected_time,
-            "oracle": "level-chain",
-        }
+        summary = chains.summarize(family.chain(args, p))
+        leave, visit, expected = summary.leave_probs, summary.visit_probs, summary.expected_time
+        oracle = "level-chain"
+    doc = {
+        "levels": len(visit),
+        "p": [float(x) for x in leave],
+        "v": [float(x) for x in visit],
+        "expected_T": expected,
+        "oracle": oracle,
+    }
     if args.format == "csv":
         lines = ["level,p,v"]
         for i, v in enumerate(doc["v"]):
@@ -297,7 +360,6 @@ def _experiment_config(args) -> ExperimentConfig:
         master_seed=args.seed,
         init=args.init,
         max_iterations=args.max_iterations,
-        threads=args.threads if args.threads else default_thread_cap(),
     )
 
 
@@ -315,16 +377,12 @@ def _simulate_doc(args, stats) -> dict:
     }
 
 
-def _levels_csv(stats) -> str:
-    levels = np.arange(len(stats.visit_freq))
-    return serialize.emit_levels_csv(levels, stats.visit_freq, stats.leave_rate, stats.mean_sojourn)
-
-
 def _cmd_simulate(args) -> int:
     stats = run_experiment(_experiment_config(args))
     if args.format == "csv":
         replicate_text = serialize.emit_replicates_csv(stats.runtimes, stats.hits)
-        levels_text = _levels_csv(stats)
+        levels = np.arange(len(stats.visit_freq))
+        levels_text = serialize.emit_levels_csv(levels, stats.visit_freq, stats.leave_rate, stats.mean_sojourn)
         if args.out is None:
             sys.stdout.write(replicate_text + "\n" + levels_text)
         else:
@@ -337,42 +395,9 @@ def _cmd_simulate(args) -> int:
 
 def _compare_inputs(args, p: float):
     """Bounds, exact oracle value and proven visit lower bounds for compare."""
-    bound_list: list[bounds.BoundResult] = []
-    exact = None
-    visit_lower: dict[int, float] = {}
-    if args.benchmark == "leadingones":
-        exact = formulas.leadingones_exact(args.n, p)
-        bound_list.append(bounds.BoundResult(exact, "upper", "leadingones-exact"))
-        bound_list.append(bounds.BoundResult(exact, "lower", "leadingones-exact"))
-        visit_lower = {i: 0.5 for i in range(args.n)}
-        if args.init != "random":
-            visit_lower = {}
-    elif args.benchmark == "onemax":
-        chain = _exact_chain(args, p)
-        summary = chains.summarize(chain)
-        exact = summary.expected_time
-        bound_list.append(bounds.BoundResult(float(np.sum(1.0 / summary.leave_probs)), "upper", "flm-upper-classic"))
-        bound_list.append(bounds.flm_lower_visit(summary.leave_probs, summary.visit_probs[:-1]))
-        visit_lower = {i: float(v) for i, v in enumerate(summary.visit_probs[:-1])}
-    elif args.benchmark == "jump":
-        chain = _exact_chain(args, p)
-        summary = chains.summarize(chain)
-        exact = summary.expected_time
-        init = "random" if args.init == "random" else "arbitrary"
-        if abs(p - 1.0 / args.n) < 1e-15:  # explicit jump bounds are stated for rate 1/n
-            jb = formulas.jump_bounds(args.n, args.k, init=init)
-            bound_list.append(bounds.BoundResult(jb.lower_bound, "lower", f"jump-skip-{init}"))
-            skip = jb.skip_bound_random if init == "random" else jb.skip_bound_arbitrary
-            visit_lower[args.k] = 1.0 - float(skip)  # canonical non-gap level
-    else:
-        chain = _exact_chain(args, p)
-        exact = chains.summarize(chain).expected_time
-        bound_list.append(
-            bounds.BoundResult(formulas.longpath_lower_bound(args.n, args.k, p), "lower", "longpath-visit-lower")
-        )
-        v_low = formulas.longpath_visit_lower(p)
-        visit_lower = {i: v_low for i in range(1, chain.m_levels - 1)}
-    return bound_list, exact, visit_lower
+    family = _FAMILIES[args.benchmark]
+    summary = None if family.chain is None else chains.summarize(family.chain(args, p))
+    return family.compare(args, p, summary)
 
 
 def _cmd_compare(args) -> int:
@@ -402,10 +427,7 @@ def _cmd_path_check(args) -> int:
     path = benchmarks.build_long_k_path(args.n, args.k)
     benchmarks.verify_long_k_path(path)
     dump = "\n".join("".join(str(int(b)) for b in pt) for pt in path.points) + "\n"
-    if args.out is None:
-        sys.stdout.write(dump)
-    else:
-        Path(args.out).write_text(dump, encoding="utf-8")
+    _write_output(dump, args.out)
     sys.stdout.write(f"points={len(path)}\n")
     return EXIT_OK
 
@@ -436,7 +458,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -2,15 +2,13 @@
 
 Replicate r of an experiment draws its random stream from
 ``SeedSequence(entropy=master_seed, spawn_key=(r,))`` — numpy's published
-entropy-mixing hash — so results are independent of scheduling, and
-aggregation merges per-replicate results in replicate-index order.  The
-same seed therefore yields bit-identical statistics at any thread count.
+entropy-mixing hash — and replicates run one after another in index order,
+so the same seed yields bit-identical statistics.  The module also owns the
+``--init`` grammar shared by the Monte Carlo runs and the exact oracles.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -30,7 +28,6 @@ __all__ = [
     "replicate_rng",
     "run_experiment",
     "compare_report",
-    "default_thread_cap",
 ]
 
 Z_99 = 2.5758293035489004  # 0.995 normal quantile
@@ -53,13 +50,6 @@ def resolve_mutation_rate(rate: Union[str, float], n: int) -> float:
     return p
 
 
-def default_thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("FLM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 @dataclass
 class ExperimentConfig:
     """A Monte Carlo experiment: benchmark, rate spec, replicate count, seed."""
@@ -72,7 +62,6 @@ class ExperimentConfig:
     master_seed: int = 0
     init: str = "random"  # "random", "level:<int>" or "point:<bits>"
     max_iterations: int = DEFAULT_MAX_ITERATIONS
-    threads: int = 0  # 0: use FLM_THREADS or 1
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
@@ -140,35 +129,37 @@ def replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _parse_init(init: str, benchmark: Benchmark):
+def _parse_init(init: str, n: int, point: bool = True) -> Union[str, int, np.ndarray]:
+    """Parse an ``--init`` value: "random", "level:<int>" (returned as the
+    int) or, where ``point`` allows it, "point:<bits>" (an n-bit array)."""
     if init == "random":
-        return None
+        return init
     if init.startswith("level:"):
-        level = int(init.split(":", 1)[1])
-        return ("level", level)
-    if init.startswith("point:"):
+        return int(init.split(":", 1)[1])
+    if point and init.startswith("point:"):
         bits = init.split(":", 1)[1]
-        if len(bits) != benchmark.n or set(bits) - {"0", "1"}:
-            raise ValueError(f"init point must be {benchmark.n} characters of 0/1")
-        return ("point", np.array([int(c) for c in bits], dtype=np.uint8))
-    raise ValueError(f"unknown init mode {init!r}")
+        if len(bits) != n or set(bits) - {"0", "1"}:
+            raise ValueError(f"init point must be {n} characters of 0/1")
+        return np.array([int(c) for c in bits], dtype=np.uint8)
+    forms = "'random', 'level:<int>' or 'point:<bits>'" if point else "'random' or 'level:<int>'"
+    raise ValueError(f"init must be {forms}, got {init!r}")
 
 
 def _run_replicate(
-    benchmark: Benchmark, config: EaConfig, master_seed: int, replicate: int, init_spec
+    benchmark: Benchmark, config: EaConfig, master_seed: int, replicate: int, start
 ) -> RunResult:
     rng = replicate_rng(master_seed, replicate)
-    if init_spec is None:
+    if isinstance(start, str):
         initial = None
-    elif init_spec[0] == "level":
-        initial = benchmark.sample_level(init_spec[1], rng)
+    elif isinstance(start, int):
+        initial = benchmark.sample_level(start, rng)
     else:
-        initial = init_spec[1]
+        initial = start
     return run_ea(benchmark, config, rng=rng, level_fn=benchmark.level, initial=initial)
 
 
 def run_experiment(config: ExperimentConfig) -> RunStatistics:
-    """Execute the configured replicates and merge them in index order."""
+    """Execute the configured replicates in index order and merge them."""
     benchmark = config.make_benchmark()
     rate = config.rate
     ea_config = EaConfig(
@@ -177,21 +168,11 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
         max_iterations=config.max_iterations,
         seed=config.master_seed,
     )
-    init_spec = _parse_init(config.init, benchmark)
-    threads = config.threads if config.threads > 0 else default_thread_cap()
-
-    results: list[Optional[RunResult]] = [None] * config.replicates
-
-    def work(r: int) -> None:
-        results[r] = _run_replicate(benchmark, ea_config, config.master_seed, r, init_spec)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(config.replicates)))
-    else:
-        for r in range(config.replicates):
-            work(r)
-
+    start = _parse_init(config.init, config.n)
+    results = [
+        _run_replicate(benchmark, ea_config, config.master_seed, r, start)
+        for r in range(config.replicates)
+    ]
     return aggregate_results(results, benchmark.level_count)
 
 

@@ -97,6 +97,19 @@ def test_chain_validation_rejects_bad_inputs():
         LevelChain(np.eye(2), np.array([0.7, 0.7]))  # start not a distribution
 
 
+def test_chain_arrays_are_read_only():
+    t = np.array([[0.5, 0.5], [0.0, 1.0]])
+    start = np.array([1.0, 0.0])
+    chain = LevelChain(t, start)
+    with pytest.raises(ValueError):
+        chain.transition[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        chain.start[1] = 1.0
+    t[0, 0] = 0.0  # the caller's arrays stay writable and do not reach the chain
+    assert chain.transition[0, 0] == 0.5
+    np.testing.assert_array_equal(visit_probabilities(chain), [1.0, 1.0])
+
+
 def test_visit_probabilities_hand_chain():
     np.testing.assert_allclose(visit_probabilities(hand_chain()), [1.0, 0.5, 1.0], atol=1e-15)
 

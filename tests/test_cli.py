@@ -186,6 +186,29 @@ def test_oracle_validation_failure_exits_1(capsys):
     assert "error" in err
 
 
+def test_bounds_leadingones_overflow_exits_1(capsys):
+    # the exact runtime overflows a double inside math.expm1
+    code, out, err = run_main(capsys, "bounds", "--benchmark", "leadingones", "--n", "100000", "--p", "0.5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_bounds_longpath_overflow_exits_1(capsys):
+    # the path length 2^(n/k) is too large to convert to a float
+    code, out, err = run_main(capsys, "bounds", "--benchmark", "longpath", "--n", "2400", "--k", "2", "--p", "1/n")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_oracle_without_k_exits_1(capsys):
+    for benchmark in ("jump", "longpath"):
+        code, _, err = run_main(capsys, "oracle", "--benchmark", benchmark, "--n", "10")
+        assert code == 1
+        assert "requires --k" in err
+
+
 def test_bounds_csv_format(capsys):
     code, out, _ = run_main(
         capsys, "bounds", "--benchmark", "jump", "--n", "10", "--k", "2", "--format", "csv",

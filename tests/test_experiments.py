@@ -49,19 +49,6 @@ def test_run_experiment_leadingones_matches_closed_form():
     assert abs(stats.mean - expected) < 3 * stats.std_error
 
 
-def test_run_experiment_deterministic_across_thread_counts():
-    base = dict(benchmark="jump", n=10, k=2, mutation_rate="1/n",
-                replicates=300, master_seed=9)
-    serial = run_experiment(ExperimentConfig(**base, threads=1))
-    threaded = run_experiment(ExperimentConfig(**base, threads=4))
-    assert np.array_equal(serial.runtimes, threaded.runtimes)
-    assert serial.mean == threaded.mean
-    assert np.array_equal(serial.visit_freq, threaded.visit_freq)
-    text_a = emit_replicates_csv(serial.runtimes, serial.hits)
-    text_b = emit_replicates_csv(threaded.runtimes, threaded.hits)
-    assert text_a == text_b
-
-
 def test_run_experiment_fixed_level_init():
     config = ExperimentConfig(benchmark="onemax", n=12, mutation_rate="1/n",
                               replicates=200, master_seed=5, init="level:11")
