@@ -41,8 +41,28 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-12
 FULL_STATE_MAX_N = 14
+# dense float64 square matrices alive at once at peak (measured as peak RSS growth)
+FULL_STATE_DENSE_ARRAYS = 2
+LONGPATH_DENSE_ARRAYS = 4
 
 StartSpec = Union[str, int]
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    import os
+
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_dense_bytes(nbytes: int, what: str) -> None:
+    """Refuse, before allocating, a dense build larger than physical memory."""
+    available = _physical_memory()
+    if nbytes > available:
+        raise ValueError(
+            f"{what} needs about {nbytes / 2**30:.1f} GiB of dense arrays, "
+            f"more than the {available / 2**30:.1f} GiB of physical memory"
+        )
 
 
 @dataclass
@@ -109,6 +129,13 @@ def _log_binom(m: int, j: np.ndarray) -> np.ndarray:
     return gammaln(m + 1) - gammaln(j + 1) - gammaln(m - j + 1)
 
 
+# exp(x) is exactly 0.0 for x < -745.14.  A term below TERM_FLOOR is dropped:
+# either its destination's peak is below -745.14 too (so that entry is 0), or
+# the term lies more than 745.14 below the peak and its scaled weight is 0.
+TERM_FLOOR = -2 * 745.2
+WEIGHT_FLOOR = -746.0
+
+
 def mutation_class_row(n: int, p: float, k: int) -> np.ndarray:
     """Distribution of the offspring ones-count under standard bit mutation
     of a parent with ``k`` ones, as a length-(n+1) vector.
@@ -116,6 +143,13 @@ def mutation_class_row(n: int, p: float, k: int) -> np.ndarray:
     Moving from k to l ones requires flipping j zero-bits up and
     j - (l - k) one-bits down for every feasible j; the terms are summed in
     log space (grouped by destination) so that tiny masses survive.
+
+    Only terms whose weight does not underflow to exactly 0 are evaluated:
+    the log-term is separable, so the (up, down) counts that can reach
+    ``TERM_FLOOR`` form a rectangle, and inside it only weights within
+    ``WEIGHT_FLOOR`` of their destination's peak are exponentiated.  The
+    kept weights are summed in the same order as the full sum, so the row
+    is bit-identical to summing every term.
     """
     if not 0 <= k <= n:
         raise ValueError(f"ones-count must be in [0, {n}], got {k}")
@@ -126,12 +160,18 @@ def mutation_class_row(n: int, p: float, k: int) -> np.ndarray:
     log_odds = math.log(p) - math.log1p(-p)
     log_up = _log_binom(n - k, up) + up * log_odds
     log_down = _log_binom(k, down) + down * log_odds
-    terms = (log_up[:, None] + log_down[None, :] + n * math.log1p(-p)).ravel()
-    dest = (k + up[:, None] - down[None, :]).ravel()
+    base = n * math.log1p(-p)
+    u = np.flatnonzero(log_up + log_down.max() + base >= TERM_FLOOR)
+    d = np.flatnonzero(log_down + log_up.max() + base >= TERM_FLOOR)
+    rows, cols = slice(u[0], u[-1] + 1), slice(d[0], d[-1] + 1)
+    terms = (log_up[rows, None] + log_down[None, cols] + base).ravel()
+    dest = (k + up[rows, None] - down[None, cols]).ravel()
 
     peak = np.full(n + 1, -np.inf)
     np.maximum.at(peak, dest, terms)
-    scaled = np.bincount(dest, weights=np.exp(terms - peak[dest]), minlength=n + 1)
+    shifted = terms - peak[dest]
+    keep = shifted >= WEIGHT_FLOOR
+    scaled = np.bincount(dest[keep], weights=np.exp(shifted[keep]), minlength=n + 1)
     return np.exp(peak) * scaled
 
 
@@ -198,26 +238,16 @@ def jump_level_matrix(n: int, k: int, p: float, start: StartSpec = "random") -> 
     if not 2 <= k <= n:
         raise ValueError(f"jump size must be in [2, {n}], got {k}")
     order = jump_fitness_order(n, k)
-    position = {a: i for i, a in enumerate(order)}
-    m = n + 1
-    t = np.zeros((m, m))
-    for a in range(n + 1):
+    position = np.empty(n + 1, dtype=int)
+    position[order] = np.arange(n + 1)  # level index of each ones-count
+    t = np.zeros((n + 1, n + 1))
+    for a in range(n):
         i = position[a]
-        if a == n:
-            t[i, i] = 1.0
-            continue
-        row = mutation_class_row(n, p, a)
-        for b in range(n + 1):
-            j = position[b]
-            if j > i:  # strictly better fitness: accepted
-                t[i, j] = row[b]
+        better = position > i  # strictly better fitness: accepted
+        t[i, position[better]] = mutation_class_row(n, p, a)[better]
         t[i, i] = max(0.0, 1.0 - t[i, i + 1 :].sum())
-
-    class_start = _resolve_start(start, n)
-    start_vec = np.zeros(m)
-    for a in range(n + 1):
-        start_vec[position[a]] = class_start[a]
-    return LevelChain(t, start_vec, labels=tuple(order))
+    t[n, n] = 1.0  # the optimum (n ones) is the top level
+    return LevelChain(t, _resolve_start(start, n)[order], labels=tuple(order))
 
 
 def longpath_level_matrix(path, p: float, start: StartSpec = 0) -> LevelChain:
@@ -229,15 +259,20 @@ def longpath_level_matrix(path, p: float, start: StartSpec = 0) -> LevelChain:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"mutation rate must be in (0, 1), got {p}")
-    pts = np.array(path.points, dtype=np.int16)
-    m = len(pts)
-    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
-    mass = np.exp(dist * math.log(p) + (path.n - dist) * math.log1p(-p))
-    t = np.triu(mass, k=1)
-    diag = 1.0 - t.sum(axis=1)
-    np.fill_diagonal(t, np.maximum(diag, 0.0))
     if isinstance(start, str):
         raise ValueError("longpath chains start on a fixed path position")
+    m = len(path.points)
+    _check_dense_bytes(LONGPATH_DENSE_ARRAYS * 8 * m * m, f"long k-path chain over {m} positions")
+    pts = np.array(path.points, dtype=float)
+    ones = pts.sum(axis=1)
+    # Hamming distances of 0/1 points; every value is an integer, so exact
+    dist = ones[:, None] + ones[None, :] - 2.0 * (pts @ pts.T)
+    mass = np.exp(dist * math.log(p) + (path.n - dist) * math.log1p(-p))
+    del dist
+    t = np.triu(mass, k=1)
+    del mass
+    diag = 1.0 - t.sum(axis=1)
+    np.fill_diagonal(t, np.maximum(diag, 0.0))
     start_vec = np.zeros(m)
     start_vec[int(start)] = 1.0
     return LevelChain(t, start_vec, labels=tuple(range(m)))
@@ -385,19 +420,24 @@ def full_state_expected_time(
     """Solve the full 2^n-state accepted-move chain of the (1+1) EA.
 
     Builds the dense transition matrix (mutation mass filtered by
-    accept-if-not-worse), solves the linear hitting-time system over
-    non-optimal states by dense elimination, and computes exact per-level
-    visit probabilities by first-passage systems.  ``start`` is "random"
-    (uniform over all states), an integer level (uniform over that level's
-    states) or an explicit bit string.
+    accept-if-not-worse) and makes two dense solves with ``I - Q``, where
+    ``Q`` is its restriction to non-optimal states: ``(I - Q) t = 1`` gives
+    the hitting times, and ``(I - Q)^T g = start`` gives the expected number
+    of visits ``g_s`` to each state (the fundamental matrix, Kemeny & Snell).
+    A level that has been left is never re-entered, so level L is visited
+    with probability ``start(L) + sum_{s: level(s) < L} g_s T(s, L)``; this
+    agrees with one first-passage solve per level to rounding (within 1e-12
+    relative).  ``start`` is "random" (uniform over all states), an integer
+    level (uniform over that level's states) or an explicit bit string.
     """
     n = benchmark.n
     if n > FULL_STATE_MAX_N:
         raise ValueError(f"full-state oracle capped at n <= {FULL_STATE_MAX_N}, got {n}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"mutation rate must be in (0, 1), got {p}")
-
     size = 2**n
+    _check_dense_bytes(FULL_STATE_DENSE_ARRAYS * 8 * size * size, f"full-state oracle at n={n}")
+
     bits = _state_bits(n)
     fitness = np.array([benchmark.fitness(bits[s]) for s in range(size)], dtype=float)
     optimal = np.array([bool(benchmark.is_optimum(bits[s])) for s in range(size)])
@@ -406,7 +446,9 @@ def full_state_expected_time(
     popcount = np.array([int(c).bit_count() for c in range(size)], dtype=np.uint8)
     codes = np.arange(size, dtype=np.uint32)
     dist = popcount[(codes[:, None] ^ codes[None, :])]
-    trans = np.exp(dist * math.log(p) + (n - dist) * math.log1p(-p))
+    flips = np.arange(n + 1, dtype=np.uint8)  # mass of one flip pattern per distance
+    trans = np.exp(flips * math.log(p) + (n - flips) * math.log1p(-p))[dist]
+    del dist
     trans[fitness[None, :] < fitness[:, None]] = 0.0  # rejected offspring
     np.fill_diagonal(trans, 0.0)
     np.fill_diagonal(trans, np.maximum(1.0 - trans.sum(axis=1), 0.0))
@@ -425,13 +467,19 @@ def full_state_expected_time(
         start_dist = np.zeros(size)
         start_dist[code] = 1.0
 
+    top = int(levels.max())
+    to_level = trans @ (levels[:, None] == np.arange(top + 1))  # T(s, L)
     times = np.zeros(size)
+    visits = np.zeros(size)  # expected number of iterations spent in each state
     interior = ~optimal
     if np.any(interior):
-        q = trans[np.ix_(interior, interior)]
-        times[interior] = np.linalg.solve(np.eye(q.shape[0]) - q, np.ones(q.shape[0]))
+        a = trans[np.ix_(interior, interior)]
+        del trans
+        np.subtract(0.0, a, out=a)  # a = I - Q, built in place
+        a[np.diag_indices_from(a)] += 1.0
+        times[interior] = np.linalg.solve(a, np.ones(a.shape[0]))
+        visits[interior] = np.linalg.solve(a.T, start_dist[interior])
 
-    top = int(levels.max())
     visit = np.zeros(top + 1)
     for lvl in range(top + 1):
         at = levels == lvl
@@ -440,10 +488,7 @@ def full_state_expected_time(
         below = levels < lvl
         v = float(start_dist[at].sum())
         if np.any(below) and start_dist[below].sum() > 0.0:
-            q = trans[np.ix_(below, below)]
-            b = trans[np.ix_(below, at)].sum(axis=1)
-            h = np.linalg.solve(np.eye(q.shape[0]) - q, b)
-            v += float(start_dist[below] @ h)
+            v += float(visits[below] @ to_level[below, lvl])
         visit[lvl] = v
 
     expected = float(start_dist @ times)

@@ -265,7 +265,8 @@ def compare_report(
     it; an upper bound fails when the mean minus slack exceeds it; an exact
     oracle counts as bound in both directions and is itself checked against
     every supplied bound; a proven per-level visit lower bound fails when
-    the empirical frequency plus its own slack stays below it.
+    the empirical frequency plus its own slack stays below it (its SE is
+    never taken below that of a frequency equal to the clipped bound).
     """
     report = Report()
     slack = SE_SLACK * stats.std_error
@@ -295,7 +296,11 @@ def compare_report(
         for level in sorted(visit_lower):
             bound_value = visit_lower[level]
             freq = float(stats.visit_freq[level])
-            level_slack = SE_SLACK * stats.visit_std_error(level)
+            # a frequency of 0 or 1 has empirical SE 0; fall back to the SE
+            # the frequency would have if the bound were the true probability
+            b = min(max(bound_value, 0.0), 1.0)
+            se = max(stats.visit_std_error(level), float(np.sqrt(b * (1.0 - b) / stats.replicates)))
+            level_slack = SE_SLACK * se
             verdict = "FAIL" if freq + level_slack < bound_value else "PASS"
             report.rows.append(
                 ReportRow(f"visit_freq[{level}]_vs_lower", freq, bound_value, verdict)

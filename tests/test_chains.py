@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
-from flmlab.benchmarks import make_benchmark
+import flmlab.chains as chains_module
+from flmlab.benchmarks import build_long_k_path, make_benchmark
 from flmlab.chains import (
     LevelChain,
     expected_hitting_time,
@@ -49,6 +52,36 @@ def test_mutation_rows_match_brute_force(n, p):
         x = np.array([1] * k + [0] * (n - k), dtype=np.uint8)
         expected = brute_mutation_distribution(x, p)
         np.testing.assert_allclose(mutation_class_row(n, p, k), expected, atol=1e-14)
+
+
+def unpruned_mutation_class_row(n, p, k):
+    """Reference: every (up, down) log-term exponentiated and summed by destination."""
+    up = np.arange(n - k + 1)
+    down = np.arange(k + 1)
+    log_odds = math.log(p) - math.log1p(-p)
+    log_up = gammaln(n - k + 1) - gammaln(up + 1) - gammaln(n - k - up + 1) + up * log_odds
+    log_down = gammaln(k + 1) - gammaln(down + 1) - gammaln(k - down + 1) + down * log_odds
+    terms = (log_up[:, None] + log_down[None, :] + n * math.log1p(-p)).ravel()
+    dest = (k + up[:, None] - down[None, :]).ravel()
+    peak = np.full(n + 1, -np.inf)
+    np.maximum.at(peak, dest, terms)
+    scaled = np.bincount(dest, weights=np.exp(terms - peak[dest]), minlength=n + 1)
+    return np.exp(peak) * scaled
+
+
+ROW_GRID = [(n, p) for n in (1, 2, 10, 200, 600) for p in (1 / n, 10 / n, 0.3) if p < 1.0]
+
+
+@pytest.mark.parametrize("n,p", ROW_GRID)
+def test_pruned_mutation_rows_bit_identical(n, p):
+    for k in range(n + 1):
+        assert np.array_equal(mutation_class_row(n, p, k), unpruned_mutation_class_row(n, p, k)), k
+
+
+@pytest.mark.parametrize("p", [1 / 2000, 10 / 2000, 0.3])
+def test_pruned_mutation_rows_bit_identical_spot_rows(p):
+    for k in (0, 1, 2, 500, 1000, 1998, 1999, 2000):
+        assert np.array_equal(mutation_class_row(2000, p, k), unpruned_mutation_class_row(2000, p, k)), k
 
 
 def test_mutation_row_total_probability():
@@ -181,6 +214,32 @@ def test_jump_chain_gap_moves_toward_both_sides():
     assert i2 > i3  # fitness 4 beats fitness 1 in the level order
 
 
+def test_jump_chain_matches_double_loop_reference():
+    from flmlab.chains import jump_fitness_order
+
+    for n, k, start in [(10, 3, "random"), (40, 2, 5), (60, 7, "random")]:
+        order = jump_fitness_order(n, k)
+        position = {a: i for i, a in enumerate(order)}
+        t = np.zeros((n + 1, n + 1))
+        for a in range(n + 1):
+            i = position[a]
+            if a == n:
+                t[i, i] = 1.0
+                continue
+            row = mutation_class_row(n, 1 / n, a)
+            for b in range(n + 1):
+                if position[b] > i:
+                    t[i, position[b]] = row[b]
+            t[i, i] = max(0.0, 1.0 - t[i, i + 1 :].sum())
+        class_start = chains_module._resolve_start(start, n)
+        start_vec = np.zeros(n + 1)
+        for a in range(n + 1):
+            start_vec[position[a]] = class_start[a]
+        chain = jump_level_matrix(n, k, 1 / n, start=start)
+        assert np.array_equal(chain.transition, t)
+        assert np.array_equal(chain.start, start_vec)
+
+
 def test_jump_chain_rows_sum_to_one():
     chain = jump_level_matrix(14, 3, 1 / 14)
     np.testing.assert_allclose(chain.transition.sum(axis=1), 1.0, atol=1e-12)
@@ -200,6 +259,16 @@ def test_onemax_chain_matches_full_state():
     oracle = full_state_expected_time(benchmark, 1 / 8)
     overall, _ = expected_hitting_time(onemax_level_matrix(8, 1 / 8))
     assert abs(overall - oracle.expected_time) < 1e-6
+
+
+def test_onemax_chain_visit_probabilities_match_full_state():
+    # n = 14 would need 2^14 x 2^14 dense matrices, two of them alive at
+    # once (4 GiB); n = 12 is the largest size that stays cheap
+    n = 12
+    oracle = full_state_expected_time(make_benchmark("onemax", n), 1 / n)
+    chain = summarize(onemax_level_matrix(n, 1 / n))
+    np.testing.assert_allclose(oracle.visit_probs, chain.visit_probs, rtol=1e-12, atol=0)
+    assert oracle.expected_time == pytest.approx(chain.expected_time, rel=1e-12)
 
 
 def test_jump_skip_probability_desk_check():
@@ -226,6 +295,33 @@ def test_full_state_leadingones_matches_closed_form():
 def test_full_state_rejects_large_dimension():
     with pytest.raises(ValueError):
         full_state_expected_time(make_benchmark("onemax", 15), 0.1)
+
+
+def test_full_state_refuses_more_than_physical_memory_before_allocating(monkeypatch):
+    monkeypatch.setattr(chains_module, "_physical_memory", lambda: 8 * 4**12 - 1)
+    benchmark = make_benchmark("onemax", 12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="physical memory"):
+            full_state_expected_time(benchmark, 1 / 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the 128 MiB transition matrix was never built
+
+
+def test_longpath_chain_refuses_more_than_physical_memory_before_allocating(monkeypatch):
+    path = build_long_k_path(24, 3)
+    m = len(path)
+    monkeypatch.setattr(chains_module, "_physical_memory", lambda: 8 * m * m - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="physical memory"):
+            longpath_level_matrix(path, 1 / 24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m  # not even one row of the m x m distance matrix
 
 
 def test_full_state_fixed_level_start():
@@ -255,6 +351,17 @@ def test_longpath_chain_against_full_state():
     overall, _ = expected_hitting_time(chain)
     oracle = full_state_expected_time(bm, 1 / 6, start=bm.path.points[0])
     assert abs(overall - oracle.expected_time) < 1e-8
+
+
+def test_longpath_chain_matches_distance_tensor_reference():
+    for n, k in [(6, 2), (12, 3), (15, 5)]:
+        path = build_long_k_path(n, k)
+        p = 1 / n
+        pts = np.array(path.points, dtype=np.int16)
+        dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+        t = np.triu(np.exp(dist * math.log(p) + (n - dist) * math.log1p(-p)), k=1)
+        np.fill_diagonal(t, np.maximum(1.0 - t.sum(axis=1), 0.0))
+        assert np.array_equal(longpath_level_matrix(path, p).transition, t)
 
 
 def test_summary_bundles_consistent_values():

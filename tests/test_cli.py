@@ -155,6 +155,36 @@ def test_compare_fail_verdict_exits_3(monkeypatch, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("seed", ["1", "2", "4"])
+def test_compare_visit_row_with_zero_frequency_passes(seed, capsys):
+    # some OneMax level is never visited in 300 replicates; its empirical SE
+    # is 0, so the row's slack comes from the bound's own binomial SE
+    code, out, _ = run_main(
+        capsys, "compare", "--benchmark", "onemax", "--n", "10", "--replicates", "300",
+        "--seed", seed, "--format", "csv",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    visit_rows = [row for row in rows if row[0].startswith("visit_freq")]
+    assert any(float(row[1]) == 0.0 for row in visit_rows)
+    assert all(row[3] == "PASS" for row in rows)
+
+
+def test_oracle_over_memory_exits_1(monkeypatch, capsys):
+    import flmlab.chains as chains_module
+
+    monkeypatch.setattr(chains_module, "_physical_memory", lambda: 2**20)
+    for argv in (
+        ("oracle", "--benchmark", "onemax", "--n", "12", "--full-state"),
+        ("oracle", "--benchmark", "longpath", "--n", "24", "--k", "3"),
+    ):
+        code, out, err = run_main(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "physical memory" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_config_file_mirrors_flags(tmp_path, capsys):
     config = tmp_path / "exp.json"
     config.write_text(json.dumps({

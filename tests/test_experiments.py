@@ -120,11 +120,17 @@ def test_compare_report_verdict_rules():
 
 def test_compare_report_visit_rule():
     # synthetic traces all skip level 1 on their way from 0 to the top
-    results = aggregate_results_for_fixed_runtimes([3, 4, 5, 6], levels=3)
+    results = aggregate_results_for_fixed_runtimes([3, 4, 5, 6] * 10, levels=3)
     report = compare_report(results, [], visit_lower={0: 1.0})
     assert report.rows[-1].verdict == "PASS"
     report = compare_report(results, [], visit_lower={1: 0.5})
     assert report.rows[-1].verdict == "FAIL"
+    # frequency 0 has empirical SE 0; the slack then uses the SE of a
+    # frequency equal to the bound, and 0 visits in 4 runs (chance 1/16
+    # under v = 0.5) is no evidence against the bound
+    few = aggregate_results_for_fixed_runtimes([3, 4, 5, 6], levels=3)
+    report = compare_report(few, [], visit_lower={1: 0.5})
+    assert report.rows[-1].verdict == "PASS"
 
 
 def aggregate_results_for_fixed_runtimes(runtimes, levels=2):
