@@ -10,7 +10,6 @@ from .benchmarks import (
     Benchmark,
     LongKPath,
     build_long_k_path,
-    canonical_levels,
     jump_fitness,
     leadingones,
     long_path_fitness,
@@ -20,7 +19,6 @@ from .benchmarks import (
 )
 from .bounds import (
     BoundResult,
-    FlmInput,
     flm_lower_classic,
     flm_lower_visit,
     flm_lower_viscosity,
@@ -45,7 +43,7 @@ from .chains import (
     visit_probabilities,
     visit_probability_matrix,
 )
-from .ea import EaConfig, RunResult, run_ea, standard_bit_mutation, uniform_random_bitstring
+from .ea import RunResult, run_ea, uniform_random_bitstring
 from .experiments import (
     ExperimentConfig,
     Report,

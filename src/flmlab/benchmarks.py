@@ -26,7 +26,6 @@ __all__ = [
     "long_path_fitness",
     "verify_long_k_path",
     "long_k_path_length",
-    "canonical_levels",
     "make_onemax",
     "make_leadingones",
     "make_jump",
@@ -99,6 +98,8 @@ def build_long_k_path(n: int, k: int, max_points: int = DEFAULT_PATH_POINT_CAP) 
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
+    if n < k:
+        raise ValueError(f"n must be >= k, got n={n}, k={k}")
     if n % k != 0:
         raise ValueError(f"k must divide n, got n={n}, k={k}")
     if long_k_path_length(n, k) > max_points:
@@ -148,17 +149,6 @@ def verify_long_k_path(path: LongKPath) -> None:
             raise AssertionError(f"point {i}: some point < k ahead is not at exact distance")
         if np.any(dist[~near] < k):
             raise AssertionError(f"point {i}: some point >= k ahead is closer than k")
-
-
-def canonical_levels(kind: str, n: int, k: Optional[int] = None) -> Callable[[np.ndarray], int]:
-    """Canonical level function for a benchmark kind.
-
-    OneMax / LeadingOnes: level = fitness, top level n.  Jump: gap fitness
-    classes are levels 1..k-1, the non-gap non-optimal set is level k, the
-    optimum is level k+1 (level 0 is unused).  Long path: level = path
-    index, off-path points share level 0 with the path start.
-    """
-    return make_benchmark(kind, n, k).level
 
 
 @dataclass
@@ -304,7 +294,13 @@ def make_longpath(n: int, k: int, max_points: int = DEFAULT_PATH_POINT_CAP) -> B
 
 
 def make_benchmark(kind: str, n: int, k: Optional[int] = None) -> Benchmark:
-    """Factory keyed by benchmark name; jump and longpath require k."""
+    """Factory keyed by benchmark name; jump and longpath require k.
+
+    Canonical levels: OneMax / LeadingOnes: level = fitness, top level n.
+    Jump: gap fitness classes are levels 1..k-1, the non-gap non-optimal set
+    is level k, the optimum is level k+1 (level 0 is unused).  Long path:
+    level = path index, off-path points share level 0 with the path start.
+    """
     kind = kind.lower()
     if kind == "onemax":
         return make_onemax(n)

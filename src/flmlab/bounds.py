@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "BoundResult",
-    "FlmInput",
     "flm_upper_classic",
     "flm_lower_classic",
     "flm_lower_viscosity",
@@ -49,24 +48,6 @@ class BoundResult:
     @property
     def ok(self) -> bool:
         return not self.violated_preconditions
-
-
-@dataclass
-class FlmInput:
-    """Input bundle for the bound calculators.
-
-    ``p`` holds leaving probabilities for the m-1 non-top levels, ``v``
-    visit probabilities, ``start`` a distribution over all m levels,
-    ``gamma`` an upper-triangular m-by-m matrix of conditional jump weights
-    and ``chi`` their uniformity constant.
-    """
-
-    m: int
-    p: np.ndarray
-    v: Optional[np.ndarray] = None
-    start: Optional[np.ndarray] = None
-    gamma: Optional[np.ndarray] = None
-    chi: Optional[float] = None
 
 
 def _check_rates(p: np.ndarray, m: Optional[int] = None) -> np.ndarray:

@@ -262,6 +262,8 @@ def longpath_level_matrix(path, p: float, start: StartSpec = 0) -> LevelChain:
     if isinstance(start, str):
         raise ValueError("longpath chains start on a fixed path position")
     m = len(path.points)
+    if not 0 <= int(start) <= m - 1:
+        raise ValueError(f"start position must be in [0, {m - 1}], got {start}")
     _check_dense_bytes(LONGPATH_DENSE_ARRAYS * 8 * m * m, f"long k-path chain over {m} positions")
     pts = np.array(path.points, dtype=float)
     ones = pts.sum(axis=1)

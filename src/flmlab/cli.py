@@ -257,7 +257,7 @@ def _longpath_compare(args, p: float, summary: chains.ChainSummary):
     bound_list = [
         bounds.BoundResult(formulas.longpath_lower_bound(args.n, args.k, p), "lower", "longpath-visit-lower")
     ]
-    v_low = formulas.longpath_visit_lower(p)
+    v_low = formulas.longpath_level_visit_lower(args.n, args.k, p)
     visit_lower = {i: v_low for i in range(1, len(summary.visit_probs) - 1)}
     return bound_list, summary.expected_time, visit_lower
 

@@ -1,25 +1,21 @@
 """The (1+1) EA engine: bit strings, standard bit mutation, the elitist loop.
 
 Bit strings are plain numpy uint8 arrays with entries in {0, 1}; they are
-treated as immutable by the engine (mutation always returns a fresh array).
+treated as immutable by the engine (mutation always writes a fresh array).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-__all__ = [
-    "EaConfig",
-    "RunResult",
-    "uniform_random_bitstring",
-    "standard_bit_mutation",
-    "run_ea",
-]
+__all__ = ["RunResult", "uniform_random_bitstring", "run_ea"]
 
 DEFAULT_MAX_ITERATIONS = 10**9
+_BLOCK = 1024  # variates drawn per call to the generator
+_REJECTION_LIMIT = 8  # largest flip count drawn from the uniform index stream
 
 
 def uniform_random_bitstring(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -29,42 +25,36 @@ def uniform_random_bitstring(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=n, dtype=np.uint8)
 
 
-def standard_bit_mutation(x: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit of ``x`` independently with probability ``p``.
+def _flip_sets(n: int, p: float, rng: np.random.Generator) -> Iterator[list[int]]:
+    """The positions standard bit mutation flips, one set per iteration.
 
-    Sampled by drawing the flip count from Binomial(n, p) and then a uniform
-    subset of positions of that size, which is distributionally identical to
-    per-bit coin flips.  The input is not modified.
+    The flip count is Binomial(n, p), so each bit flips independently with
+    probability p.  Counts come from blocks of binomial variates; the
+    positions of up to 8 flips (at most n/2) come from blocks of uniform
+    indices with duplicates rejected, larger counts from Generator.choice.
+    Every block is drawn when its first value is needed, so the stream is
+    fully determined by the generator's state.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mutation rate must be in [0, 1], got {p}")
-    n = len(x)
-    y = x.copy()
-    count = int(rng.binomial(n, p))
-    if count:
-        positions = rng.choice(n, size=count, replace=False, shuffle=False)
-        y[positions] ^= 1
-    return y
 
+    def blocks(draw) -> Iterator[int]:
+        while True:
+            yield from draw().tolist()
 
-@dataclass(frozen=True)
-class EaConfig:
-    """Parameters of a single (1+1) EA run."""
-
-    n: int
-    mutation_rate: float
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if not 0.0 < self.mutation_rate < 1.0:
-            raise ValueError(f"mutation rate must be in (0, 1), got {self.mutation_rate}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+    indices = blocks(lambda: rng.integers(0, n, size=_BLOCK))
+    for count in blocks(lambda: rng.binomial(n, p, size=_BLOCK)):
+        if count == 0:
+            yield []
+        elif count == 1:
+            yield [next(indices)]
+        elif count <= _REJECTION_LIMIT and count <= n // 2:
+            chosen: list[int] = []
+            while len(chosen) < count:
+                idx = next(indices)
+                if idx not in chosen:
+                    chosen.append(idx)
+            yield chosen
+        else:
+            yield rng.choice(n, size=count, replace=False, shuffle=False).tolist()
 
 
 @dataclass
@@ -79,122 +69,49 @@ class RunResult:
 
     runtime: int
     hit_optimum: bool
-    level_trace: Optional[list[tuple[int, int]]] = None
-    final_fitness: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "runtime": self.runtime,
-            "hit_optimum": self.hit_optimum,
-            "level_trace": None if self.level_trace is None else [list(t) for t in self.level_trace],
-            "final_fitness": self.final_fitness,
-        }
-
-
-class _FlipSampler:
-    """Buffered sampler of mutation flip sets.
-
-    Flip counts come from a pre-drawn block of Binomial(n, p) variates;
-    positions for small counts come from a pre-drawn block of uniform
-    indices (rejecting duplicates), larger counts fall back to
-    Generator.choice.  All draws consume the same generator in a fixed
-    order, so a run is fully determined by the seed.
-    """
-
-    _BLOCK = 1024
-    _REJECTION_LIMIT = 8
-
-    def __init__(self, n: int, p: float, rng: np.random.Generator) -> None:
-        self._n = n
-        self._p = p
-        self._rng = rng
-        self._counts: np.ndarray = np.empty(0, dtype=np.int64)
-        self._counts_pos = 0
-        self._indices: np.ndarray = np.empty(0, dtype=np.int64)
-        self._indices_pos = 0
-
-    def _next_count(self) -> int:
-        if self._counts_pos >= len(self._counts):
-            self._counts = self._rng.binomial(self._n, self._p, size=self._BLOCK)
-            self._counts_pos = 0
-        count = int(self._counts[self._counts_pos])
-        self._counts_pos += 1
-        return count
-
-    def _next_index(self) -> int:
-        if self._indices_pos >= len(self._indices):
-            self._indices = self._rng.integers(0, self._n, size=self._BLOCK)
-            self._indices_pos = 0
-        idx = int(self._indices[self._indices_pos])
-        self._indices_pos += 1
-        return idx
-
-    def next_flips(self) -> Optional[list[int]]:
-        """Positions to flip for one iteration, or None when nothing flips."""
-        count = self._next_count()
-        if count == 0:
-            return None
-        if count == 1:
-            return [self._next_index()]
-        if count <= self._REJECTION_LIMIT and count <= self._n // 2:
-            chosen: list[int] = []
-            seen: set[int] = set()
-            while len(chosen) < count:
-                idx = self._next_index()
-                if idx not in seen:
-                    seen.add(idx)
-                    chosen.append(idx)
-            return chosen
-        return [int(i) for i in self._rng.choice(self._n, size=count, replace=False, shuffle=False)]
+    level_trace: list[tuple[int, int]]
 
 
 def run_ea(
     benchmark,
-    config: EaConfig,
-    rng: Optional[np.random.Generator] = None,
-    level_fn: Optional[Callable[[np.ndarray], int]] = None,
+    rate: float,
+    rng: np.random.Generator,
     initial: Optional[np.ndarray] = None,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> RunResult:
     """Run the (1+1) EA on ``benchmark`` until its optimum predicate holds.
 
-    Each iteration mutates the current individual and accepts the offspring
-    iff its fitness is not worse.  If ``max_iterations`` is exhausted the
-    result is flagged ``hit_optimum=False`` with the partial trace; no
-    exception is raised.
+    Each iteration mutates the current individual with rate ``rate`` and
+    accepts the offspring iff its fitness is not worse; the run starts from
+    ``initial`` or a uniform random string and records the sojourn at each
+    ``benchmark.level``.  If ``max_iterations`` is exhausted the result is
+    flagged ``hit_optimum=False`` with the partial trace; no exception is
+    raised.
     """
-    if benchmark.n != config.n:
-        raise ValueError(f"benchmark dimension {benchmark.n} != config dimension {config.n}")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-
-    x = uniform_random_bitstring(config.n, rng) if initial is None else np.asarray(initial, dtype=np.uint8).copy()
-    if len(x) != config.n:
+    if not 0.0 < rate < 1.0:
+        raise ValueError(f"mutation rate must be in (0, 1), got {rate}")
+    n = benchmark.n
+    x = uniform_random_bitstring(n, rng) if initial is None else np.asarray(initial, dtype=np.uint8).copy()
+    if len(x) != n:
         raise ValueError("initial individual has wrong length")
     fitness = benchmark.fitness
     is_optimum = benchmark.is_optimum
+    level_fn = benchmark.level
     fx = fitness(x)
-
-    trace: Optional[list[tuple[int, int]]] = None
-    level = -1
-    level_iters = 0
-    if level_fn is not None:
-        trace = []
-        level = level_fn(x)
-
+    level = level_fn(x)
+    trace: list[tuple[int, int]] = []
     if is_optimum(x):
-        if trace is not None:
-            trace.append((level, 0))
-        return RunResult(0, True, trace, float(fx))
+        trace.append((level, 0))
+        return RunResult(0, True, trace)
 
-    sampler = _FlipSampler(config.n, config.mutation_rate, rng)
-    max_iterations = config.max_iterations
+    flip_sets = _flip_sets(n, rate, rng)
     iterations = 0
+    level_iters = 0
     while iterations < max_iterations:
         iterations += 1
-        if trace is not None:
-            level_iters += 1
-        flips = sampler.next_flips()
-        if flips is None:
+        level_iters += 1
+        flips = next(flip_sets)
+        if not flips:
             continue  # offspring equals parent: accepted, nothing changes
         y = x.copy()
         for pos in flips:
@@ -203,21 +120,16 @@ def run_ea(
         if fy >= fx:
             x = y
             fx = fy
-            if trace is not None:
-                new_level = level_fn(x)
-                if new_level != level:
-                    if new_level < level:
-                        raise RuntimeError(
-                            f"level function not fitness-compatible: {level} -> {new_level}"
-                        )
-                    trace.append((level, level_iters))
-                    level = new_level
-                    level_iters = 0
+            new_level = level_fn(x)
+            if new_level != level:
+                if new_level < level:
+                    raise RuntimeError(f"level function not fitness-compatible: {level} -> {new_level}")
+                trace.append((level, level_iters))
+                level = new_level
+                level_iters = 0
             if is_optimum(x):
-                if trace is not None:
-                    trace.append((level, level_iters))
-                return RunResult(iterations, True, trace, float(fx))
+                trace.append((level, level_iters))
+                return RunResult(iterations, True, trace)
 
-    if trace is not None:
-        trace.append((level, level_iters))
-    return RunResult(iterations, False, trace, float(fx))
+    trace.append((level, level_iters))
+    return RunResult(iterations, False, trace)

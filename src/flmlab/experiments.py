@@ -17,7 +17,7 @@ import numpy as np
 
 from .benchmarks import Benchmark, make_benchmark
 from .bounds import BoundResult
-from .ea import DEFAULT_MAX_ITERATIONS, EaConfig, RunResult, run_ea
+from .ea import DEFAULT_MAX_ITERATIONS, RunResult, run_ea
 
 __all__ = [
     "ExperimentConfig",
@@ -68,6 +68,8 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must fit in 64 unsigned bits")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
     @property
     def rate(self) -> float:
@@ -146,33 +148,24 @@ def _parse_init(init: str, n: int, point: bool = True) -> Union[str, int, np.nda
 
 
 def _run_replicate(
-    benchmark: Benchmark, config: EaConfig, master_seed: int, replicate: int, start
+    benchmark: Benchmark, rate: float, config: ExperimentConfig, replicate: int, start
 ) -> RunResult:
-    rng = replicate_rng(master_seed, replicate)
+    rng = replicate_rng(config.master_seed, replicate)
     if isinstance(start, str):
         initial = None
     elif isinstance(start, int):
         initial = benchmark.sample_level(start, rng)
     else:
         initial = start
-    return run_ea(benchmark, config, rng=rng, level_fn=benchmark.level, initial=initial)
+    return run_ea(benchmark, rate, rng, initial=initial, max_iterations=config.max_iterations)
 
 
 def run_experiment(config: ExperimentConfig) -> RunStatistics:
     """Execute the configured replicates in index order and merge them."""
     benchmark = config.make_benchmark()
     rate = config.rate
-    ea_config = EaConfig(
-        n=config.n,
-        mutation_rate=rate,
-        max_iterations=config.max_iterations,
-        seed=config.master_seed,
-    )
     start = _parse_init(config.init, config.n)
-    results = [
-        _run_replicate(benchmark, ea_config, config.master_seed, r, start)
-        for r in range(config.replicates)
-    ]
+    results = [_run_replicate(benchmark, rate, config, r, start) for r in range(config.replicates)]
     return aggregate_results(results, benchmark.level_count)
 
 
@@ -189,7 +182,7 @@ def aggregate_results(results: Sequence[RunResult], level_count: int) -> RunStat
     leaves = np.zeros(level_count, dtype=np.int64)
     iters = np.zeros(level_count, dtype=np.int64)
     for res in results:
-        trace = res.level_trace or []
+        trace = res.level_trace
         for pos, (level, spent) in enumerate(trace):
             visits[level] += 1
             iters[level] += spent

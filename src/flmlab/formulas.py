@@ -34,6 +34,7 @@ __all__ = [
     "longpath_leave_prob",
     "longpath_leave_prob_bound",
     "longpath_visit_lower",
+    "longpath_level_visit_lower",
     "longpath_lower_bound",
     "sudholt_reference_bound",
 ]
@@ -231,6 +232,16 @@ def longpath_visit_lower(p: float) -> float:
     if not 0.0 < p <= 0.5:
         raise ValueError(f"mutation rate must be in (0, 1/2], got {p}")
     return (1.0 - 2.0 * p) / (1.0 - p)
+
+
+def longpath_level_visit_lower(n: int, k: int, p: float) -> float:
+    """Lower bound on the probability of visiting any given interior path
+    level from the all-zero start with all jumps allowed: the (1-2p)/(1-p)
+    of :func:`longpath_visit_lower` times the no-shortcut factor
+    (1 - m (p/(1-p))^(k-1))^m of :func:`longpath_lower_bound`, clamped at 0."""
+    _check_longpath_params(n, k, p)
+    m = float(long_k_path_length(n, k) - 1)
+    return longpath_visit_lower(p) * max(0.0, 1.0 - m * (p / (1.0 - p)) ** (k - 1)) ** m
 
 
 def _longpath_bound(n: int, k: int, p: float, survival_base: float) -> float:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from flmlab.benchmarks import (
-    canonical_levels,
     jump_fitness,
     leadingones,
     make_benchmark,
@@ -49,9 +48,9 @@ def test_jump_fitness_rejects_bad_k():
         jump_fitness(bits("0101"), 5)
 
 
-def test_canonical_levels_examples():
-    assert canonical_levels("onemax", 4)(bits("1010")) == 2
-    jump_level = canonical_levels("jump", 4, 2)
+def test_make_benchmark_level_examples():
+    assert make_benchmark("onemax", 4).level(bits("1010")) == 2
+    jump_level = make_benchmark("jump", 4, 2).level
     assert jump_level(bits("1110")) == 1  # gap class of fitness 1
     assert jump_level(bits("1100")) == 2  # the non-gap region
     assert jump_level(bits("1111")) == 3  # optimum on top

@@ -239,6 +239,27 @@ def test_oracle_without_k_exits_1(capsys):
         assert "requires --k" in err
 
 
+def assert_one_line_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_path_check_n_below_k_exits_1(capsys):
+    # 0 % 3 == 0, but no long k-path has fewer than k bits
+    assert_one_line_error(*run_main(capsys, "path-check", "--n", "0", "--k", "3"))
+
+
+@pytest.mark.parametrize("level", ["99", "-1"])
+def test_oracle_longpath_start_out_of_range_exits_1(capsys, level):
+    # the path has 15 positions; -1 must not wrap around to the optimum
+    code, out, err = run_main(
+        capsys, "oracle", "--benchmark", "longpath", "--n", "6", "--k", "2", "--init", f"level:{level}"
+    )
+    assert_one_line_error(code, out, err)
+    assert "[0, 14]" in err
+
+
 def test_bounds_csv_format(capsys):
     code, out, _ = run_main(
         capsys, "bounds", "--benchmark", "jump", "--n", "10", "--k", "2", "--format", "csv",

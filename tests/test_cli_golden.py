@@ -62,18 +62,21 @@ GOLDEN = [
     ("simulate --benchmark jump --n 6 --k 2 --replicates 40 --seed 4 --format csv", 0, "d16a85c4be07243f62bda88a5c50156c23e744479c3c854ecba0484d1e2da022"),
     ("simulate --benchmark longpath --n 6 --k 2 --replicates 30 --seed 5 --init level:0", 0, "8631cdd7e2dbc0dc2acd3a5d20eccc6ab92419040a8d1fc2590961e941906f99"),
     ("simulate --benchmark onemax --n 8 --replicates 5 --seed 6 --init sideways", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("simulate --benchmark onemax --n 8 --replicates 5 --max-iterations 0", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("simulate --benchmark onemax --n 0 --replicates 5", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # compare: every family, JSON and CSV, chain starts, rates without jump bounds
     ("compare --benchmark leadingones --n 6 --replicates 300 --seed 7", 0, "de760d5f146fc0b386a12d4f15aa9ab5fe0875a72a59847cf0aff752e6c26ac1"),
     ("compare --benchmark leadingones --n 6 --replicates 300 --seed 7 --init level:1 --format csv", 0, "d754ceb561c677a7f981da780e189147ab3f0f096e0a6eab28effb1cd1652814"),
     ("compare --benchmark leadingones --n 6 --replicates 100 --seed 7 --init point:000000 --format csv", 0, "9ca58e8d1ea48c3009f20a283c94af36be7e35893eff9d917265b2d50d43557f"),
+    ("compare --benchmark leadingones --n 6 --replicates 5 --max-iterations 0", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("compare --benchmark onemax --n 6 --replicates 200 --seed 8", 0, "a96f1bd4fa337d62bdd07d475462a96eaf39763298507ddd5083879cd8d52167"),
     ("compare --benchmark onemax --n 6 --replicates 200 --seed 8 --init level:2 --format csv", 0, "6ca5b550c350799cdb9c5bcc014544cc7c100675302555a318e1b418f68a7185"),
     ("compare --benchmark onemax --n 6 --replicates 20 --seed 8 --init point:000000", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("compare --benchmark jump --n 6 --k 2 --replicates 300 --seed 9 --format csv", 0, "4acc4f7b642f94a9b6d6589b5dc9dabac35df899e389743b6a36fc9ab2943356"),
     ("compare --benchmark jump --n 6 --k 2 --replicates 300 --seed 9 --init level:3", 3, "afe9cba41743efaba9fd7fbd767aac0c24c7ecd8a608b04949ef371497dfd761"),
     ("compare --benchmark jump --n 6 --k 2 --replicates 200 --seed 9 --p 2/n --format csv", 0, "8b115dfa872feecbb8f18b13ee57df6cf80a6b987d4815001ac94ff0887f440e"),
-    ("compare --benchmark longpath --n 6 --k 2 --replicates 200 --seed 10", 3, "3332d06248da09af3b2b1ee081dcfc6cc8462af453e1b56661f50804919e80bc"),
-    ("compare --benchmark longpath --n 6 --k 2 --replicates 200 --seed 10 --init level:0 --format csv", 3, "99c9fe1db9ce79e881317b8d7589e1c8383096e2ef1c8e82f0cecea082310e2c"),
+    ("compare --benchmark longpath --n 6 --k 2 --replicates 200 --seed 10", 0, "fbe4675d2dfc8808b7eb3afece47825f30faac299db1a7a1c70bd77608502886"),
+    ("compare --benchmark longpath --n 6 --k 2 --replicates 200 --seed 10 --init level:0 --format csv", 0, "a06cc3925bfadb9485f7fc7e70c9c9c8c4eeb229831e7b9cee4bf0e793c30e08"),
     # path-check
     ("path-check --n 6 --k 2", 0, "4fae58647b7c4b523fe4cae097d8a503c2cd6aa556b48b9d9721847b702e66c5"),
     ("path-check --n 6 --k 3 --out {out}", 0, "310e8a3a8d827f5ff7b8026bb0be947bfa7e3810d06cf5bc3613c99f40d1cbe8"),

@@ -1,4 +1,4 @@
-import json
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 
 from flmlab.benchmarks import make_leadingones, make_onemax
 from flmlab.chains import onemax_level_matrix
-from flmlab.ea import EaConfig, run_ea, standard_bit_mutation, uniform_random_bitstring
+from flmlab.ea import _flip_sets, run_ea, uniform_random_bitstring
 from flmlab.formulas import leadingones_exact
 
 from conftest import chi2_pvalue, exact_binom_pmf
@@ -39,48 +39,65 @@ def test_uniform_bitstring_ones_count_binomial():
     assert chi2_pvalue(counts, exact_binom_pmf(10, 0.5)) > 1e-3
 
 
-def test_mutation_identity_and_complement():
-    x = np.array([1, 0, 1], dtype=np.uint8)
-    rng = np.random.default_rng(0)
-    assert np.array_equal(standard_bit_mutation(x, 0.0, rng), x)
-    assert np.array_equal(standard_bit_mutation(x, 1.0, rng), np.array([0, 1, 0], dtype=np.uint8))
+def draw_flip_sets(n, p, seed, count):
+    flip_sets = _flip_sets(n, p, np.random.default_rng(seed))
+    return [next(flip_sets) for _ in range(count)]
 
 
-def test_mutation_leaves_input_unmodified():
-    x = np.zeros(6, dtype=np.uint8)
-    standard_bit_mutation(x, 0.9, np.random.default_rng(1))
-    assert np.array_equal(x, np.zeros(6, dtype=np.uint8))
-
-
-def test_mutation_rejects_bad_rate():
-    x = np.zeros(3, dtype=np.uint8)
-    for bad in (-0.1, 1.5):
-        with pytest.raises(ValueError):
-            standard_bit_mutation(x, bad, np.random.default_rng(0))
-
-
-def test_mutation_flip_count_binomial():
-    rng = np.random.default_rng(13)
-    x = np.zeros(8, dtype=np.uint8)
+def test_flip_count_binomial():
     counts = np.zeros(9, dtype=np.int64)
-    for _ in range(10**5):
-        counts[int(standard_bit_mutation(x, 1 / 8, rng).sum())] += 1
+    for flips in draw_flip_sets(8, 1 / 8, 13, 10**5):
+        counts[len(flips)] += 1
     assert chi2_pvalue(counts, exact_binom_pmf(8, 1 / 8)) > 1e-3
 
 
-def test_ea_config_validation():
-    with pytest.raises(ValueError):
-        EaConfig(n=0, mutation_rate=0.5)
-    with pytest.raises(ValueError):
-        EaConfig(n=4, mutation_rate=0.0)
-    with pytest.raises(ValueError):
-        EaConfig(n=4, mutation_rate=1.0)
+@pytest.mark.parametrize("n,p", [(1, 0.5), (8, 1 / 8), (30, 0.2), (4, 0.9), (50, 0.5)])
+def test_flip_positions_distinct_and_in_range(n, p):
+    for flips in draw_flip_sets(n, p, 14, 5000):
+        assert all(type(pos) is int and 0 <= pos < n for pos in flips)
+        assert len(set(flips)) == len(flips)
+
+
+def test_flip_sets_exercise_every_branch():
+    # n = 4, p = 0.9: 1 flip from the index stream, 2 flips by rejection,
+    # 3 and 4 flips (more than n/2) by Generator.choice
+    sizes = {len(flips) for flips in draw_flip_sets(4, 0.9, 15, 2000)}
+    assert {1, 2, 3, 4} <= sizes
+    # n = 30, p = 0.2: up to 8 flips by rejection, more by Generator.choice
+    sizes = {len(flips) for flips in draw_flip_sets(30, 0.2, 16, 2000)}
+    assert {0, 1, 8, 9} <= sizes
+
+
+# SHA-256 of the first 2000 flip sets (one "i,j,...\n" line each) of seed 2021,
+# followed by the generator's next integers(0, 2**63) draw; recorded from
+# the previous sampler, so the engine's random stream is unchanged
+FLIP_STREAM_DIGESTS = {
+    (100, 1 / 100): "af74ee07e342d49b39c4894c2096830c9f64a5f99ced0e7736ce1ee4710bcdb5",
+    (10, 0.3): "782fd5280e5c5e885ca0118cb675fe06b2914aa1a93615e56ec263581d38a3a0",
+    (30, 0.5): "e57cbcb6d736d3df61fdb596482164d35f40d4feb8a2096ee0ef324928213035",
+}
+
+
+@pytest.mark.parametrize("n,p", list(FLIP_STREAM_DIGESTS))
+def test_flip_stream_pinned(n, p):
+    rng = np.random.default_rng(2021)
+    flip_sets = _flip_sets(n, p, rng)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        digest.update((",".join(map(str, next(flip_sets))) + "\n").encode())
+    digest.update(str(int(rng.integers(0, 2**63))).encode())
+    assert digest.hexdigest() == FLIP_STREAM_DIGESTS[(n, p)]
+
+
+def test_run_ea_rejects_rate_outside_open_interval():
+    for bad in (0.0, 1.0, -0.1, 1.5):
+        with pytest.raises(ValueError):
+            run_ea(make_onemax(4), bad, np.random.default_rng(0))
 
 
 def test_run_ea_zero_runtime_when_initial_optimal():
     bm = make_onemax(1)
-    result = run_ea(bm, EaConfig(n=1, mutation_rate=0.5), initial=np.array([1], dtype=np.uint8),
-                    level_fn=bm.level)
+    result = run_ea(bm, 0.5, np.random.default_rng(0), initial=np.array([1], dtype=np.uint8))
     assert result.runtime == 0
     assert result.hit_optimum
     assert result.level_trace == [(1, 0)]
@@ -88,11 +105,10 @@ def test_run_ea_zero_runtime_when_initial_optimal():
 
 def test_run_ea_geometric_mean_on_single_bit():
     bm = make_onemax(1)
-    cfg = EaConfig(n=1, mutation_rate=0.5)
     rng = np.random.default_rng(21)
     runs = 10**5
     runtimes = np.array([
-        run_ea(bm, cfg, rng=rng, initial=np.array([0], dtype=np.uint8)).runtime for _ in range(runs)
+        run_ea(bm, 0.5, rng, initial=np.array([0], dtype=np.uint8)).runtime for _ in range(runs)
     ])
     se = runtimes.std(ddof=1) / math.sqrt(runs)
     assert abs(runtimes.mean() - 2.0) < 3 * se
@@ -102,23 +118,27 @@ def test_run_ea_leadingones_mean_matches_closed_form():
     # oracle computed first: exact expected runtime for n=8, p=1/8
     expected = leadingones_exact(8, 1 / 8)
     bm = make_leadingones(8)
-    cfg = EaConfig(n=8, mutation_rate=1 / 8)
     rng = np.random.default_rng(22)
     runs = 10**5
-    runtimes = np.fromiter((run_ea(bm, cfg, rng=rng).runtime for _ in range(runs)), dtype=np.int64)
+    runtimes = np.fromiter((run_ea(bm, 1 / 8, rng).runtime for _ in range(runs)), dtype=np.int64)
     se = runtimes.std(ddof=1) / math.sqrt(runs)
     assert abs(runtimes.mean() - expected) < 3 * se
 
 
-def test_run_ea_dimension_mismatch():
+def test_run_ea_leaves_initial_unmodified():
+    initial = np.zeros(6, dtype=np.uint8)
+    run_ea(make_onemax(6), 0.9, np.random.default_rng(1), initial=initial, max_iterations=50)
+    assert np.array_equal(initial, np.zeros(6, dtype=np.uint8))
+
+
+def test_run_ea_initial_length_mismatch():
     with pytest.raises(ValueError):
-        run_ea(make_onemax(4), EaConfig(n=5, mutation_rate=0.2))
+        run_ea(make_onemax(4), 0.2, np.random.default_rng(0), initial=np.zeros(5, dtype=np.uint8))
 
 
 def test_run_ea_timeout_flags_and_partial_trace():
     bm = make_onemax(30)
-    cfg = EaConfig(n=30, mutation_rate=1 / 30, max_iterations=5)
-    result = run_ea(bm, cfg, rng=np.random.default_rng(3), level_fn=bm.level)
+    result = run_ea(bm, 1 / 30, np.random.default_rng(3), max_iterations=5)
     assert not result.hit_optimum
     assert result.runtime == 5
     assert sum(spent for _, spent in result.level_trace) == 5
@@ -126,9 +146,8 @@ def test_run_ea_timeout_flags_and_partial_trace():
 
 def test_level_trace_strictly_increasing_and_sums_to_runtime():
     bm = make_onemax(12)
-    cfg = EaConfig(n=12, mutation_rate=1 / 12)
     for seed in range(25):
-        result = run_ea(bm, cfg, rng=np.random.default_rng(seed), level_fn=bm.level)
+        result = run_ea(bm, 1 / 12, np.random.default_rng(seed))
         assert result.hit_optimum
         levels = [lvl for lvl, _ in result.level_trace]
         assert levels == sorted(set(levels))
@@ -150,16 +169,15 @@ def test_fitness_nondecreasing_over_iterations():
     bm.is_optimum = recording_is_optimum
     for seed in range(10):
         parents.clear()
-        run_ea(bm, EaConfig(n=10, mutation_rate=0.1), rng=np.random.default_rng(seed))
+        run_ea(bm, 0.1, np.random.default_rng(seed))
         assert all(b >= a for a, b in zip(parents, parents[1:]))
 
 
-def test_run_ea_byte_identical_for_same_seed():
+def test_run_ea_identical_for_same_seed():
     bm = make_leadingones(9)
-    cfg = EaConfig(n=9, mutation_rate=1 / 9, seed=77)
-    first = run_ea(bm, cfg, level_fn=bm.level)
-    second = run_ea(bm, cfg, level_fn=bm.level)
-    assert json.dumps(first.as_dict()) == json.dumps(second.as_dict())
+    first = run_ea(bm, 1 / 9, np.random.default_rng(77))
+    second = run_ea(bm, 1 / 9, np.random.default_rng(77))
+    assert first == second
 
 
 def test_sojourn_lengths_geometric_against_chain_rates():
@@ -167,10 +185,9 @@ def test_sojourn_lengths_geometric_against_chain_rates():
     n, p = 10, 1 / 10
     chain = onemax_level_matrix(n, p)
     bm = make_onemax(n)
-    cfg = EaConfig(n=n, mutation_rate=p)
     sojourns = {5: [], 7: []}
     for seed in range(4000):
-        result = run_ea(bm, cfg, rng=np.random.default_rng(10_000 + seed), level_fn=bm.level)
+        result = run_ea(bm, p, np.random.default_rng(10_000 + seed))
         assert result.hit_optimum
         for level, spent in result.level_trace[:-1]:
             if level in sojourns:

@@ -64,6 +64,13 @@ def test_run_experiment_fixed_point_init():
     assert stats.visit_freq[3] == 1.0
 
 
+@pytest.mark.parametrize("field,value", [("max_iterations", 0), ("max_iterations", -1),
+                                         ("replicates", 0), ("master_seed", -1), ("master_seed", 2**64)])
+def test_experiment_config_validation(field, value):
+    with pytest.raises(ValueError):
+        ExperimentConfig(benchmark="onemax", n=8, **{field: value})
+
+
 def test_run_experiment_counts_timeouts():
     config = ExperimentConfig(benchmark="onemax", n=40, mutation_rate="1/n",
                               replicates=20, master_seed=6, max_iterations=3)

@@ -12,6 +12,7 @@ from flmlab.chains import (
     onemax_level_matrix,
     skip_probability,
     truncate_chain,
+    visit_probabilities,
     visit_probability_matrix,
 )
 from flmlab.formulas import (
@@ -21,6 +22,7 @@ from flmlab.formulas import (
     leadingones_leave_probs,
     longpath_leave_prob,
     longpath_leave_prob_bound,
+    longpath_level_visit_lower,
     longpath_lower_bound,
     longpath_visit_lower,
     onemax_bounds,
@@ -200,6 +202,23 @@ def test_longpath_leave_prob_below_series_bound():
 
 def test_longpath_visit_lower_value():
     assert longpath_visit_lower(0.25) == pytest.approx((0.5) / 0.75, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (12, 3), (12, 4), (12, 6), (15, 5)])
+def test_longpath_level_visit_lower_below_exact_chain(n, k):
+    path = build_long_k_path(n, k)
+    for p in (0.5 / n, 1 / n, 2 / n, 0.05):
+        interior = visit_probabilities(longpath_level_matrix(path, p))[1:-1]
+        assert longpath_level_visit_lower(n, k, p) <= interior.min() * (1 + 1e-12)
+
+
+def test_longpath_level_visit_lower_accounts_for_shortcuts():
+    # the short-jump bound alone exceeds the exact chain once jumps of k or
+    # more bits are allowed; the survival factor brings it below
+    interior = visit_probabilities(longpath_level_matrix(build_long_k_path(6, 2), 1 / 6))[1:-1]
+    assert longpath_visit_lower(1 / 6) > interior.min()
+    assert longpath_level_visit_lower(6, 2, 1 / 6) == 0.0
+    assert 0.5 < longpath_level_visit_lower(12, 4, 1 / 12) < 0.9
 
 
 def test_longpath_parameter_validation():

@@ -47,6 +47,9 @@ def test_invalid_parameters_rejected():
         build_long_k_path(5, 2)  # k does not divide n
     with pytest.raises(ValueError):
         build_long_k_path(4, 1)  # k too small
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            build_long_k_path(n, 3)  # k divides n, but n < k
     with pytest.raises(ValueError):
         build_long_k_path(40, 2, max_points=1000)  # memory cap
 
