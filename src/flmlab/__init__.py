@@ -15,6 +15,7 @@ from .benchmarks import (
     long_path_fitness,
     make_benchmark,
     onemax,
+    pack,
     verify_long_k_path,
 )
 from .bounds import (

@@ -5,6 +5,10 @@ and long k-paths.  A :class:`Benchmark` bundles the fitness function, an
 optimum predicate and a level function mapping bit strings to integers so
 that higher levels always mean strictly higher fitness (off-path points of
 a long k-path share level 0 with the path start).
+
+The callables of a :class:`Benchmark` take a bit string packed into a Python
+int: bit i of the int is position i of the string (see :func:`pack`).  The
+exported array functions pack their input and apply the same logic.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 __all__ = [
     "Benchmark",
     "LongKPath",
+    "pack",
     "onemax",
     "leadingones",
     "jump_fitness",
@@ -36,17 +41,24 @@ __all__ = [
 DEFAULT_PATH_POINT_CAP = 10**6
 
 
+def pack(x: np.ndarray) -> int:
+    """The bit string as a Python int whose bit i is position i of ``x``."""
+    return int.from_bytes(np.packbits(np.asarray(x, dtype=np.uint8), bitorder="little").tobytes(), "little")
+
+
+def _leading_ones(x: int) -> int:
+    # ~x & (x + 1) isolates the lowest zero bit of x
+    return (~x & (x + 1)).bit_length() - 1
+
+
 def onemax(x: np.ndarray) -> int:
     """Number of ones in the bit string."""
-    return int(np.sum(x))
+    return pack(x).bit_count()
 
 
 def leadingones(x: np.ndarray) -> int:
     """Length of the maximal all-ones prefix."""
-    zero = int(np.argmin(x))
-    if x[zero]:  # no zero at all
-        return len(x)
-    return zero
+    return _leading_ones(pack(x))
 
 
 def jump_fitness(x: np.ndarray, k: int) -> int:
@@ -55,7 +67,7 @@ def jump_fitness(x: np.ndarray, k: int) -> int:
     n = len(x)
     if not 1 <= k <= n:
         raise ValueError(f"jump size must be in [1, {n}], got {k}")
-    return jump_fitness_of_ones(int(np.sum(x)), n, k)
+    return jump_fitness_of_ones(pack(x).bit_count(), n, k)
 
 
 def jump_fitness_of_ones(ones: int, n: int, k: int) -> int:
@@ -73,14 +85,14 @@ class LongKPath:
     n: int
     k: int
     points: list[np.ndarray]
-    index_of: dict[bytes, int] = field(repr=False)
+    index_of: dict[int, int] = field(repr=False)  # keyed by the packed point
 
     def __len__(self) -> int:
         return len(self.points)
 
     def index(self, x: np.ndarray) -> int:
         """Path position of x, or -1 when x is not on the path."""
-        return self.index_of.get(np.asarray(x, dtype=np.uint8).tobytes(), -1)
+        return self.index_of.get(pack(x), -1) if len(x) == self.n else -1
 
 
 def long_k_path_length(n: int, k: int) -> int:
@@ -118,9 +130,11 @@ def build_long_k_path(n: int, k: int, max_points: int = DEFAULT_PATH_POINT_CAP) 
         path = prefixed_zero + bridges + prefixed_one
         dim += k
 
-    points = [np.array(pt, dtype=np.uint8) for pt in path]
-    index_of = {pt.tobytes(): i for i, pt in enumerate(points)}
-    return LongKPath(n=n, k=k, points=points, index_of=index_of)
+    points = np.array(path, dtype=np.uint8)
+    packed = np.packbits(points, axis=1, bitorder="little").tobytes()  # the rows packed as by pack
+    width = (n + 7) // 8
+    index_of = {int.from_bytes(packed[i * width : (i + 1) * width], "little"): i for i in range(len(points))}
+    return LongKPath(n=n, k=k, points=list(points), index_of=index_of)
 
 
 def long_path_fitness(path: LongKPath, x: np.ndarray) -> int:
@@ -155,16 +169,18 @@ def verify_long_k_path(path: LongKPath) -> None:
 class Benchmark:
     """A fitness function with optimum predicate and level partition.
 
-    Immutable after construction; safe for concurrent shared reads.
-    ``top_level`` is the level of the optimum class; levels are integers in
-    [0, top_level].  ``sample_level`` draws a uniform member of a level.
+    ``fitness``, ``is_optimum`` and ``level`` take the bit string packed into
+    a Python int (bit i is position i, see :func:`pack`); ``sample_level``
+    draws a uniform member of a level as a uint8 array.  Immutable after
+    construction; safe for concurrent shared reads.  ``top_level`` is the
+    level of the optimum class; levels are integers in [0, top_level].
     """
 
     name: str
     n: int
-    fitness: Callable[[np.ndarray], int]
-    is_optimum: Callable[[np.ndarray], bool]
-    level: Callable[[np.ndarray], int]
+    fitness: Callable[[int], int]
+    is_optimum: Callable[[int], bool]
+    level: Callable[[int], int]
     top_level: int
     sample_level: Callable[[int, np.random.Generator], np.ndarray]
     k: Optional[int] = None
@@ -185,6 +201,7 @@ def _bits_with_ones(n: int, ones: int, rng: np.random.Generator) -> np.ndarray:
 def make_onemax(n: int) -> Benchmark:
     if n < 1:
         raise ValueError("n must be >= 1")
+    optimum = (1 << n) - 1
 
     def sample_level(level: int, rng: np.random.Generator) -> np.ndarray:
         if not 0 <= level <= n:
@@ -194,9 +211,9 @@ def make_onemax(n: int) -> Benchmark:
     return Benchmark(
         name="onemax",
         n=n,
-        fitness=onemax,
-        is_optimum=lambda x: int(np.sum(x)) == n,
-        level=onemax,
+        fitness=int.bit_count,
+        is_optimum=lambda x: x == optimum,
+        level=int.bit_count,
         top_level=n,
         sample_level=sample_level,
     )
@@ -205,6 +222,7 @@ def make_onemax(n: int) -> Benchmark:
 def make_leadingones(n: int) -> Benchmark:
     if n < 1:
         raise ValueError("n must be >= 1")
+    optimum = (1 << n) - 1
 
     def sample_level(level: int, rng: np.random.Generator) -> np.ndarray:
         if not 0 <= level <= n:
@@ -219,9 +237,9 @@ def make_leadingones(n: int) -> Benchmark:
     return Benchmark(
         name="leadingones",
         n=n,
-        fitness=leadingones,
-        is_optimum=lambda x: leadingones(x) == n,
-        level=leadingones,
+        fitness=_leading_ones,
+        is_optimum=lambda x: x == optimum,
+        level=_leading_ones,
         top_level=n,
         sample_level=sample_level,
     )
@@ -230,9 +248,10 @@ def make_leadingones(n: int) -> Benchmark:
 def make_jump(n: int, k: int) -> Benchmark:
     if not 1 <= k <= n:
         raise ValueError(f"jump size must be in [1, {n}], got {k}")
+    optimum = (1 << n) - 1
 
-    def level(x: np.ndarray) -> int:
-        ones = int(np.sum(x))
+    def level(x: int) -> int:
+        ones = x.bit_count()
         if ones == n:
             return k + 1
         if ones > n - k:
@@ -255,8 +274,8 @@ def make_jump(n: int, k: int) -> Benchmark:
     return Benchmark(
         name="jump",
         n=n,
-        fitness=lambda x: jump_fitness(x, k),
-        is_optimum=lambda x: int(np.sum(x)) == n,
+        fitness=lambda x: jump_fitness_of_ones(x.bit_count(), n, k),
+        is_optimum=lambda x: x == optimum,
         level=level,
         top_level=k + 1,
         sample_level=sample_level,
@@ -266,14 +285,15 @@ def make_jump(n: int, k: int) -> Benchmark:
 
 def make_longpath(n: int, k: int, max_points: int = DEFAULT_PATH_POINT_CAP) -> Benchmark:
     path = build_long_k_path(n, k, max_points=max_points)
-    optimum_key = path.points[-1].tobytes()
+    index_of = path.index_of
+    optimum = pack(path.points[-1])
     top = len(path) - 1
 
-    def fitness(x: np.ndarray) -> int:
-        return path.index(x)  # -1 off path, else the (distinct, increasing) index
+    def fitness(x: int) -> int:
+        return index_of.get(x, -1)  # -1 off path, else the (distinct, increasing) index
 
-    def level(x: np.ndarray) -> int:
-        return max(path.index(x), 0)  # off-path points share level 0 with the start
+    def level(x: int) -> int:
+        return index_of.get(x, 0)  # off-path points share level 0 with the start
 
     def sample_level(lvl: int, rng: np.random.Generator) -> np.ndarray:
         if not 0 <= lvl <= top:
@@ -284,13 +304,22 @@ def make_longpath(n: int, k: int, max_points: int = DEFAULT_PATH_POINT_CAP) -> B
         name="longpath",
         n=n,
         fitness=fitness,
-        is_optimum=lambda x: np.asarray(x, dtype=np.uint8).tobytes() == optimum_key,
+        is_optimum=lambda x: x == optimum,
         level=level,
         top_level=top,
         sample_level=sample_level,
         k=k,
         path=path,
     )
+
+
+# name -> (factory, whether it takes the parameter k)
+_FACTORIES = {
+    "onemax": (make_onemax, False),
+    "leadingones": (make_leadingones, False),
+    "jump": (make_jump, True),
+    "longpath": (make_longpath, True),
+}
 
 
 def make_benchmark(kind: str, n: int, k: Optional[int] = None) -> Benchmark:
@@ -302,16 +331,11 @@ def make_benchmark(kind: str, n: int, k: Optional[int] = None) -> Benchmark:
     level = path index, off-path points share level 0 with the path start.
     """
     kind = kind.lower()
-    if kind == "onemax":
-        return make_onemax(n)
-    if kind == "leadingones":
-        return make_leadingones(n)
-    if kind == "jump":
-        if k is None:
-            raise ValueError("jump benchmark requires k")
-        return make_jump(n, k)
-    if kind == "longpath":
-        if k is None:
-            raise ValueError("longpath benchmark requires k")
-        return make_longpath(n, k)
-    raise ValueError(f"unknown benchmark kind: {kind!r}")
+    if kind not in _FACTORIES:
+        raise ValueError(f"unknown benchmark kind: {kind!r}")
+    factory, takes_k = _FACTORIES[kind]
+    if not takes_k:
+        return factory(n)
+    if k is None:
+        raise ValueError(f"{kind} benchmark requires k")
+    return factory(n, k)

@@ -19,7 +19,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import gammaln
 
-from .benchmarks import jump_fitness_of_ones
+from .benchmarks import jump_fitness_of_ones, pack
 
 __all__ = [
     "LevelChain",
@@ -409,11 +409,6 @@ class FullStateResult:
     start: np.ndarray
 
 
-def _state_bits(n: int) -> np.ndarray:
-    codes = np.arange(2**n, dtype=np.uint32)
-    return ((codes[:, None] >> np.arange(n)) & 1).astype(np.uint8)
-
-
 def full_state_expected_time(
     benchmark,
     p: float,
@@ -440,10 +435,10 @@ def full_state_expected_time(
     size = 2**n
     _check_dense_bytes(FULL_STATE_DENSE_ARRAYS * 8 * size * size, f"full-state oracle at n={n}")
 
-    bits = _state_bits(n)
-    fitness = np.array([benchmark.fitness(bits[s]) for s in range(size)], dtype=float)
-    optimal = np.array([bool(benchmark.is_optimum(bits[s])) for s in range(size)])
-    levels = np.array([benchmark.level(bits[s]) for s in range(size)], dtype=int)
+    # state s is the bit string packed into s (bit i is position i)
+    fitness = np.array([benchmark.fitness(s) for s in range(size)], dtype=float)
+    optimal = np.array([bool(benchmark.is_optimum(s)) for s in range(size)])
+    levels = np.array([benchmark.level(s) for s in range(size)], dtype=int)
 
     popcount = np.array([int(c).bit_count() for c in range(size)], dtype=np.uint8)
     codes = np.arange(size, dtype=np.uint32)
@@ -465,9 +460,8 @@ def full_state_expected_time(
             raise ValueError(f"no state has level {start}")
         start_dist = at_level / at_level.sum()
     else:
-        code = sum(int(b) << i for i, b in enumerate(np.asarray(start, dtype=np.uint8)))
         start_dist = np.zeros(size)
-        start_dist[code] = 1.0
+        start_dist[pack(start)] = 1.0
 
     top = int(levels.max())
     to_level = trans @ (levels[:, None] == np.arange(top + 1))  # T(s, L)

@@ -158,7 +158,9 @@ def _onemax_chain(args, p: float) -> chains.LevelChain:
 def _onemax_bounds(args, p: float):
     k = 0 if args.from_level is None else args.from_level
     l = args.n if args.to_level is None else args.to_level
-    om = formulas.onemax_bounds(args.n, k, l)
+    om = formulas.onemax_bounds(args.n, k, l)  # validates n, from and to
+    if abs(p - 1.0 / args.n) >= 1e-15:  # the sandwich holds for rate 1/n only
+        raise ValueError(f"onemax bounds are stated for rate 1/n only, got p={p!r}")
     fields = {
         "from": k,
         "to": l,
@@ -177,10 +179,10 @@ def _onemax_bounds(args, p: float):
 
 
 def _onemax_compare(args, p: float, summary: chains.ChainSummary):
-    bound_list = [
-        bounds.BoundResult(float(np.sum(1.0 / summary.leave_probs)), "upper", "flm-upper-classic"),
-        bounds.flm_lower_visit(summary.leave_probs, summary.visit_probs[:-1]),
-    ]
+    # flm_lower_visit validates the leave probabilities before any division
+    lower = bounds.flm_lower_visit(summary.leave_probs, summary.visit_probs[:-1])
+    upper = bounds.BoundResult(float(np.sum(1.0 / summary.leave_probs)), "upper", "flm-upper-classic")
+    bound_list = [upper, lower]
     visit_lower = {i: float(v) for i, v in enumerate(summary.visit_probs[:-1])}
     return bound_list, summary.expected_time, visit_lower
 

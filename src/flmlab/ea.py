@@ -1,7 +1,9 @@
 """The (1+1) EA engine: bit strings, standard bit mutation, the elitist loop.
 
-Bit strings are plain numpy uint8 arrays with entries in {0, 1}; they are
-treated as immutable by the engine (mutation always writes a fresh array).
+Start strings are numpy uint8 arrays with entries in {0, 1}.  The loop packs
+the start string once into a Python int (bit i is position i, as
+``benchmarks.pack`` does) and mutates it by XOR, so every evaluation works
+on an immutable int.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
+
+from .benchmarks import pack
 
 __all__ = ["RunResult", "uniform_random_bitstring", "run_ea"]
 
@@ -91,9 +95,10 @@ def run_ea(
     if not 0.0 < rate < 1.0:
         raise ValueError(f"mutation rate must be in (0, 1), got {rate}")
     n = benchmark.n
-    x = uniform_random_bitstring(n, rng) if initial is None else np.asarray(initial, dtype=np.uint8).copy()
-    if len(x) != n:
+    start = uniform_random_bitstring(n, rng) if initial is None else np.asarray(initial, dtype=np.uint8)
+    if len(start) != n:
         raise ValueError("initial individual has wrong length")
+    x = pack(start)
     fitness = benchmark.fitness
     is_optimum = benchmark.is_optimum
     level_fn = benchmark.level
@@ -113,9 +118,9 @@ def run_ea(
         flips = next(flip_sets)
         if not flips:
             continue  # offspring equals parent: accepted, nothing changes
-        y = x.copy()
+        y = x
         for pos in flips:
-            y[pos] ^= 1
+            y ^= 1 << pos
         fy = fitness(y)
         if fy >= fx:
             x = y

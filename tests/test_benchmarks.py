@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from flmlab.benchmarks import (
+    build_long_k_path,
     jump_fitness,
     leadingones,
+    long_path_fitness,
     make_benchmark,
     make_jump,
     make_leadingones,
     make_onemax,
     onemax,
+    pack,
 )
 
 
@@ -49,16 +52,22 @@ def test_jump_fitness_rejects_bad_k():
 
 
 def test_make_benchmark_level_examples():
-    assert make_benchmark("onemax", 4).level(bits("1010")) == 2
+    assert make_benchmark("onemax", 4).level(pack(bits("1010"))) == 2
     jump_level = make_benchmark("jump", 4, 2).level
-    assert jump_level(bits("1110")) == 1  # gap class of fitness 1
-    assert jump_level(bits("1100")) == 2  # the non-gap region
-    assert jump_level(bits("1111")) == 3  # optimum on top
+    assert jump_level(pack(bits("1110"))) == 1  # gap class of fitness 1
+    assert jump_level(pack(bits("1100"))) == 2  # the non-gap region
+    assert jump_level(pack(bits("1111"))) == 3  # optimum on top
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown benchmark kind: 'trap'"):
         make_benchmark("trap", 8)
+
+
+@pytest.mark.parametrize("kind", ["jump", "longpath", "Jump"])
+def test_make_benchmark_requires_k(kind):
+    with pytest.raises(ValueError, match=f"^{kind.lower()} benchmark requires k$"):
+        make_benchmark(kind, 8)
 
 
 @pytest.mark.parametrize(
@@ -77,8 +86,8 @@ def test_level_partition_fitness_compatible_exhaustive(kind, n, k):
     # over all 2^n points: the best fitness of a lower level must stay below
     # the worst fitness of any higher level (off-path points excluded)
     bm = make_benchmark(kind, n, k)
-    fitness = np.array([bm.fitness(x) for x in all_bitstrings(n)])
-    level = np.array([bm.level(x) for x in all_bitstrings(n)])
+    fitness = np.array([bm.fitness(pack(x)) for x in all_bitstrings(n)])
+    level = np.array([bm.level(pack(x)) for x in all_bitstrings(n)])
     keep = fitness >= 0
     fitness, level = fitness[keep], level[keep]
     present = np.unique(level)
@@ -92,7 +101,7 @@ def test_level_partition_fitness_compatible_exhaustive(kind, n, k):
 def test_only_optimum_on_top_level(n):
     for bm in (make_onemax(n), make_leadingones(n), make_jump(n, 3)):
         for x in all_bitstrings(n):
-            assert bm.is_optimum(x) == (bm.level(x) == bm.top_level)
+            assert bm.is_optimum(pack(x)) == (bm.level(pack(x)) == bm.top_level)
 
 
 @pytest.mark.parametrize("n", list(range(2, 15)))
@@ -112,8 +121,78 @@ def test_sample_level_uniform_members(rng):
     for level in range(1, bm.top_level + 1):
         for _ in range(20):
             x = bm.sample_level(level, rng)
-            assert bm.level(x) == level
+            assert bm.level(pack(x)) == level
     lo = make_leadingones(7)
     for level in range(lo.top_level + 1):
         for _ in range(20):
-            assert lo.level(lo.sample_level(level, rng)) == level
+            assert lo.level(pack(lo.sample_level(level, rng))) == level
+
+
+def test_pack_puts_position_i_at_bit_i():
+    assert pack(bits("")) == 0
+    assert pack(bits("1")) == 1
+    assert pack(bits("0100")) == 0b10
+    assert pack(bits("110100001")) == 0b100001011
+    for x in all_bitstrings(9):
+        assert pack(x) == sum(int(b) << i for i, b in enumerate(x))
+
+
+def _array_reference(kind, n, k):
+    """(fitness, level, is_optimum) of a bit-string array, computed on the
+    array itself: numpy sums and scans, path lookup by array comparison."""
+    if kind == "longpath":
+        path = build_long_k_path(n, k)
+        points = np.array(path.points)
+
+        def index(x):
+            hits = np.flatnonzero((points == x).all(axis=1))
+            return int(hits[0]) if len(hits) else -1
+
+        return index, lambda x: max(index(x), 0), lambda x: index(x) == len(points) - 1
+    if kind == "jump":
+
+        def level(x):
+            ones = int(np.sum(x))
+            return k + 1 if ones == n else n - ones if ones > n - k else k
+
+        return lambda x: jump_fitness(x, k), level, lambda x: bool(np.all(x))
+    if kind == "leadingones":
+
+        def prefix(x):
+            zeros = np.flatnonzero(x == 0)
+            return int(zeros[0]) if len(zeros) else n
+
+        return prefix, prefix, lambda x: bool(np.all(x))
+    return (lambda x: int(np.sum(x))), (lambda x: int(np.sum(x))), lambda x: bool(np.all(x))
+
+
+EXHAUSTIVE_CASES = (
+    [("onemax", n, None) for n in range(1, 11)]
+    + [("leadingones", n, None) for n in range(1, 11)]
+    + [("jump", n, k) for n in range(1, 11) for k in sorted({1, min(3, n), n})]
+    + [("longpath", n, k) for n, k in [(2, 2), (4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (10, 2), (10, 5)]]
+)
+
+
+@pytest.mark.parametrize("kind,n,k", EXHAUSTIVE_CASES)
+def test_packed_callables_match_array_functions_exhaustive(kind, n, k):
+    # every one of the 2^n strings, off-path points of a long k-path included
+    bm = make_benchmark(kind, n, k)
+    ref_fitness, ref_level, ref_optimum = _array_reference(kind, n, k)
+    array_fitness = {
+        "onemax": onemax,
+        "leadingones": leadingones,
+        "jump": lambda x: jump_fitness(x, k),
+        "longpath": lambda x: long_path_fitness(bm.path, x),
+    }[kind]
+    off_path = 0
+    for x in all_bitstrings(n):
+        code = pack(x)
+        assert bm.fitness(code) == array_fitness(x) == ref_fitness(x)
+        assert bm.level(code) == ref_level(x)
+        assert bm.is_optimum(code) == ref_optimum(x)
+        if kind == "longpath":
+            assert bm.path.index(x) == ref_fitness(x)
+            off_path += ref_fitness(x) < 0
+    if kind == "longpath":
+        assert off_path == 2**n - len(bm.path) > 0

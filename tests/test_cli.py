@@ -278,3 +278,34 @@ def test_installed_entry_point_runs():
     assert result.returncode == 0
     doc = json.loads(result.stdout)
     assert doc["p_k"] > 0
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a fresh interpreter, so that warnings reach its stderr."""
+    return subprocess.run([sys.executable, "-m", "flmlab", *argv], capture_output=True, text=True)
+
+
+def test_compare_onemax_zero_leave_probability_one_stderr_line():
+    # at p = 1e-20 the chain rounds every leave probability to 0; they are
+    # validated before 1 / p is formed, so no divide-by-zero warning is printed
+    result = run_cli_process(
+        "compare", "--benchmark", "onemax", "--n", "2", "--p", "1e-20", "--init", "level:2",
+        "--replicates", "3", "--max-iterations", "1",
+    )
+    assert_one_line_error(result.returncode, result.stdout, result.stderr)
+    assert "leaving probabilities" in result.stderr
+
+
+@pytest.mark.parametrize("rate", ["0.4", "2/n", "0.025000000001"])
+def test_bounds_onemax_rejects_rate_other_than_1_over_n(capsys, rate):
+    # the OneMax sandwich holds for rate 1/n only
+    code, out, err = run_main(capsys, "bounds", "--benchmark", "onemax", "--n", "40", "--from", "10", "--p", rate)
+    assert_one_line_error(code, out, err)
+    assert "rate 1/n" in err
+
+
+@pytest.mark.parametrize("rate", ["1/n", "0.025", "1/40"])
+def test_bounds_onemax_accepts_rate_1_over_n(capsys, rate):
+    code, out, _ = run_main(capsys, "bounds", "--benchmark", "onemax", "--n", "40", "--from", "10", "--p", rate)
+    assert code == 0
+    assert json.loads(out)["tilde_T"] == pytest.approx(379.6868817449465, rel=1e-15)

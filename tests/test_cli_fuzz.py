@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ FAMILIES = ("onemax", "leadingones", "jump", "longpath", "trap")
 # draws at most one flag from the rejected values (n and k range freely, and
 # an init point of n bits is added to the well-formed inits)
 VALID = {
-    "--p": ("1/n", "2/n", "0.25", "1/3"),
+    "--p": ("1/n", "2/n", "0.25", "1/3", "1e-20"),
     "--init": ("random", "arbitrary", "level:0", "level:1", "level:3"),
     "--replicates": tuple(str(r) for r in range(1, 16)),
     "--max-iterations": ("1", "2000"),
@@ -65,7 +66,8 @@ def cli_argv(draw) -> list[str]:
 @given(cli_argv())
 def test_cli_exit_contract(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning escapes as an exception
         code = main(argv)
     assert code in (0, 1, 2, 3)
     if code == 1:

@@ -23,7 +23,7 @@ GOLDEN = [
     # bounds: every family, JSON and CSV, --from/--to, --init forms, errors
     ("bounds --benchmark onemax --n 100 --from 50 --to 100", 0, "563a9575cba6239f95ad6b78badf99b035f9f326cbaee489c5bdf584eb958ed7"),
     ("bounds --benchmark onemax --n 60 --format csv", 0, "9bdc14b4bf208cccf421cd1fd34f50e0bd3876b1719f178b77be062195e0eff5"),
-    ("bounds --benchmark onemax --n 40 --from 10 --p 2/n --format csv --out {out}", 0, "9940479f2cb919d69116aa9cf9cbc276de3a9dd2ff8c736e1110248b65870c3c"),
+    ("bounds --benchmark onemax --n 40 --from 10 --p 2/n --format csv --out {out}", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("bounds --benchmark leadingones --n 30", 0, "2b4e994fc2cb65ad653a950e97a2c0d47f6cfc9ab0e4057eb0a87af2653fb376"),
     ("bounds --benchmark leadingones --n 30 --p 0.05 --format csv", 0, "35e38c9f57c353709aef28658ef1ea99cba6b49b8b5099791267c904341c2fa0"),
     ("bounds --benchmark jump --n 10 --k 3", 0, "f051808f84bb7b82fa4008b20b09ee52001bb9ae14ea89abc168f118bf88c716"),

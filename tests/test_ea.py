@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from flmlab.benchmarks import make_leadingones, make_onemax
+from flmlab.benchmarks import make_benchmark, make_leadingones, make_onemax
 from flmlab.chains import onemax_level_matrix
 from flmlab.ea import _flip_sets, run_ea, uniform_random_bitstring
 from flmlab.formulas import leadingones_exact
@@ -197,3 +197,38 @@ def test_sojourn_lengths_geometric_against_chain_rates():
         expected = 1.0 / chain.leave_probs[level]
         se = samples.std(ddof=1) / math.sqrt(len(samples))
         assert abs(samples.mean() - expected) < 3 * se
+
+
+def _pinned_runs():
+    """Fixed-seed runs over every family and run_ea option, seeds 0..2 each."""
+    longpath = make_benchmark("longpath", 12, 3)
+    cases = {
+        "leadingones-50": lambda rng: run_ea(make_leadingones(50), 1 / 50, rng),
+        "onemax-100": lambda rng: run_ea(make_onemax(100), 1 / 100, rng),
+        "jump-12-3": lambda rng: run_ea(make_benchmark("jump", 12, 3), 1 / 12, rng),
+        "longpath-12-3": lambda rng: run_ea(longpath, 1 / 12, rng, initial=longpath.sample_level(0, rng)),
+        "explicit-initial": lambda rng: run_ea(
+            make_leadingones(20), 0.1, rng, initial=np.array([1, 0] * 10, dtype=np.uint8)
+        ),
+        "max-iterations": lambda rng: run_ea(make_leadingones(50), 1 / 50, rng, max_iterations=300),
+    }
+    for name, run in cases.items():
+        for seed in range(3):
+            yield name, seed, run(np.random.default_rng(seed))
+
+
+# SHA-256 of the (runtime, hit_optimum, level_trace) triples of _pinned_runs,
+# recorded from the engine that worked on numpy arrays
+RUN_RESULTS_DIGEST = "59944e1c04d32caa33c2f0d1a693252db2a34f53cb59d7db2e6fa857407b04d1"
+
+
+def test_run_ea_results_pinned():
+    digest = hashlib.sha256()
+    for name, seed, result in _pinned_runs():
+        if name == "max-iterations":
+            assert not result.hit_optimum and result.runtime == 300
+        else:
+            assert result.hit_optimum
+        triple = (result.runtime, result.hit_optimum, result.level_trace)
+        digest.update(f"{name} {seed} {triple!r}\n".encode())
+    assert digest.hexdigest() == RUN_RESULTS_DIGEST

@@ -61,6 +61,15 @@ def test_long_path_fitness_values():
     assert long_path_fitness(path, np.array([1, 0, 1, 0], dtype=np.uint8)) == -1
 
 
+def test_index_of_string_of_other_length_is_off_path():
+    # a path point padded or cut by zero bits packs to the same int
+    path = build_long_k_path(4, 2)
+    assert path.index(np.array([1, 1, 0, 0], dtype=np.uint8)) == 6
+    assert path.index(np.array([1, 1, 0, 0, 0], dtype=np.uint8)) == -1
+    assert path.index(np.array([1, 1, 0], dtype=np.uint8)) == -1
+    assert path.index(np.zeros(12, dtype=np.uint8)) == -1
+
+
 def test_on_path_fitness_distinct_and_increasing():
     path = build_long_k_path(8, 2)
     values = [long_path_fitness(path, pt) for pt in path.points]
