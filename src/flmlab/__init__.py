@@ -10,11 +10,7 @@ from .benchmarks import (
     Benchmark,
     LongKPath,
     build_long_k_path,
-    jump_fitness,
-    leadingones,
-    long_path_fitness,
     make_benchmark,
-    onemax,
     pack,
     verify_long_k_path,
 )
@@ -37,7 +33,6 @@ from .chains import (
     jump_level_matrix,
     longpath_level_matrix,
     onemax_level_matrix,
-    onemax_transition_prob,
     skip_probability,
     summarize,
     truncate_chain,

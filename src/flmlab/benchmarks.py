@@ -7,8 +7,7 @@ that higher levels always mean strictly higher fitness (off-path points of
 a long k-path share level 0 with the path start).
 
 The callables of a :class:`Benchmark` take a bit string packed into a Python
-int: bit i of the int is position i of the string (see :func:`pack`).  The
-exported array functions pack their input and apply the same logic.
+int: bit i of the int is position i of the string (see :func:`pack`).
 """
 
 from __future__ import annotations
@@ -23,12 +22,8 @@ __all__ = [
     "Benchmark",
     "LongKPath",
     "pack",
-    "onemax",
-    "leadingones",
-    "jump_fitness",
     "jump_fitness_of_ones",
     "build_long_k_path",
-    "long_path_fitness",
     "verify_long_k_path",
     "long_k_path_length",
     "make_onemax",
@@ -51,27 +46,10 @@ def _leading_ones(x: int) -> int:
     return (~x & (x + 1)).bit_length() - 1
 
 
-def onemax(x: np.ndarray) -> int:
-    """Number of ones in the bit string."""
-    return pack(x).bit_count()
-
-
-def leadingones(x: np.ndarray) -> int:
-    """Length of the maximal all-ones prefix."""
-    return _leading_ones(pack(x))
-
-
-def jump_fitness(x: np.ndarray, k: int) -> int:
-    """Jump function with jump size k: OneMax shifted by k outside the gap,
-    deceptive ``n - |x|`` inside the gap of the k-1 ones-counts below n."""
-    n = len(x)
-    if not 1 <= k <= n:
-        raise ValueError(f"jump size must be in [1, {n}], got {k}")
-    return jump_fitness_of_ones(pack(x).bit_count(), n, k)
-
-
 def jump_fitness_of_ones(ones: int, n: int, k: int) -> int:
-    """Jump fitness as a function of the ones-count alone."""
+    """Jump function with jump size k as a function of the ones-count: OneMax
+    shifted by k outside the gap, deceptive ``n - ones`` inside the gap of
+    the k-1 ones-counts below n."""
     if ones <= n - k or ones == n:
         return ones + k
     return n - ones
@@ -89,10 +67,6 @@ class LongKPath:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def index(self, x: np.ndarray) -> int:
-        """Path position of x, or -1 when x is not on the path."""
-        return self.index_of.get(pack(x), -1) if len(x) == self.n else -1
 
 
 def long_k_path_length(n: int, k: int) -> int:
@@ -135,13 +109,6 @@ def build_long_k_path(n: int, k: int, max_points: int = DEFAULT_PATH_POINT_CAP) 
     width = (n + 7) // 8
     index_of = {int.from_bytes(packed[i * width : (i + 1) * width], "little"): i for i in range(len(points))}
     return LongKPath(n=n, k=k, points=list(points), index_of=index_of)
-
-
-def long_path_fitness(path: LongKPath, x: np.ndarray) -> int:
-    """Path index of x (0 at the all-zero start), -1 for off-path points."""
-    if len(x) != path.n:
-        raise ValueError(f"path built for n={path.n}, got a string of length {len(x)}")
-    return path.index(x)
 
 
 def verify_long_k_path(path: LongKPath) -> None:

@@ -26,7 +26,6 @@ __all__ = [
     "ChainSummary",
     "FullStateResult",
     "mutation_class_row",
-    "onemax_transition_prob",
     "onemax_level_matrix",
     "jump_level_matrix",
     "longpath_level_matrix",
@@ -111,12 +110,10 @@ class LevelChain:
 
 @dataclass
 class ChainSummary:
-    """Exact per-level quantities of a chain: p_i, v_i, q_i and hitting times."""
+    """Exact per-level quantities of a chain: p_i, v_i and the expected runtime."""
 
     leave_probs: np.ndarray
     visit_probs: np.ndarray
-    skip_probs: np.ndarray
-    hitting_times: np.ndarray
     expected_time: float
 
 
@@ -175,14 +172,6 @@ def mutation_class_row(n: int, p: float, k: int) -> np.ndarray:
     return np.exp(peak) * scaled
 
 
-def onemax_transition_prob(n: int, p: float, k: int, l: int) -> float:
-    """Probability that mutation turns a parent with k ones into an offspring
-    with l ones (both directions of l relative to k)."""
-    if not 0 <= l <= n:
-        raise ValueError(f"target ones-count must be in [0, {n}], got {l}")
-    return float(mutation_class_row(n, p, k)[l])
-
-
 def _binomial_start(n: int) -> np.ndarray:
     start = np.exp(_log_binom(n, np.arange(n + 1)) - n * math.log(2.0))
     return start / start.sum()
@@ -200,25 +189,6 @@ def _resolve_start(start: StartSpec, n: int) -> np.ndarray:
     return point
 
 
-def onemax_level_matrix(n: int, p: float, start: StartSpec = "random") -> LevelChain:
-    """Exact level chain of the elitist process on OneMax.
-
-    Level = ones-count; upward moves carry the mutation mass, rejected and
-    same-level moves are folded into the self-loop (valid because all points
-    of a level are symmetric).  ``start`` is "random" for the binomial
-    initialization or an integer for a point mass at that level.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    t = np.zeros((n + 1, n + 1))
-    for k in range(n):
-        row = mutation_class_row(n, p, k)
-        t[k, k + 1 :] = row[k + 1 :]
-        t[k, k] = max(0.0, 1.0 - t[k, k + 1 :].sum())
-    t[n, n] = 1.0
-    return LevelChain(t, _resolve_start(start, n), labels=tuple(range(n + 1)))
-
-
 def jump_fitness_order(n: int, k: int) -> list[int]:
     """Ones-counts ordered by increasing jump fitness: the gap classes from
     worst (n-1 ones) to best (n-k+1 ones), then 0..n-k, then the optimum."""
@@ -232,22 +202,30 @@ def jump_level_matrix(n: int, k: int, p: float, start: StartSpec = "random") -> 
     mass is mutation mass filtered by accept-if-not-worse, with rejected
     mass added to the self-loop.
 
-    ``labels[i]`` is the ones-count of level i.  Integer ``start`` means a
-    point mass at that ones-count class.
+    ``labels[i]`` is the ones-count of level i.  ``start`` is "random" for
+    the binomial initialization or an integer for a point mass at that
+    ones-count class.  With k = 1 there is no gap and this is the OneMax
+    chain: level i is the ones-count i.
     """
-    if not 2 <= k <= n:
-        raise ValueError(f"jump size must be in [2, {n}], got {k}")
-    order = jump_fitness_order(n, k)
-    position = np.empty(n + 1, dtype=int)
-    position[order] = np.arange(n + 1)  # level index of each ones-count
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 1 <= k <= n:
+        raise ValueError(f"jump size must be in [1, {n}], got {k}")
+    order = jump_fitness_order(n, k)  # ones-count of each level
+    ones = np.array(order)
     t = np.zeros((n + 1, n + 1))
-    for a in range(n):
-        i = position[a]
-        better = position > i  # strictly better fitness: accepted
-        t[i, position[better]] = mutation_class_row(n, p, a)[better]
+    for i, a in enumerate(order[:-1]):
+        # fitness values are distinct, so exactly the higher levels are accepted
+        t[i, i + 1 :] = mutation_class_row(n, p, a)[ones[i + 1 :]]
         t[i, i] = max(0.0, 1.0 - t[i, i + 1 :].sum())
     t[n, n] = 1.0  # the optimum (n ones) is the top level
-    return LevelChain(t, _resolve_start(start, n)[order], labels=tuple(order))
+    return LevelChain(t, _resolve_start(start, n)[ones], labels=tuple(order))
+
+
+def onemax_level_matrix(n: int, p: float, start: StartSpec = "random") -> LevelChain:
+    """Exact level chain of the elitist process on OneMax (level = ones-count):
+    Jump_1 is OneMax shifted by one, so this is the jump chain with k = 1."""
+    return jump_level_matrix(n, 1, p, start)
 
 
 def longpath_level_matrix(path, p: float, start: StartSpec = 0) -> LevelChain:
@@ -382,16 +360,10 @@ def truncate_chain(chain: LevelChain, top: int) -> LevelChain:
 
 
 def summarize(chain: LevelChain) -> ChainSummary:
-    """Exact p_i, v_i, q_i and hitting times of a chain in one bundle."""
+    """Exact p_i, v_i and expected runtime of a chain in one bundle."""
     v = visit_probabilities(chain)
-    expected, times = expected_hitting_time(chain)
-    return ChainSummary(
-        leave_probs=chain.leave_probs[:-1],
-        visit_probs=v,
-        skip_probs=1.0 - v,
-        hitting_times=times,
-        expected_time=expected,
-    )
+    expected, _ = expected_hitting_time(chain)
+    return ChainSummary(leave_probs=chain.leave_probs[:-1], visit_probs=v, expected_time=expected)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +376,7 @@ class FullStateResult:
     """Exact quantities from the full 2^n-state chain of the elitist process."""
 
     expected_time: float
-    times: np.ndarray
     visit_probs: np.ndarray
-    start: np.ndarray
 
 
 def full_state_expected_time(
@@ -488,4 +458,4 @@ def full_state_expected_time(
         visit[lvl] = v
 
     expected = float(start_dist @ times)
-    return FullStateResult(expected_time=expected, times=times, visit_probs=visit, start=start_dist)
+    return FullStateResult(expected_time=expected, visit_probs=visit)

@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_bounds)
     p_bounds.add_argument("--from", dest="from_level", type=int, default=None)
     p_bounds.add_argument("--to", dest="to_level", type=int, default=None)
-    p_bounds.add_argument("--init", default="random", help="random or arbitrary (jump)")
+    p_bounds.add_argument("--init", default="random", help="random, arbitrary or a fixed start (jump)")
 
     p_oracle = sub.add_parser("oracle", help="exact level-chain / full-state values")
     _add_common(p_oracle)
@@ -205,10 +205,21 @@ def _jump_chain(args, p: float) -> chains.LevelChain:
     return chains.jump_level_matrix(args.n, _require_k(args), p, start=_chain_start(args))
 
 
+def _jump_init(args) -> str:
+    """The jump skip bound that covers ``--init``: "random" for a uniform
+    start, "arbitrary" for "arbitrary" or any fixed start."""
+    if args.init in ("random", "arbitrary"):
+        return args.init
+    _parse_init(args.init, args.n)  # raises on an unknown form
+    return "arbitrary"
+
+
 def _jump_bounds(args, p: float):
     k = _require_k(args)
-    init = args.init if args.init in ("random", "arbitrary") else "random"
-    jb = formulas.jump_bounds(args.n, k, init=init)
+    init = _jump_init(args)
+    jb = formulas.jump_bounds(args.n, k, init=init)  # validates n and k
+    if abs(p - 1.0 / args.n) >= 1e-15:  # the skip bounds hold for rate 1/n only
+        raise ValueError(f"jump bounds are stated for rate 1/n only, got p={p!r}")
     fields = {
         "k": k,
         "init": init,
@@ -223,7 +234,7 @@ def _jump_bounds(args, p: float):
 def _jump_compare(args, p: float, summary: chains.ChainSummary):
     bound_list: list[bounds.BoundResult] = []
     visit_lower: dict[int, float] = {}
-    init = "random" if args.init == "random" else "arbitrary"
+    init = _jump_init(args)
     if abs(p - 1.0 / args.n) < 1e-15:  # explicit jump bounds are stated for rate 1/n
         jb = formulas.jump_bounds(args.n, args.k, init=init)
         bound_list.append(bounds.BoundResult(jb.lower_bound, "lower", f"jump-skip-{init}"))

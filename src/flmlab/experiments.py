@@ -37,6 +37,8 @@ SE_SLACK = 3.0  # uniform 3-standard-error slack in verdicts
 def resolve_mutation_rate(rate: Union[str, float], n: int) -> float:
     """Resolve a mutation-rate spec: a literal real, a literal fraction such
     as "1/8", or the token "c/n" with rational c resolved once n is known."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if isinstance(rate, (int, float)):
         p = float(rate)
     else:
@@ -162,8 +164,8 @@ def _run_replicate(
 
 def run_experiment(config: ExperimentConfig) -> RunStatistics:
     """Execute the configured replicates in index order and merge them."""
+    rate = config.rate  # before the benchmark, so a bad n is reported as such
     benchmark = config.make_benchmark()
-    rate = config.rate
     start = _parse_init(config.init, config.n)
     results = [_run_replicate(benchmark, rate, config, r, start) for r in range(config.replicates)]
     return aggregate_results(results, benchmark.level_count)

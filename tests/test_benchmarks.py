@@ -5,14 +5,10 @@ import pytest
 
 from flmlab.benchmarks import (
     build_long_k_path,
-    jump_fitness,
-    leadingones,
-    long_path_fitness,
     make_benchmark,
     make_jump,
     make_leadingones,
     make_onemax,
-    onemax,
     pack,
 )
 
@@ -26,29 +22,33 @@ def all_bitstrings(n: int):
         yield np.array(tup, dtype=np.uint8)
 
 
+def fitness(kind: str, s: str, k=None) -> int:
+    return make_benchmark(kind, len(s), k).fitness(pack(bits(s)))
+
+
 def test_onemax_values():
-    assert onemax(bits("0000")) == 0
-    assert onemax(bits("1111")) == 4
-    assert onemax(bits("1010")) == 2
+    assert fitness("onemax", "0000") == 0
+    assert fitness("onemax", "1111") == 4
+    assert fitness("onemax", "1010") == 2
 
 
 def test_leadingones_values():
-    assert leadingones(bits("110110")) == 2
-    assert leadingones(bits("0111")) == 0
-    assert leadingones(bits("1111")) == 4
+    assert fitness("leadingones", "110110") == 2
+    assert fitness("leadingones", "0111") == 0
+    assert fitness("leadingones", "1111") == 4
 
 
 def test_jump_fitness_values():
-    assert jump_fitness(bits("1111"), 2) == 6
-    assert jump_fitness(bits("1110"), 2) == 1
-    assert jump_fitness(bits("0000"), 2) == 2
+    assert fitness("jump", "1111", 2) == 6
+    assert fitness("jump", "1110", 2) == 1
+    assert fitness("jump", "0000", 2) == 2
 
 
 def test_jump_fitness_rejects_bad_k():
     with pytest.raises(ValueError):
-        jump_fitness(bits("0101"), 0)
+        make_benchmark("jump", 4, 0)
     with pytest.raises(ValueError):
-        jump_fitness(bits("0101"), 5)
+        make_benchmark("jump", 4, 5)
 
 
 def test_make_benchmark_level_examples():
@@ -107,10 +107,10 @@ def test_only_optimum_on_top_level(n):
 @pytest.mark.parametrize("n", list(range(2, 15)))
 def test_jump_unique_maximum_at_all_ones(n):
     for k in (1, 2, min(3, n)):
-        best = None
+        bm = make_benchmark("jump", n, k)
         values = {}
         for x in all_bitstrings(n):
-            values[x.tobytes()] = jump_fitness(x, k)
+            values[x.tobytes()] = bm.fitness(pack(x))
         top = max(values.values())
         winners = [key for key, val in values.items() if val == top]
         assert winners == [np.ones(n, dtype=np.uint8).tobytes()]
@@ -151,11 +151,15 @@ def _array_reference(kind, n, k):
         return index, lambda x: max(index(x), 0), lambda x: index(x) == len(points) - 1
     if kind == "jump":
 
+        def jump(x):
+            ones = int(np.sum(x))
+            return n - ones if n - k < ones < n else ones + k
+
         def level(x):
             ones = int(np.sum(x))
             return k + 1 if ones == n else n - ones if ones > n - k else k
 
-        return lambda x: jump_fitness(x, k), level, lambda x: bool(np.all(x))
+        return jump, level, lambda x: bool(np.all(x))
     if kind == "leadingones":
 
         def prefix(x):
@@ -179,20 +183,14 @@ def test_packed_callables_match_array_functions_exhaustive(kind, n, k):
     # every one of the 2^n strings, off-path points of a long k-path included
     bm = make_benchmark(kind, n, k)
     ref_fitness, ref_level, ref_optimum = _array_reference(kind, n, k)
-    array_fitness = {
-        "onemax": onemax,
-        "leadingones": leadingones,
-        "jump": lambda x: jump_fitness(x, k),
-        "longpath": lambda x: long_path_fitness(bm.path, x),
-    }[kind]
     off_path = 0
     for x in all_bitstrings(n):
         code = pack(x)
-        assert bm.fitness(code) == array_fitness(x) == ref_fitness(x)
+        assert bm.fitness(code) == ref_fitness(x)
         assert bm.level(code) == ref_level(x)
         assert bm.is_optimum(code) == ref_optimum(x)
         if kind == "longpath":
-            assert bm.path.index(x) == ref_fitness(x)
+            assert bm.path.index_of.get(code, -1) == ref_fitness(x)
             off_path += ref_fitness(x) < 0
     if kind == "longpath":
         assert off_path == 2**n - len(bm.path) > 0

@@ -15,7 +15,6 @@ from flmlab.chains import (
     longpath_level_matrix,
     mutation_class_row,
     onemax_level_matrix,
-    onemax_transition_prob,
     skip_probability,
     summarize,
     truncate_chain,
@@ -34,16 +33,14 @@ def hand_chain():
 
 
 def test_transition_prob_trivial_cases():
-    assert onemax_transition_prob(2, 0.5, 0, 2) == pytest.approx(0.25, abs=1e-15)
+    assert mutation_class_row(2, 0.5, 0)[2] == pytest.approx(0.25, abs=1e-15)
     # derived by enumerating all four flip masks of a one-one parent
-    assert onemax_transition_prob(2, 0.5, 1, 2) == pytest.approx(0.25, abs=1e-15)
+    assert mutation_class_row(2, 0.5, 1)[2] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_transition_prob_rejects_out_of_range():
     with pytest.raises(ValueError):
-        onemax_transition_prob(4, 0.1, 5, 2)
-    with pytest.raises(ValueError):
-        onemax_transition_prob(4, 0.1, 2, -1)
+        mutation_class_row(4, 0.1, 5)
 
 
 @pytest.mark.parametrize("n,p", [(3, 0.5), (4, 1 / 3), (5, 0.1), (6, 0.9)])
@@ -93,21 +90,64 @@ def test_mutation_row_total_probability():
 def test_log_space_survives_large_dimension():
     for n in (1000, 2000):
         for k in (0, n // 2, n - 1):
-            assert onemax_transition_prob(n, 1 / n, k, k + 1) > 0.0
+            assert mutation_class_row(n, 1 / n, k)[k + 1] > 0.0
     # naive direct evaluation hits p^150 = 0 long before this value (~1e-262)
-    deep_tail = onemax_transition_prob(1000, 1 / 1000, 0, 150)
+    deep_tail = mutation_class_row(1000, 1 / 1000, 0)[150]
     assert 0.0 < deep_tail < 1e-200
 
 
 def test_log_space_agrees_with_direct_evaluation():
     # direct two-binomial sum, safe at small n
     n, p, k = 12, 0.3, 5
+    row = mutation_class_row(n, p, k)
     for l in range(n + 1):
         direct = sum(
             math.comb(n - k, u) * math.comb(k, u - (l - k)) * p ** (2 * u - l + k) * (1 - p) ** (n - 2 * u + l - k)
             for u in range(max(0, l - k), min(n - k, l) + 1)
         )
-        assert onemax_transition_prob(n, p, k, l) == pytest.approx(direct, rel=1e-10)
+        assert row[l] == pytest.approx(direct, rel=1e-10)
+
+
+def reference_onemax_level_matrix(n, p, start):
+    """Reference: the OneMax chain built directly over ones-counts, upward
+    mutation mass accepted and the rest folded into the self-loop."""
+    t = np.zeros((n + 1, n + 1))
+    for k in range(n):
+        row = mutation_class_row(n, p, k)
+        t[k, k + 1 :] = row[k + 1 :]
+        t[k, k] = max(0.0, 1.0 - t[k, k + 1 :].sum())
+    t[n, n] = 1.0
+    if start == "random":
+        j = np.arange(n + 1)
+        s = np.exp(gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1) - n * math.log(2.0))
+        s /= s.sum()
+    else:
+        s = np.zeros(n + 1)
+        s[start] = 1.0
+    return t, s, tuple(range(n + 1))
+
+
+ONEMAX_GRID = [(n, p) for n in [*range(1, 60), 100, 200] for p in (1 / n, 10 / n, 0.3) if p < 1.0]
+
+
+@pytest.mark.parametrize("n,p", ONEMAX_GRID)
+def test_onemax_matrix_matches_reference(n, p):
+    for start in ("random", 0, n // 2, n):
+        t, s, labels = reference_onemax_level_matrix(n, p, start)
+        chain = onemax_level_matrix(n, p, start)
+        assert np.array_equal(chain.transition, t), start
+        assert np.array_equal(chain.start, s), start
+        assert chain.labels == labels
+
+
+def test_ones_count_chains_reject_bad_sizes():
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        onemax_level_matrix(0, 0.5)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        jump_level_matrix(0, 1, 0.5)
+    for k in (0, 5):
+        with pytest.raises(ValueError, match="^jump size must be in"):
+            jump_level_matrix(4, k, 0.25)
 
 
 def test_onemax_matrix_single_bit():
@@ -367,7 +407,6 @@ def test_longpath_chain_matches_distance_tensor_reference():
 def test_summary_bundles_consistent_values():
     chain = onemax_level_matrix(12, 1 / 12)
     summary = summarize(chain)
-    np.testing.assert_allclose(summary.skip_probs, 1.0 - summary.visit_probs, atol=1e-15)
     assert summary.expected_time == pytest.approx(
         float(np.sum(summary.visit_probs[:-1] / summary.leave_probs)), abs=1e-9
     )

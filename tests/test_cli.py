@@ -309,3 +309,50 @@ def test_bounds_onemax_accepts_rate_1_over_n(capsys, rate):
     code, out, _ = run_main(capsys, "bounds", "--benchmark", "onemax", "--n", "40", "--from", "10", "--p", rate)
     assert code == 0
     assert json.loads(out)["tilde_T"] == pytest.approx(379.6868817449465, rel=1e-15)
+
+
+@pytest.mark.parametrize("rate", ["0.3", "2/n", "0.100000000001"])
+def test_bounds_jump_rejects_rate_other_than_1_over_n(capsys, rate):
+    # the jump skip bounds hold for rate 1/n only
+    code, out, err = run_main(capsys, "bounds", "--benchmark", "jump", "--n", "10", "--k", "3", "--p", rate)
+    assert_one_line_error(code, out, err)
+    assert "rate 1/n" in err
+
+
+def test_bounds_jump_checks_n_and_k_before_the_rate(capsys):
+    code, out, err = run_main(capsys, "bounds", "--benchmark", "jump", "--n", "10", "--k", "1", "--p", "0.3")
+    assert_one_line_error(code, out, err)
+    assert "jump size" in err
+
+
+@pytest.mark.parametrize(
+    "init,bound",
+    [("random", "random"), ("arbitrary", "arbitrary"), ("level:4", "arbitrary"), ("point:0011001100", "arbitrary")],
+)
+def test_bounds_jump_init_selects_skip_bound(capsys, init, bound):
+    code, out, _ = run_main(capsys, "bounds", "--benchmark", "jump", "--n", "10", "--k", "3", "--init", init)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["init"] == bound
+    assert [b["theorem"] for b in doc["bounds"]] == [f"jump-skip-{bound}"]
+
+
+@pytest.mark.parametrize("init", ["nonsense", "level:x", "point:01"])
+def test_bounds_jump_rejects_unknown_init(capsys, init):
+    code, out, err = run_main(capsys, "bounds", "--benchmark", "jump", "--n", "10", "--k", "3", "--init", init)
+    assert_one_line_error(code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "oracle --benchmark onemax --n 0",
+        "compare --benchmark leadingones --n 0 --replicates 2",
+        "bounds --benchmark jump --n 0 --k 2",
+        "simulate --benchmark jump --n 0 --k 1",
+    ],
+)
+def test_n_below_one_names_n(capsys, argv):
+    code, out, err = run_main(capsys, *argv.split())
+    assert_one_line_error(code, out, err)
+    assert "n must be >= 1" in err

@@ -4,7 +4,8 @@ import pytest
 from flmlab.benchmarks import (
     build_long_k_path,
     long_k_path_length,
-    long_path_fitness,
+    make_benchmark,
+    pack,
     verify_long_k_path,
 )
 
@@ -55,22 +56,13 @@ def test_invalid_parameters_rejected():
 
 
 def test_long_path_fitness_values():
-    path = build_long_k_path(4, 2)
-    assert long_path_fitness(path, np.array([0, 0, 0, 0], dtype=np.uint8)) == 0
-    assert long_path_fitness(path, np.array([1, 1, 0, 0], dtype=np.uint8)) == 6
-    assert long_path_fitness(path, np.array([1, 0, 1, 0], dtype=np.uint8)) == -1
-
-
-def test_index_of_string_of_other_length_is_off_path():
-    # a path point padded or cut by zero bits packs to the same int
-    path = build_long_k_path(4, 2)
-    assert path.index(np.array([1, 1, 0, 0], dtype=np.uint8)) == 6
-    assert path.index(np.array([1, 1, 0, 0, 0], dtype=np.uint8)) == -1
-    assert path.index(np.array([1, 1, 0], dtype=np.uint8)) == -1
-    assert path.index(np.zeros(12, dtype=np.uint8)) == -1
+    fitness = make_benchmark("longpath", 4, 2).fitness
+    assert fitness(pack(np.array([0, 0, 0, 0], dtype=np.uint8))) == 0
+    assert fitness(pack(np.array([1, 1, 0, 0], dtype=np.uint8))) == 6
+    assert fitness(pack(np.array([1, 0, 1, 0], dtype=np.uint8))) == -1
 
 
 def test_on_path_fitness_distinct_and_increasing():
     path = build_long_k_path(8, 2)
-    values = [long_path_fitness(path, pt) for pt in path.points]
+    values = [path.index_of[pack(pt)] for pt in path.points]
     assert values == list(range(len(path)))
