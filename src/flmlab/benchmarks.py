@@ -143,14 +143,12 @@ class Benchmark:
     level of the optimum class; levels are integers in [0, top_level].
     """
 
-    name: str
     n: int
     fitness: Callable[[int], int]
     is_optimum: Callable[[int], bool]
     level: Callable[[int], int]
     top_level: int
     sample_level: Callable[[int, np.random.Generator], np.ndarray]
-    k: Optional[int] = None
     path: Optional[LongKPath] = None
 
     @property
@@ -176,7 +174,6 @@ def make_onemax(n: int) -> Benchmark:
         return _bits_with_ones(n, level, rng)
 
     return Benchmark(
-        name="onemax",
         n=n,
         fitness=int.bit_count,
         is_optimum=lambda x: x == optimum,
@@ -202,7 +199,6 @@ def make_leadingones(n: int) -> Benchmark:
         return x
 
     return Benchmark(
-        name="leadingones",
         n=n,
         fitness=_leading_ones,
         is_optimum=lambda x: x == optimum,
@@ -239,14 +235,12 @@ def make_jump(n: int, k: int) -> Benchmark:
         return _bits_with_ones(n, ones, rng)
 
     return Benchmark(
-        name="jump",
         n=n,
         fitness=lambda x: jump_fitness_of_ones(x.bit_count(), n, k),
         is_optimum=lambda x: x == optimum,
         level=level,
         top_level=k + 1,
         sample_level=sample_level,
-        k=k,
     )
 
 
@@ -268,14 +262,12 @@ def make_longpath(n: int, k: int, max_points: int = DEFAULT_PATH_POINT_CAP) -> B
         return path.points[lvl].copy()
 
     return Benchmark(
-        name="longpath",
         n=n,
         fitness=fitness,
         is_optimum=lambda x: x == optimum,
         level=level,
         top_level=top,
         sample_level=sample_level,
-        k=k,
         path=path,
     )
 

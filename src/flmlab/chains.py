@@ -87,9 +87,9 @@ class LevelChain:
             raise ValueError("start vector length must match the level count")
         if np.any(t < -ROW_SUM_TOL) or np.any(s < -ROW_SUM_TOL):
             raise ValueError("probabilities must be non-negative")
-        if np.max(np.abs(t.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
+        if not np.max(np.abs(t.sum(axis=1) - 1.0)) <= ROW_SUM_TOL:  # NaN fails too
             raise ValueError("every transition row must sum to 1")
-        if abs(s.sum() - 1.0) > ROW_SUM_TOL:
+        if not abs(s.sum() - 1.0) <= ROW_SUM_TOL:
             raise ValueError("start distribution must sum to 1")
         if np.any(np.abs(np.tril(t, k=-1)) > 0):
             raise ValueError("level process must be non-decreasing (lower triangle not zero)")
@@ -177,7 +177,9 @@ def _binomial_start(n: int) -> np.ndarray:
     return start / start.sum()
 
 
-def _resolve_start(start: StartSpec, n: int) -> np.ndarray:
+def _resolve_start(start: Union[StartSpec, np.ndarray], n: int) -> np.ndarray:
+    if isinstance(start, np.ndarray):
+        return start  # a law over the ones-count classes 0..n
     if isinstance(start, str):
         if start != "random":
             raise ValueError(f"unknown start mode {start!r}")
@@ -195,7 +197,7 @@ def jump_fitness_order(n: int, k: int) -> list[int]:
     return sorted(range(n + 1), key=lambda a: jump_fitness_of_ones(a, n, k))
 
 
-def jump_level_matrix(n: int, k: int, p: float, start: StartSpec = "random") -> LevelChain:
+def jump_level_matrix(n: int, k: int, p: float, start: Union[StartSpec, np.ndarray] = "random") -> LevelChain:
     """Exact chain over ones-count classes of a jump function, ordered by
     fitness.  The coarse gap/non-gap partition is not Markov inside the
     non-gap region, so each ones-count keeps its own (sub-)level; transition
@@ -203,9 +205,10 @@ def jump_level_matrix(n: int, k: int, p: float, start: StartSpec = "random") -> 
     mass added to the self-loop.
 
     ``labels[i]`` is the ones-count of level i.  ``start`` is "random" for
-    the binomial initialization or an integer for a point mass at that
-    ones-count class.  With k = 1 there is no gap and this is the OneMax
-    chain: level i is the ones-count i.
+    the binomial initialization, an integer for a point mass at that
+    ones-count class, or an array holding a law over the ones-counts 0..n.
+    With k = 1 there is no gap and this is the OneMax chain: level i is the
+    ones-count i.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

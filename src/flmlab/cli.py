@@ -48,6 +48,9 @@ def _add_common(parser: argparse.ArgumentParser, benchmark: bool = True) -> None
         parser.add_argument("--n", type=int, default=None)
         parser.add_argument("--k", type=int, default=None)
         parser.add_argument("--p", default="1/n", help="mutation rate: real, fraction, or c/n")
+        parser.add_argument(
+            "--init", default="random", help="random, level:<int>, point:<bits> (simulate, bounds) or arbitrary (bounds)"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,28 +64,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_bounds)
     p_bounds.add_argument("--from", dest="from_level", type=int, default=None)
     p_bounds.add_argument("--to", dest="to_level", type=int, default=None)
-    p_bounds.add_argument("--init", default="random", help="random, arbitrary or a fixed start (jump)")
 
     p_oracle = sub.add_parser("oracle", help="exact level-chain / full-state values")
     _add_common(p_oracle)
-    p_oracle.add_argument("--init", default="random", help="random or level:<int>")
     p_oracle.add_argument(
         "--full-state", action="store_true", help="force the brute-force 2^n-state oracle"
     )
 
     p_sim = sub.add_parser("simulate", help="run Monte Carlo replicates")
-    _add_common(p_sim)
-    p_sim.add_argument("--replicates", type=int, default=1000)
-    p_sim.add_argument("--init", default="random", help="random, level:<int> or point:<bits>")
-    p_sim.add_argument("--max-iterations", type=int, default=10**9)
-    p_sim.add_argument("--threads", type=int, default=0, help="accepted and ignored")
-
     p_cmp = sub.add_parser("compare", help="simulate, compute bounds and report verdicts")
-    _add_common(p_cmp)
-    p_cmp.add_argument("--replicates", type=int, default=1000)
-    p_cmp.add_argument("--init", default="random")
-    p_cmp.add_argument("--max-iterations", type=int, default=10**9)
-    p_cmp.add_argument("--threads", type=int, default=0, help="accepted and ignored")
+    for p_mc in (p_sim, p_cmp):
+        _add_common(p_mc)
+        p_mc.add_argument("--replicates", type=int, default=1000)
+        p_mc.add_argument("--max-iterations", type=int, default=10**9)
+        p_mc.add_argument("--threads", type=int, default=0, help="accepted and ignored")
 
     p_path = sub.add_parser("path-check", help="build and exhaustively verify a long k-path")
     _add_common(p_path, benchmark=False)
@@ -140,6 +135,11 @@ def _chain_start(args):
     return _parse_init(args.init, args.n, point=False)
 
 
+def _rate_is_one_over_n(p: float, n: int) -> bool:
+    """The OneMax sandwich and the jump skip bounds are stated for rate 1/n only."""
+    return abs(p - 1.0 / n) < 1e-15
+
+
 def _require_k(args) -> int:
     if args.k is None:
         raise ValueError(f"{args.benchmark} requires --k")
@@ -159,7 +159,7 @@ def _onemax_bounds(args, p: float):
     k = 0 if args.from_level is None else args.from_level
     l = args.n if args.to_level is None else args.to_level
     om = formulas.onemax_bounds(args.n, k, l)  # validates n, from and to
-    if abs(p - 1.0 / args.n) >= 1e-15:  # the sandwich holds for rate 1/n only
+    if not _rate_is_one_over_n(p, args.n):
         raise ValueError(f"onemax bounds are stated for rate 1/n only, got p={p!r}")
     fields = {
         "from": k,
@@ -179,12 +179,11 @@ def _onemax_bounds(args, p: float):
 
 
 def _onemax_compare(args, p: float, summary: chains.ChainSummary):
-    # flm_lower_visit validates the leave probabilities before any division
+    # the calculators validate the leave probabilities before any division
+    upper = bounds.flm_upper_classic(summary.leave_probs)
     lower = bounds.flm_lower_visit(summary.leave_probs, summary.visit_probs[:-1])
-    upper = bounds.BoundResult(float(np.sum(1.0 / summary.leave_probs)), "upper", "flm-upper-classic")
-    bound_list = [upper, lower]
     visit_lower = {i: float(v) for i, v in enumerate(summary.visit_probs[:-1])}
-    return bound_list, summary.expected_time, visit_lower
+    return [upper, lower], summary.expected_time, visit_lower
 
 
 def _leadingones_bounds(args, p: float):
@@ -196,29 +195,41 @@ def _leadingones_bounds(args, p: float):
 
 
 def _leadingones_compare(args, p: float, summary: None):
-    fields, lower_upper = _leadingones_bounds(args, p)
-    visit_lower = {i: 0.5 for i in range(args.n)} if args.init == "random" else {}
-    return lower_upper[::-1], fields["exact_expected_runtime"], visit_lower  # reports list the upper first
+    start = _chain_start(args)
+    if start == "random":  # every level below n is visited with probability 1/2
+        fields, lower_upper = _leadingones_bounds(args, p)
+        visit_lower = dict.fromkeys(range(args.n), 0.5)
+        return lower_upper[::-1], fields["exact_expected_runtime"], visit_lower  # reports list the upper first
+    if not 0 <= start <= args.n:
+        raise ValueError(f"LeadingOnes level must be in [0, {args.n}], got {start}")
+    # the bits behind the first zero stay uniform, so a run started at level
+    # L visits every higher level with probability 1/2 and no lower one
+    levels = np.arange(args.n)
+    v = np.where(levels == start, 1.0, np.where(levels > start, 0.5, 0.0))
+    exact = float(np.sum(v / formulas.leadingones_leave_probs(args.n, p)))  # sum v_i / p_i
+    return [], exact, dict(enumerate(v.tolist()))
 
 
 def _jump_chain(args, p: float) -> chains.LevelChain:
-    return chains.jump_level_matrix(args.n, _require_k(args), p, start=_chain_start(args))
-
-
-def _jump_init(args) -> str:
-    """The jump skip bound that covers ``--init``: "random" for a uniform
-    start, "arbitrary" for "arbitrary" or any fixed start."""
-    if args.init in ("random", "arbitrary"):
-        return args.init
-    _parse_init(args.init, args.n)  # raises on an unknown form
-    return "arbitrary"
+    k = _require_k(args)
+    start = _chain_start(args)
+    if start != "random":  # benchmark level L, uniform over its strings as in simulate
+        level = benchmarks.make_benchmark("jump", args.n, k).level
+        ones = np.array([a for a in range(args.n + 1) if level((1 << a) - 1) == start])
+        if not ones.size:
+            raise ValueError(f"no state has level {start}")
+        log_w = chains._log_binom(args.n, ones)  # C(n, a), shifted by its peak so no class underflows
+        law = np.zeros(args.n + 1)
+        law[ones] = np.exp(log_w - log_w.max())
+        start = law / law.sum()
+    return chains.jump_level_matrix(args.n, k, p, start=start)
 
 
 def _jump_bounds(args, p: float):
     k = _require_k(args)
-    init = _jump_init(args)
+    init = "random" if args.init == "random" else "arbitrary"  # the bound that covers any fixed start
     jb = formulas.jump_bounds(args.n, k, init=init)  # validates n and k
-    if abs(p - 1.0 / args.n) >= 1e-15:  # the skip bounds hold for rate 1/n only
+    if not _rate_is_one_over_n(p, args.n):
         raise ValueError(f"jump bounds are stated for rate 1/n only, got p={p!r}")
     fields = {
         "k": k,
@@ -232,15 +243,13 @@ def _jump_bounds(args, p: float):
 
 
 def _jump_compare(args, p: float, summary: chains.ChainSummary):
-    bound_list: list[bounds.BoundResult] = []
-    visit_lower: dict[int, float] = {}
-    init = _jump_init(args)
-    if abs(p - 1.0 / args.n) < 1e-15:  # explicit jump bounds are stated for rate 1/n
-        jb = formulas.jump_bounds(args.n, args.k, init=init)
-        bound_list.append(bounds.BoundResult(jb.lower_bound, "lower", f"jump-skip-{init}"))
-        skip = jb.skip_bound_random if init == "random" else jb.skip_bound_arbitrary
-        visit_lower[args.k] = 1.0 - float(skip)  # canonical non-gap level
-    return bound_list, summary.expected_time, visit_lower
+    k = args.k
+    # a run started at the optimum (level k+1) has no valley left to jump
+    if not (_rate_is_one_over_n(p, args.n) and formulas.jump_bounds_stated(args.n, k) and _chain_start(args) != k + 1):
+        return [], summary.expected_time, {}
+    fields, bound_list = _jump_bounds(args, p)
+    skip = fields[f"skip_bound_{fields['init']}"]
+    return bound_list, summary.expected_time, {k: 1.0 - float(skip)}  # canonical non-gap level
 
 
 def _longpath_chain(args, p: float) -> chains.LevelChain:
@@ -267,9 +276,7 @@ def _longpath_bounds(args, p: float):
 
 
 def _longpath_compare(args, p: float, summary: chains.ChainSummary):
-    bound_list = [
-        bounds.BoundResult(formulas.longpath_lower_bound(args.n, args.k, p), "lower", "longpath-visit-lower")
-    ]
+    _, bound_list = _longpath_bounds(args, p)
     v_low = formulas.longpath_level_visit_lower(args.n, args.k, p)
     visit_lower = {i: v_low for i in range(1, len(summary.visit_probs) - 1)}
     return bound_list, summary.expected_time, visit_lower
@@ -316,6 +323,8 @@ def _bound_entry(b: bounds.BoundResult) -> dict:
 
 def _cmd_bounds(args) -> int:
     p = resolve_mutation_rate(args.p, args.n)
+    if args.init != "arbitrary":  # every family rejects an unknown --init form
+        _parse_init(args.init, args.n)
     fields, results = _FAMILIES[args.benchmark].bounds(args, p)
     doc = {"benchmark": args.benchmark, "n": args.n, **fields}
     doc["bounds"] = [_bound_entry(b) for b in results]
@@ -338,7 +347,7 @@ def _cmd_oracle(args) -> int:
         if family.chain is None:
             leave = family.leave(args, p)
         else:
-            leave = chains.summarize(family.chain(args, p)).leave_probs
+            leave = family.chain(args, p).leave_probs[:-1]
         visit, expected, oracle = result.visit_probs, result.expected_time, "full-state"
     else:
         summary = chains.summarize(family.chain(args, p))
@@ -415,8 +424,8 @@ def _compare_inputs(args, p: float):
 
 def _cmd_compare(args) -> int:
     p = resolve_mutation_rate(args.p, args.n)
+    bound_list, exact, visit_lower = _compare_inputs(args, p)  # every input check before the first replicate
     stats = run_experiment(_experiment_config(args))
-    bound_list, exact, visit_lower = _compare_inputs(args, p)
     report = compare_report(stats, bound_list, exact=exact, visit_lower=visit_lower)
     if args.format == "csv":
         _write_output(report.to_csv(), args.out)

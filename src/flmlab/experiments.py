@@ -73,13 +73,6 @@ class ExperimentConfig:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
-    @property
-    def rate(self) -> float:
-        return resolve_mutation_rate(self.mutation_rate, self.n)
-
-    def make_benchmark(self) -> Benchmark:
-        return make_benchmark(self.benchmark, self.n, self.k)
-
 
 @dataclass
 class RunStatistics:
@@ -97,8 +90,6 @@ class RunStatistics:
     visit_freq: np.ndarray
     leave_rate: np.ndarray
     mean_sojourn: np.ndarray
-    visits: np.ndarray
-    leaves: np.ndarray
     iterations_at_level: np.ndarray
     timeouts: int
     runtimes: np.ndarray
@@ -164,8 +155,9 @@ def _run_replicate(
 
 def run_experiment(config: ExperimentConfig) -> RunStatistics:
     """Execute the configured replicates in index order and merge them."""
-    rate = config.rate  # before the benchmark, so a bad n is reported as such
-    benchmark = config.make_benchmark()
+    # the rate before the benchmark, so a bad n is reported as such
+    rate = resolve_mutation_rate(config.mutation_rate, config.n)
+    benchmark = make_benchmark(config.benchmark, config.n, config.k)
     start = _parse_init(config.init, config.n)
     results = [_run_replicate(benchmark, rate, config, r, start) for r in range(config.replicates)]
     return aggregate_results(results, benchmark.level_count)
@@ -202,8 +194,6 @@ def aggregate_results(results: Sequence[RunResult], level_count: int) -> RunStat
         visit_freq=visits / n_rep,
         leave_rate=leave_rate,
         mean_sojourn=mean_sojourn,
-        visits=visits,
-        leaves=leaves,
         iterations_at_level=iters,
         timeouts=int(np.sum(~hits)),
         runtimes=runtimes,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +30,7 @@ __all__ = [
     "onemax_leave_probs",
     "onemax_bounds",
     "jump_bounds",
+    "jump_bounds_stated",
     "longpath_leave_prob",
     "longpath_leave_prob_bound",
     "longpath_visit_lower",
@@ -83,16 +83,10 @@ def onemax_skip_bound(n: int, i: int) -> float:
     return min(1.0, max(0.0, bound))
 
 
-@lru_cache(maxsize=64)
-def _cached_leave_probs(n: int, p: float) -> tuple[float, ...]:
-    rows = [mutation_class_row(n, p, i) for i in range(n)]
-    return tuple(float(row[i + 1 :].sum()) for i, row in enumerate(rows))
-
-
 def onemax_leave_probs(n: int, p: float) -> np.ndarray:
     """Exact OneMax level leaving probabilities p_i = p_{i, >= i+1} for
     i in [0, n-1], from the ones-count mutation masses."""
-    return np.array(_cached_leave_probs(n, float(p)))
+    return np.array([float(mutation_class_row(n, p, i)[i + 1 :].sum()) for i in range(n)])
 
 
 @dataclass
@@ -160,6 +154,11 @@ class JumpBounds:
     lower_bound: float
 
 
+def jump_bounds_stated(n: int, k: int) -> bool:
+    """Whether :func:`jump_bounds` states a bound for (n, k) at rate 1/n."""
+    return n >= 4 and 2 <= k <= n
+
+
 def jump_bounds(n: int, k: int, init: str = "random") -> JumpBounds:
     """Runtime lower bound (1 - skip) / p_k for jump functions at rate 1/n.
 
@@ -169,10 +168,8 @@ def jump_bounds(n: int, k: int, init: str = "random") -> JumpBounds:
     initialization bound is the explicit chain 6e 2^-n + 2e n^(-ceil(n/4)+1)
     + 2^-n (constants not optimized).
     """
-    if n < 4:
-        raise ValueError("n must be >= 4")
-    if not 2 <= k <= n:
-        raise ValueError(f"jump size must be in [2, {n}], got {k}")
+    if not jump_bounds_stated(n, k):
+        raise ValueError("n must be >= 4" if n < 4 else f"jump size must be in [2, {n}], got {k}")
     if init not in ("arbitrary", "random"):
         raise ValueError(f"init must be 'arbitrary' or 'random', got {init!r}")
 

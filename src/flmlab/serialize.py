@@ -55,9 +55,9 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
-def _write(obj: Any, parts: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    closing_pad = " " * (indent * level)
+def _write(obj: Any, parts: list[str], level: int) -> None:
+    pad = "  " * (level + 1)
+    closing_pad = "  " * level
     if obj is None:
         parts.append("null")
     elif obj is True:
@@ -79,7 +79,7 @@ def _write(obj: Any, parts: list[str], indent: int, level: int) -> None:
             parts.append(pad)
             parts.append(_escape(str(key)))
             parts.append(": ")
-            _write(value, parts, indent, level + 1)
+            _write(value, parts, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(closing_pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -89,7 +89,7 @@ def _write(obj: Any, parts: list[str], indent: int, level: int) -> None:
             return
         parts.append("[")
         for i, value in enumerate(items):
-            _write(value, parts, indent, level + 1)
+            _write(value, parts, level + 1)
             if i < len(items) - 1:
                 parts.append(", ")
         parts.append("]")
@@ -97,10 +97,10 @@ def _write(obj: Any, parts: list[str], indent: int, level: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
-    """JSON text with floats at 17 significant digits; trailing newline."""
+def dumps(obj: Any) -> str:
+    """JSON text (two-space indent, floats at 17 significant digits); trailing newline."""
     parts: list[str] = []
-    _write(obj, parts, indent, 0)
+    _write(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)
 

@@ -168,6 +168,10 @@ def test_chain_validation_rejects_bad_inputs():
         LevelChain(np.array([[0.5, 0.5], [0.1, 0.9]]), np.array([1.0, 0.0]))  # decreasing move
     with pytest.raises(ValueError):
         LevelChain(np.eye(2), np.array([0.7, 0.7]))  # start not a distribution
+    with pytest.raises(ValueError, match="start distribution"):
+        LevelChain(np.eye(2), np.array([np.nan, np.nan]))  # e.g. 0/0 from an underflowed law
+    with pytest.raises(ValueError, match="transition row"):
+        LevelChain(np.array([[np.nan, np.nan], [0.0, 1.0]]), np.array([1.0, 0.0]))
 
 
 def test_chain_arrays_are_read_only():

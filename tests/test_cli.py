@@ -343,6 +343,12 @@ def test_bounds_jump_rejects_unknown_init(capsys, init):
     assert_one_line_error(code, out, err)
 
 
+@pytest.mark.parametrize("family", ["onemax --n 10", "leadingones --n 10", "longpath --n 12 --k 4"])
+def test_bounds_rejects_unknown_init_for_every_family(capsys, family):
+    code, out, err = run_main(capsys, "bounds", "--benchmark", *family.split(), "--init", "nonsense")
+    assert_one_line_error(code, out, err)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
