@@ -24,7 +24,6 @@ from .benchmarks import jump_fitness_of_ones, pack
 __all__ = [
     "LevelChain",
     "ChainSummary",
-    "FullStateResult",
     "mutation_class_row",
     "onemax_level_matrix",
     "jump_level_matrix",
@@ -40,8 +39,9 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-12
 FULL_STATE_MAX_N = 14
-# dense float64 square matrices alive at once at peak (measured as peak RSS growth)
-FULL_STATE_DENSE_ARRAYS = 2
+# float64 arrays of (largest class) x 2^n entries alive at once at peak; peak RSS
+# growth measured 1.1 (OneMax) to 2.1 (long k-path) of them at n = 11..14
+FULL_STATE_BLOCK_ROWS = 3
 LONGPATH_DENSE_ARRAYS = 4
 
 StartSpec = Union[str, int]
@@ -374,31 +374,24 @@ def summarize(chain: LevelChain) -> ChainSummary:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FullStateResult:
-    """Exact quantities from the full 2^n-state chain of the elitist process."""
-
-    expected_time: float
-    visit_probs: np.ndarray
-
-
 def full_state_expected_time(
     benchmark,
     p: float,
     start: Union[str, int, np.ndarray] = "random",
-) -> FullStateResult:
-    """Solve the full 2^n-state accepted-move chain of the (1+1) EA.
+) -> ChainSummary:
+    """Solve the full 2^n-state chain of the (1+1) EA one fitness class at a time.
 
-    Builds the dense transition matrix (mutation mass filtered by
-    accept-if-not-worse) and makes two dense solves with ``I - Q``, where
-    ``Q`` is its restriction to non-optimal states: ``(I - Q) t = 1`` gives
-    the hitting times, and ``(I - Q)^T g = start`` gives the expected number
-    of visits ``g_s`` to each state (the fundamental matrix, Kemeny & Snell).
-    A level that has been left is never re-entered, so level L is visited
-    with probability ``start(L) + sum_{s: level(s) < L} g_s T(s, L)``; this
-    agrees with one first-passage solve per level to rounding (within 1e-12
-    relative).  ``start`` is "random" (uniform over all states), an integer
-    level (uniform over that level's states) or an explicit bit string.
+    Elitist selection never accepts a worse offspring, so ``I - Q`` is block
+    triangular by fitness, and one forward pass over the classes of equal
+    fitness gives ``g_s``, the expected iterations spent in each non-optimal
+    state s (Kemeny & Snell): class c solves ``(I - T_cc)^T g_c = inflow_c``,
+    its start mass plus the expected moves into it from lower classes.  Only
+    the rows of one class are built; a class nothing enters keeps g = 0.
+    Every output is a sum of g: ``E[T] = sum_s g_s``; ``v_L`` is the start
+    mass of level L plus the moves into L from lower levels; ``p_L = v_L /
+    sum_{s in L} g_s`` below the top is the leave rate a run shows at L (0 for
+    a level no run enters).  ``start`` is "random" (uniform), an integer
+    level (uniform over its states) or an explicit bit string.
     """
     n = benchmark.n
     if n > FULL_STATE_MAX_N:
@@ -406,59 +399,53 @@ def full_state_expected_time(
     if not 0.0 < p < 1.0:
         raise ValueError(f"mutation rate must be in (0, 1), got {p}")
     size = 2**n
-    _check_dense_bytes(FULL_STATE_DENSE_ARRAYS * 8 * size * size, f"full-state oracle at n={n}")
-
     # state s is the bit string packed into s (bit i is position i)
     fitness = np.array([benchmark.fitness(s) for s in range(size)], dtype=float)
     optimal = np.array([bool(benchmark.is_optimum(s)) for s in range(size)])
     levels = np.array([benchmark.level(s) for s in range(size)], dtype=int)
-
-    popcount = np.array([int(c).bit_count() for c in range(size)], dtype=np.uint8)
-    codes = np.arange(size, dtype=np.uint32)
-    dist = popcount[(codes[:, None] ^ codes[None, :])]
-    flips = np.arange(n + 1, dtype=np.uint8)  # mass of one flip pattern per distance
-    trans = np.exp(flips * math.log(p) + (n - flips) * math.log1p(-p))[dist]
-    del dist
-    trans[fitness[None, :] < fitness[:, None]] = 0.0  # rejected offspring
-    np.fill_diagonal(trans, 0.0)
-    np.fill_diagonal(trans, np.maximum(1.0 - trans.sum(axis=1), 0.0))
+    classes, counts = np.unique(fitness[~optimal], return_counts=True)
+    need = FULL_STATE_BLOCK_ROWS * 8 * int(counts.max(initial=0)) * size  # the largest class's block
+    _check_dense_bytes(need, f"full-state oracle at n={n}")
 
     if isinstance(start, str):
         if start != "random":
             raise ValueError(f"unknown start mode {start!r}")
-        start_dist = np.full(size, 1.0 / size)
+        inflow = np.full(size, 1.0 / size)
     elif isinstance(start, (int, np.integer)):
         at_level = levels == int(start)
         if not np.any(at_level):
             raise ValueError(f"no state has level {start}")
-        start_dist = at_level / at_level.sum()
+        inflow = at_level / at_level.sum()
     else:
-        start_dist = np.zeros(size)
-        start_dist[pack(start)] = 1.0
+        inflow = np.zeros(size)
+        inflow[pack(start)] = 1.0
 
     top = int(levels.max())
-    to_level = trans @ (levels[:, None] == np.arange(top + 1))  # T(s, L)
-    times = np.zeros(size)
-    visits = np.zeros(size)  # expected number of iterations spent in each state
-    interior = ~optimal
-    if np.any(interior):
-        a = trans[np.ix_(interior, interior)]
-        del trans
-        np.subtract(0.0, a, out=a)  # a = I - Q, built in place
-        a[np.diag_indices_from(a)] += 1.0
-        times[interior] = np.linalg.solve(a, np.ones(a.shape[0]))
-        visits[interior] = np.linalg.solve(a.T, start_dist[interior])
-
-    visit = np.zeros(top + 1)
-    for lvl in range(top + 1):
-        at = levels == lvl
-        if not np.any(at):
+    visit = np.bincount(levels, weights=inflow, minlength=top + 1)
+    g = np.zeros(size)  # expected number of iterations spent in each state
+    codes = np.arange(size, dtype=np.uint32)
+    flips = np.arange(n + 1)
+    mass = np.exp(flips * math.log(p) + (n - flips) * math.log1p(-p))  # one flip pattern per Hamming distance
+    for value in classes:
+        in_class = (fitness == value) & ~optimal
+        members = np.flatnonzero(in_class)
+        if not np.any(inflow[members]):
             continue
-        below = levels < lvl
-        v = float(start_dist[at].sum())
-        if np.any(below) and start_dist[below].sum() > 0.0:
-            v += float(visits[below] @ to_level[below, lvl])
-        visit[lvl] = v
+        higher = np.flatnonzero((fitness >= value) & ~in_class)  # accepted moves out of the class
+        out = mass[np.bitwise_count(codes[members, None] ^ codes[higher])]
+        a = mass[np.bitwise_count(codes[members, None] ^ codes[members])]
+        diag = np.diag_indices_from(a)
+        a[diag] = 0.0
+        leave = a.sum(axis=1) + out.sum(axis=1)  # accepted mass of leaving each state
+        np.negative(a, out=a)
+        a[diag] = leave  # a = I - T_cc
+        g[members] = np.linalg.solve(a.T, inflow[members])
+        del a
+        flow = g[members] @ out
+        inflow[higher] += flow
+        up = levels[higher] > levels[members[0]]  # a class lies within one level
+        visit += np.bincount(levels[higher[up]], weights=flow[up], minlength=top + 1)
 
-    expected = float(start_dist @ times)
-    return FullStateResult(expected_time=expected, visit_probs=visit)
+    dwell = np.bincount(levels, weights=g, minlength=top + 1)[:top]
+    leave_probs = np.divide(visit[:top], dwell, out=np.zeros(top), where=dwell > 0.0)
+    return ChainSummary(leave_probs=leave_probs, visit_probs=visit, expected_time=float(g.sum()))

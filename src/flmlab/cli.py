@@ -187,6 +187,8 @@ def _onemax_compare(args, p: float, summary: chains.ChainSummary):
 
 
 def _leadingones_bounds(args, p: float):
+    if args.init != "random":
+        raise ValueError(f"leadingones bounds are stated for --init random only, got {args.init!r}")
     exact = formulas.leadingones_exact(args.n, p)
     return {"exact_expected_runtime": exact}, [
         bounds.BoundResult(exact, "lower", "leadingones-exact"),
@@ -259,8 +261,16 @@ def _longpath_chain(args, p: float) -> chains.LevelChain:
     return chains.longpath_level_matrix(path, p, start=0 if start == "random" else start)
 
 
+def _starts_at_path_start(args) -> bool:
+    """The long k-path bounds are stated for a run started at path position 0
+    (where the chain also starts a "random" run: known defect)."""
+    return args.init != "arbitrary" and _chain_start(args) in ("random", 0)
+
+
 def _longpath_bounds(args, p: float):
     k = _require_k(args)
+    if not _starts_at_path_start(args):
+        raise ValueError(f"longpath bounds are stated for --init random or level:0 only, got {args.init!r}")
     main_bound = formulas.longpath_lower_bound(args.n, k, p)
     fields = {
         "k": k,
@@ -276,6 +286,8 @@ def _longpath_bounds(args, p: float):
 
 
 def _longpath_compare(args, p: float, summary: chains.ChainSummary):
+    if not _starts_at_path_start(args):
+        return [], summary.expected_time, {}
     _, bound_list = _longpath_bounds(args, p)
     v_low = formulas.longpath_level_visit_lower(args.n, args.k, p)
     visit_lower = {i: v_low for i in range(1, len(summary.visit_probs) - 1)}
@@ -286,27 +298,22 @@ def _longpath_compare(args, p: float, summary: chains.ChainSummary):
 class _Family:
     """Everything the CLI knows about one benchmark family.
 
-    ``chain`` builds the exact level chain; a full-state-only family has none
-    and gives its leave probabilities in closed form by ``leave``.  ``bounds``
-    returns the family's fields of the ``bounds`` document and its bounds;
-    ``compare`` returns the bounds, exact runtime and visit lower bounds of a
-    comparison from the exact chain's summary.
+    ``chain`` builds the exact level chain; a full-state-only family has none.
+    ``bounds`` returns the family's fields of the ``bounds`` document and its
+    bounds; ``compare`` returns the bounds, exact runtime and visit lower
+    bounds of a comparison from the exact chain's summary.
     """
 
     chain: Optional[Callable]
     bounds: Callable
     compare: Callable
-    leave: Optional[Callable] = None
 
 
 # The entries call library functions through their modules at call time, so
 # wrappers installed on those modules (as by a profiler) see every call.
 _FAMILIES = {
     "onemax": _Family(_onemax_chain, _onemax_bounds, _onemax_compare),
-    "leadingones": _Family(
-        None, _leadingones_bounds, _leadingones_compare,
-        leave=lambda args, p: formulas.leadingones_leave_probs(args.n, p),
-    ),
+    "leadingones": _Family(None, _leadingones_bounds, _leadingones_compare),
     "jump": _Family(_jump_chain, _jump_bounds, _jump_compare),
     "longpath": _Family(_longpath_chain, _longpath_bounds, _longpath_compare),
 }
@@ -343,21 +350,16 @@ def _cmd_oracle(args) -> int:
     family = _FAMILIES[args.benchmark]
     if args.full_state or family.chain is None:
         benchmark = benchmarks.make_benchmark(args.benchmark, args.n, args.k)
-        result = chains.full_state_expected_time(benchmark, p, start=_chain_start(args))
-        if family.chain is None:
-            leave = family.leave(args, p)
-        else:
-            leave = family.chain(args, p).leave_probs[:-1]
-        visit, expected, oracle = result.visit_probs, result.expected_time, "full-state"
+        summary = chains.full_state_expected_time(benchmark, p, start=_chain_start(args))
+        oracle = "full-state"
     else:
         summary = chains.summarize(family.chain(args, p))
-        leave, visit, expected = summary.leave_probs, summary.visit_probs, summary.expected_time
         oracle = "level-chain"
     doc = {
-        "levels": len(visit),
-        "p": [float(x) for x in leave],
-        "v": [float(x) for x in visit],
-        "expected_T": expected,
+        "levels": len(summary.visit_probs),
+        "p": [float(x) for x in summary.leave_probs],
+        "v": [float(x) for x in summary.visit_probs],
+        "expected_T": summary.expected_time,
         "oracle": oracle,
     }
     if args.format == "csv":

@@ -306,9 +306,9 @@ def test_onemax_chain_matches_full_state():
 
 
 def test_onemax_chain_visit_probabilities_match_full_state():
-    # n = 14 would need 2^14 x 2^14 dense matrices, two of them alive at
-    # once (4 GiB); n = 12 is the largest size that stays cheap
-    n = 12
+    # n = 14 is the full-state oracle's cap; its largest OneMax class holds
+    # C(14, 7) = 3432 states, so no block is larger than 3432 x 2^14
+    n = 14
     oracle = full_state_expected_time(make_benchmark("onemax", n), 1 / n)
     chain = summarize(onemax_level_matrix(n, 1 / n))
     np.testing.assert_allclose(oracle.visit_probs, chain.visit_probs, rtol=1e-12, atol=0)
@@ -342,7 +342,9 @@ def test_full_state_rejects_large_dimension():
 
 
 def test_full_state_refuses_more_than_physical_memory_before_allocating(monkeypatch):
-    monkeypatch.setattr(chains_module, "_physical_memory", lambda: 8 * 4**12 - 1)
+    # one byte below the guard's need for the largest OneMax class, C(12, 6) states
+    need = chains_module.FULL_STATE_BLOCK_ROWS * 8 * math.comb(12, 6) * 2**12
+    monkeypatch.setattr(chains_module, "_physical_memory", lambda: need - 1)
     benchmark = make_benchmark("onemax", 12)
     tracemalloc.start()
     try:
@@ -351,7 +353,7 @@ def test_full_state_refuses_more_than_physical_memory_before_allocating(monkeypa
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**20  # the 128 MiB transition matrix was never built
+    assert peak < 2**20  # no block of class rows was built
 
 
 def test_longpath_chain_refuses_more_than_physical_memory_before_allocating(monkeypatch):

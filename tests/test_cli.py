@@ -74,6 +74,44 @@ def test_oracle_leadingones_uses_full_state(capsys):
     assert identity == pytest.approx(doc["expected_T"], abs=1e-9)
 
 
+def test_oracle_full_state_rows_give_its_own_expected_time(capsys):
+    # per-level p and v of the same solve: one p per level below the top
+    code, out, _ = run_main(capsys, "oracle", "--benchmark", "jump", "--n", "8", "--k", "3", "--full-state")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["p"]) == doc["levels"] - 1
+    identity = sum(v / p for v, p in zip(doc["v"], doc["p"]) if v > 0)
+    assert identity == pytest.approx(doc["expected_T"], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bounds --benchmark leadingones --n 6 --init level:3",
+        "bounds --benchmark leadingones --n 6 --init arbitrary",
+        "bounds --benchmark longpath --n 12 --k 4 --init level:20",
+        "bounds --benchmark longpath --n 12 --k 4 --init arbitrary",
+    ],
+)
+def test_bounds_refuse_starts_they_are_not_stated_for(capsys, argv):
+    code, out, err = run_main(capsys, *argv.split())
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_compare_longpath_from_a_later_position_has_only_the_exact_row(capsys):
+    # the visit and runtime bounds are stated for a run from path position 0
+    code, out, _ = run_main(
+        capsys, "compare", "--benchmark", "longpath", "--n", "12", "--k", "4",
+        "--init", "level:20", "--replicates", "200", "--seed", "3",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bounds"] == []
+    assert [row["quantity"] for row in doc["report"]["rows"]] == ["mean_runtime_vs_exact"]
+
+
 def test_path_check_reports_point_count(capsys):
     code, out, _ = run_main(capsys, "path-check", "--n", "8", "--k", "2")
     assert code == 0

@@ -40,19 +40,19 @@ GOLDEN = [
     ("oracle --benchmark onemax --n 10", 0, "53feb41521bfe3ebdbab7a0403163d867cddab8e6c84ecca6e0ec798e2898926"),
     ("oracle --benchmark onemax --n 10 --p 2/n --format csv", 0, "34e4647c520adb2de8f1c733c6dee59d3db41b7127a3addf2f0bfa8a4806a0ed"),
     ("oracle --benchmark onemax --n 10 --init level:3", 0, "2f56a32ef4c19738e4b84f67faece002e3c4a695d3f25214cabc6cf48d47e041"),
-    ("oracle --benchmark onemax --n 8 --full-state", 0, "639aa08efee602ef4be46994174def08e8dd5a642bbaa1e0d6f011e03727af64"),
-    ("oracle --benchmark onemax --n 8 --full-state --init level:2 --format csv", 0, "557edef96dad92a24ae6d20ec5f557930065f12dcc3f2a6a501aeca37f050ec4"),
+    ("oracle --benchmark onemax --n 8 --full-state", 0, "90e9441c5a2d037a4c43e26633ac34ddc666ccbd9fe38d570ef15dc7c003fe44"),
+    ("oracle --benchmark onemax --n 8 --full-state --init level:2 --format csv", 0, "b3d91b33e493ab504bf12d5da670c630f9960445ab4431bfb37d8b3b543ce8f3"),
     ("oracle --benchmark onemax --n 8 --init point:00110011", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("oracle --benchmark onemax --n 8 --init bogus", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("oracle --benchmark leadingones --n 6", 0, "720c970ded0943a01896eb1190a91dc5832b8de3ae1f63d02c5f8ff1106e7bb7"),
-    ("oracle --benchmark leadingones --n 6 --p 1/3 --init level:2 --format csv --out {out}", 0, "a390e2dd4b2fae8d706c99fb6f992be2ff73dd952db004899d6d773b16af574b"),
+    ("oracle --benchmark leadingones --n 6", 0, "52b83a55bb9517861b32de04f09bbea97b93d86d338f5b7a5d32a4a53cd6d3a4"),
+    ("oracle --benchmark leadingones --n 6 --p 1/3 --init level:2 --format csv --out {out}", 0, "6ea89a71a65cc213013e1184c6e67a0078a8f32e9e95b54c40e7a356aaf39281"),
     ("oracle --benchmark leadingones --n 20", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("oracle --benchmark jump --n 10 --k 3", 0, "05f45e44914e1c8cf7015f233f7330219f0603beee563681e246719ea96c697a"),
     ("oracle --benchmark jump --n 10 --k 3 --init level:4 --format csv", 0, "a1a13bd091c1fc3a64272aed8562edac441e22b750cf057693dfab1dc8dd62ca"),
-    ("oracle --benchmark jump --n 8 --k 3 --full-state", 0, "15e7f870ef9f2c709f19b887a409128f80730e7b0a5015938fcc3ea37320cf75"),
+    ("oracle --benchmark jump --n 8 --k 3 --full-state", 0, "a237d8d598cdcb0978cc41548a07e99ac6c45aee6db94cc4994b309ba3f2085c"),
     ("oracle --benchmark longpath --n 8 --k 2", 0, "da789aebc25833eb00378808563269af8a8c7d0a6127c42a61f78edd8c76b012"),
     ("oracle --benchmark longpath --n 8 --k 2 --init level:3 --format csv", 0, "5c9b63417c7c2bb6b63d02207b9faaf300006f870e73c03b90a0037de232cc90"),
-    ("oracle --benchmark longpath --n 6 --k 2 --full-state", 0, "95c46a51eaecd0b64601ae8398b14f77d3f47d98c0b3d1829983e494551351cf"),
+    ("oracle --benchmark longpath --n 6 --k 2 --full-state", 0, "f848def9ce505f9504798c3f5b0d2a06818260d2dd7d2dd69f402e4fd88662a9"),
     # simulate: every family and init form, JSON, CSV on stdout and to files
     ("simulate --benchmark onemax --n 8 --replicates 30 --seed 1", 0, "4284ad1d00e41a3d2104e4ad0cb8116a5bb88649952e65e3553f0fcc4dc5215f"),
     ("simulate --benchmark onemax --n 8 --replicates 30 --seed 2 --init point:00110011 --format csv", 0, "da291c28b3e34c20829be0ad4035788b18ae72f439f7369629868b2a11a14a64"),

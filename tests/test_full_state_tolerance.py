@@ -1,11 +1,11 @@
 """Full-state oracle values of the six golden CLI cases it serves.
 
-The full-state oracle derives every visit probability from one transposed
-solve of ``I - Q`` (the fundamental matrix) instead of one first-passage
-solve per level.  Its hitting times come from the same solve as before, so
-``expected_T`` is pinned bit for bit; each visit probability is pinned to
-within 1e-12 relative of the per-level solves, and an exact zero stays an
-exact zero.  The values were recorded with the per-level solves.
+The values were recorded with a dense solve of the whole 2^n-state chain
+(hitting times, and one first-passage solve per level).  The full-state
+oracle solves one fitness class at a time and sums the expected visits of
+each state, so ``expected_T`` is pinned to within 1e-13 relative and each
+visit probability to within 1e-12 relative; an exact zero stays an exact
+zero.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import pytest
 
 from flmlab.cli import main
 
+T_REL_TOL = 1e-13
 V_REL_TOL = 1e-12
 
 # (argv, expected_T, v)
@@ -72,7 +73,7 @@ def oracle_output(argv: str, tmp_path) -> tuple[float, list[float]]:
 @pytest.mark.parametrize("argv,expected_t,visits", RECORDED, ids=[case[0] for case in RECORDED])
 def test_full_state_values_within_stated_tolerance(argv, expected_t, visits, tmp_path):
     got_t, got_v = oracle_output(argv, tmp_path)
-    assert got_t == expected_t
+    assert got_t == pytest.approx(expected_t, rel=T_REL_TOL, abs=0)
     assert len(got_v) == len(visits)
     for got, want in zip(got_v, visits):
         if want == 0:
