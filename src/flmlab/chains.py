@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import gammaln
 
-from .benchmarks import jump_fitness_of_ones, pack
+from .benchmarks import jump_fitness_of_ones, log_binom, pack
 
 __all__ = [
     "LevelChain",
@@ -122,10 +121,6 @@ class ChainSummary:
 # ---------------------------------------------------------------------------
 
 
-def _log_binom(m: int, j: np.ndarray) -> np.ndarray:
-    return gammaln(m + 1) - gammaln(j + 1) - gammaln(m - j + 1)
-
-
 # exp(x) is exactly 0.0 for x < -745.14.  A term below TERM_FLOOR is dropped:
 # either its destination's peak is below -745.14 too (so that entry is 0), or
 # the term lies more than 745.14 below the peak and its scaled weight is 0.
@@ -155,8 +150,8 @@ def mutation_class_row(n: int, p: float, k: int) -> np.ndarray:
     up = np.arange(n - k + 1)
     down = np.arange(k + 1)
     log_odds = math.log(p) - math.log1p(-p)
-    log_up = _log_binom(n - k, up) + up * log_odds
-    log_down = _log_binom(k, down) + down * log_odds
+    log_up = log_binom(n - k, up) + up * log_odds
+    log_down = log_binom(k, down) + down * log_odds
     base = n * math.log1p(-p)
     u = np.flatnonzero(log_up + log_down.max() + base >= TERM_FLOOR)
     d = np.flatnonzero(log_down + log_up.max() + base >= TERM_FLOOR)
@@ -173,7 +168,7 @@ def mutation_class_row(n: int, p: float, k: int) -> np.ndarray:
 
 
 def _binomial_start(n: int) -> np.ndarray:
-    start = np.exp(_log_binom(n, np.arange(n + 1)) - n * math.log(2.0))
+    start = np.exp(log_binom(n, np.arange(n + 1)) - n * math.log(2.0))
     return start / start.sum()
 
 

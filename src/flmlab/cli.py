@@ -220,7 +220,7 @@ def _jump_chain(args, p: float) -> chains.LevelChain:
         ones = np.array([a for a in range(args.n + 1) if level((1 << a) - 1) == start])
         if not ones.size:
             raise ValueError(f"no state has level {start}")
-        log_w = chains._log_binom(args.n, ones)  # C(n, a), shifted by its peak so no class underflows
+        log_w = benchmarks.log_binom(args.n, ones)  # C(n, a), shifted by its peak so no class underflows
         law = np.zeros(args.n + 1)
         law[ones] = np.exp(log_w - log_w.max())
         start = law / law.sum()
@@ -350,7 +350,10 @@ def _cmd_oracle(args) -> int:
     family = _FAMILIES[args.benchmark]
     if args.full_state or family.chain is None:
         benchmark = benchmarks.make_benchmark(args.benchmark, args.n, args.k)
-        summary = chains.full_state_expected_time(benchmark, p, start=_chain_start(args))
+        start = _chain_start(args)
+        if benchmark.path is not None and start != "random":  # the path point simulate starts from
+            start = benchmark.sample_level(start, None)  # a path level has one point: no draw
+        summary = chains.full_state_expected_time(benchmark, p, start=start)
         oracle = "full-state"
     else:
         summary = chains.summarize(family.chain(args, p))

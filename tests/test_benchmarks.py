@@ -1,10 +1,14 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
+from conftest import chi2_pvalue
 from flmlab.benchmarks import (
     build_long_k_path,
+    log_factorials,
     make_benchmark,
     make_jump,
     make_leadingones,
@@ -126,6 +130,25 @@ def test_sample_level_uniform_members(rng):
     for level in range(lo.top_level + 1):
         for _ in range(20):
             assert lo.level(pack(lo.sample_level(level, rng))) == level
+
+
+def test_jump_level_k_sampler_weights_ones_counts_binomially(rng):
+    n, k = 10, 3
+    bm = make_jump(n, k)
+    counts = np.bincount([int(bm.sample_level(k, rng).sum()) for _ in range(4000)], minlength=n - k + 1)
+    weights = np.array([math.comb(n, c) for c in range(n - k + 1)], dtype=float)
+    assert chi2_pvalue(counts, weights / weights.sum()) > 1e-3
+
+
+def test_log_factorials_reproduce_scipy_gammaln():
+    m = 200_000
+    table = log_factorials(m)
+    ref = gammaln(np.arange(m + 1) + 1.0)
+    np.testing.assert_array_equal(table[:5001], ref[:5001])
+    # beyond that, numpy's vectorised log, which the table uses, differs from
+    # libm's log, which gammaln uses, by one ulp at a few arguments
+    ulps = np.abs(table.view(np.int64) - ref.view(np.int64))  # positive doubles order as integers
+    assert ulps.max() <= 4
 
 
 def test_pack_puts_position_i_at_bit_i():

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +334,48 @@ def test_compare_onemax_zero_leave_probability_one_stderr_line():
     )
     assert_one_line_error(result.returncode, result.stdout, result.stderr)
     assert "leaving probabilities" in result.stderr
+
+
+def test_simulate_jump_level_k_beyond_float_binomials():
+    # C(1100, 550) overflows a double; the level-k start is drawn from
+    # log-binomial weights, with no warning on stderr
+    result = run_cli_process(
+        "simulate", "--benchmark", "jump", "--n", "1100", "--k", "3", "--init", "level:3",
+        "--replicates", "1", "--max-iterations", "5",
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    # the run starts on level k, the non-gap strings with at most n - k ones
+    assert json.loads(result.stdout)["visit_freq"][:4] == [0, 0, 0, 1]
+
+
+NO_SCIPY_SCRIPT = r"""
+import contextlib, io, json, sys
+import flmlab.cli as cli
+
+CALLS = [
+    "oracle --benchmark jump --n 12 --k 3 --init level:3",
+    "oracle --benchmark onemax --n 6 --full-state",
+    "bounds --benchmark onemax --n 30",
+    "simulate --benchmark jump --n 8 --k 3 --init level:3 --replicates 5 --seed 1",
+    "compare --benchmark onemax --n 10 --replicates 20 --seed 1",
+]
+codes = []
+for argv in CALLS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv.split()))
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_cli_loads_no_scipy_module():
+    # numpy is the only runtime dependency; scipy is a test-only reference
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout.strip().splitlines()[-1])
+    assert seen["codes"] == [0] * 5
+    assert seen["scipy"] == []
 
 
 @pytest.mark.parametrize("rate", ["0.4", "2/n", "0.025000000001"])

@@ -9,11 +9,13 @@ level included), and the rates 1/n and 2/n:
 - an input one route rejects with exit 1, every route rejects with exit 1.
 
 ``level:<L>`` is the benchmark level of ``Benchmark.level`` in every route, so
-these equalities hold to rounding (1e-12 relative).  Long k-path ``random`` and
-``level:0`` are left out: the long k-path chain starts at path position 0,
-while a uniform start (and benchmark level 0, which holds every off-path
-string) lies mostly off the path, so the two routes answer different
-questions there (ROADMAP item 1, the ``LONGPATH_INIT`` benchmark probe).
+these equalities hold to rounding (1e-12 relative).  Long k-path ``level:<L>``
+is the path point ``sample_level(L)`` returns in every route, so ``level:0``
+is the path start although benchmark level 0 also holds every off-path string.
+Long k-path ``random`` is left out: the long k-path chain starts at path
+position 0, while a uniform start lies mostly off the path, so the two routes
+answer different questions there (ROADMAP item 1, the ``LONGPATH_INIT``
+benchmark probe).
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ FAMILIES = [
     ("jump --n 6 --k 1", range(0, 4), True),
     ("jump --n 6 --k 2", range(0, 5), True),
     ("jump --n 7 --k 3", range(0, 6), True),
-    ("longpath --n 6 --k 2", range(1, long_k_path_length(6, 2) + 1), False),
-    ("longpath --n 8 --k 4", range(1, long_k_path_length(8, 4) + 1), False),
+    ("longpath --n 6 --k 2", range(0, long_k_path_length(6, 2) + 1), False),
+    ("longpath --n 8 --k 4", range(0, long_k_path_length(8, 4) + 1), False),
 ]
 
 CASES = [
