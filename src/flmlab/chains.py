@@ -42,6 +42,10 @@ FULL_STATE_MAX_N = 14
 # growth measured 1.1 (OneMax) to 2.1 (long k-path) of them at n = 11..14
 FULL_STATE_BLOCK_ROWS = 3
 LONGPATH_DENSE_ARRAYS = 4
+# float64 (n+1) x (n+1) arrays alive at once at peak, measured with tracemalloc
+# over `oracle` for OneMax and jump: the matrix, LevelChain's copy and its
+# lower-triangle check, or the chain and the visit recursion's ratios
+LEVEL_DENSE_ARRAYS = 4
 
 StartSpec = Union[str, int]
 
@@ -125,12 +129,13 @@ class ChainSummary:
 # either its destination's peak is below -745.14 too (so that entry is 0), or
 # the term lies more than 745.14 below the peak and its scaled weight is 0.
 TERM_FLOOR = -2 * 745.2
-WEIGHT_FLOOR = -746.0
 
 
-def mutation_class_row(n: int, p: float, k: int) -> np.ndarray:
+def mutation_class_row(n: int, p: float, k: int, lowest: int = 0) -> np.ndarray:
     """Distribution of the offspring ones-count under standard bit mutation
-    of a parent with ``k`` ones, as a length-(n+1) vector.
+    of a parent with ``k`` ones, as a length-(n+1) vector.  Only the entries
+    for ones-counts ``>= lowest`` are computed; those below are left at 0,
+    so ``lowest=0`` gives the whole row.
 
     Moving from k to l ones requires flipping j zero-bits up and
     j - (l - k) one-bits down for every feasible j; the terms are summed in
@@ -138,10 +143,12 @@ def mutation_class_row(n: int, p: float, k: int) -> np.ndarray:
 
     Only terms whose weight does not underflow to exactly 0 are evaluated:
     the log-term is separable, so the (up, down) counts that can reach
-    ``TERM_FLOOR`` form a rectangle, and inside it only weights within
-    ``WEIGHT_FLOOR`` of their destination's peak are exponentiated.  The
-    kept weights are summed in the same order as the full sum, so the row
-    is bit-identical to summing every term.
+    ``TERM_FLOOR`` form a rectangle.  It is laid out as one (down-count,
+    net gain) array whose up-terms are a diagonal (sliding-window) view of
+    the -inf-padded up-terms, so each destination is one column: shift it
+    by its peak, exponentiate and sum it in increasing up-count order.
+    Weights more than 745.14 below a peak underflow to exactly 0, so every
+    entry is bit-identical to summing every term.
     """
     if not 0 <= k <= n:
         raise ValueError(f"ones-count must be in [0, {n}], got {k}")
@@ -155,16 +162,26 @@ def mutation_class_row(n: int, p: float, k: int) -> np.ndarray:
     base = n * math.log1p(-p)
     u = np.flatnonzero(log_up + log_down.max() + base >= TERM_FLOOR)
     d = np.flatnonzero(log_down + log_up.max() + base >= TERM_FLOOR)
-    rows, cols = slice(u[0], u[-1] + 1), slice(d[0], d[-1] + 1)
-    terms = (log_up[rows, None] + log_down[None, cols] + base).ravel()
-    dest = (k + up[rows, None] - down[None, cols]).ravel()
-
-    peak = np.full(n + 1, -np.inf)
-    np.maximum.at(peak, dest, terms)
-    shifted = terms - peak[dest]
-    keep = shifted >= WEIGHT_FLOOR
-    scaled = np.bincount(dest[keep], weights=np.exp(shifted[keep]), minlength=n + 1)
-    return np.exp(peak) * scaled
+    u0, u1, d0, d1 = u[0], u[-1], d[0], d[-1]
+    e0, e1 = max(lowest - k, u0 - d1), u1 - d0  # net gains l - k of the computed columns
+    row = np.zeros(n + 1)
+    if e0 > e1:
+        return row
+    d1 = min(d1, u1 - e0)  # a higher down-count reaches no computed column
+    # a[d - d0, e - e0] = (log_down[d] + log_up[d + e]) + base, the full sum's order,
+    # with log_up -inf off the rectangle
+    j0 = d0 + e0
+    lu = np.full(d1 + e1 + 1 - j0, -np.inf)
+    lo = max(u0, j0)  # the window ends at d1 + e1 >= u1
+    lu[lo - j0 : u1 - j0 + 1] = log_up[lo : u1 + 1]
+    a = log_down[d0 : d1 + 1, None] + np.lib.stride_tricks.sliding_window_view(lu, e1 - e0 + 1) + base
+    peak = a.max(axis=0)
+    a -= peak
+    np.exp(a, out=a)
+    # numpy adds the rows of a wider array one after another: each column is
+    # summed in increasing down-count, so increasing up-count, as the full sum
+    row[k + e0 : k + e1 + 1] = np.exp(peak) * a.sum(axis=0)
+    return row
 
 
 def _binomial_start(n: int) -> np.ndarray:
@@ -209,12 +226,14 @@ def jump_level_matrix(n: int, k: int, p: float, start: Union[StartSpec, np.ndarr
         raise ValueError("n must be >= 1")
     if not 1 <= k <= n:
         raise ValueError(f"jump size must be in [1, {n}], got {k}")
+    _check_dense_bytes(LEVEL_DENSE_ARRAYS * 8 * (n + 1) ** 2, f"level chain over {n + 1} ones-count classes")
     order = jump_fitness_order(n, k)  # ones-count of each level
     ones = np.array(order)
+    lowest = np.minimum.accumulate(ones[::-1])[::-1]  # lowest ones-count at or above each level
     t = np.zeros((n + 1, n + 1))
     for i, a in enumerate(order[:-1]):
         # fitness values are distinct, so exactly the higher levels are accepted
-        t[i, i + 1 :] = mutation_class_row(n, p, a)[ones[i + 1 :]]
+        t[i, i + 1 :] = mutation_class_row(n, p, a, lowest[i + 1])[ones[i + 1 :]]
         t[i, i] = max(0.0, 1.0 - t[i, i + 1 :].sum())
     t[n, n] = 1.0  # the optimum (n ones) is the top level
     return LevelChain(t, _resolve_start(start, n)[ones], labels=tuple(order))

@@ -86,7 +86,7 @@ def onemax_skip_bound(n: int, i: int) -> float:
 def onemax_leave_probs(n: int, p: float) -> np.ndarray:
     """Exact OneMax level leaving probabilities p_i = p_{i, >= i+1} for
     i in [0, n-1], from the ones-count mutation masses."""
-    return np.array([float(mutation_class_row(n, p, i)[i + 1 :].sum()) for i in range(n)])
+    return np.array([float(mutation_class_row(n, p, i, i + 1)[i + 1 :].sum()) for i in range(n)])
 
 
 @dataclass

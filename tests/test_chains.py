@@ -81,6 +81,24 @@ def test_pruned_mutation_rows_bit_identical_spot_rows(p):
         assert np.array_equal(mutation_class_row(2000, p, k), unpruned_mutation_class_row(2000, p, k)), k
 
 
+PARTIAL_ROW_GRID = [
+    (n, p) for n in (1, 2, 3, 10, 57, 200) for p in (1 / n, 10 / n, 0.3, 0.5, 0.9) if p < 1.0
+]
+
+
+@pytest.mark.parametrize("n,p", PARTIAL_ROW_GRID)
+def test_partial_mutation_rows_bit_identical(n, p):
+    # n <= 3 with k in {0, n} and p in {0.5, 0.9} gives one-row and
+    # one-column rectangles, where a column sum could go pairwise
+    for k in range(n + 1):
+        full = unpruned_mutation_class_row(n, p, k)
+        for lowest in sorted({0, k, k + 1, n}):
+            row = mutation_class_row(n, p, k, lowest)
+            assert row.shape == (n + 1,)
+            assert np.array_equal(row[lowest:], full[lowest:]), (k, lowest)
+            assert not row[:lowest].any(), (k, lowest)
+
+
 def test_mutation_row_total_probability():
     for k in (0, 7, 13, 20):
         row = mutation_class_row(20, 1 / 20, k)
@@ -368,6 +386,25 @@ def test_longpath_chain_refuses_more_than_physical_memory_before_allocating(monk
     finally:
         tracemalloc.stop()
     assert peak < 8 * m  # not even one row of the m x m distance matrix
+
+
+def test_level_chain_refuses_more_than_physical_memory_before_allocating(monkeypatch):
+    def need(n):
+        return chains_module.LEVEL_DENSE_ARRAYS * 8 * (n + 1) ** 2
+
+    monkeypatch.setattr(chains_module, "_physical_memory", lambda: need(1000) - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="physical memory"):
+            onemax_level_matrix(1000, 1 / 1000)
+        with pytest.raises(ValueError, match="physical memory"):
+            jump_level_matrix(1000, 3, 1 / 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # not one (n+1) x (n+1) matrix, which is 8 MB
+    monkeypatch.setattr(chains_module, "_physical_memory", lambda: need(100))
+    assert onemax_level_matrix(100, 1 / 100).m_levels == 101  # exactly enough memory
 
 
 def test_full_state_fixed_level_start():

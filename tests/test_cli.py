@@ -225,6 +225,31 @@ def test_oracle_over_memory_exits_1(monkeypatch, capsys):
         assert len(err.strip().splitlines()) == 1
 
 
+def test_level_chain_over_memory_exits_1_before_allocating(monkeypatch, capsys):
+    import tracemalloc
+
+    import flmlab.chains as chains_module
+
+    # an 8 GiB machine: OneMax n = 100000 needs (n+1)^2 float64 matrices of 80 GB each
+    monkeypatch.setattr(chains_module, "_physical_memory", lambda: 8 * 2**30)
+    for argv in (
+        ("oracle", "--benchmark", "onemax", "--n", "100000"),
+        ("oracle", "--benchmark", "jump", "--n", "100000", "--k", "3"),
+        ("compare", "--benchmark", "onemax", "--n", "100000", "--replicates", "2"),
+    ):
+        tracemalloc.start()
+        try:
+            code, out, err = run_main(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: level chain over 100001") and "physical memory" in err
+        assert len(err.strip().splitlines()) == 1
+        assert peak < 2**20, argv
+
+
 def test_config_file_mirrors_flags(tmp_path, capsys):
     config = tmp_path / "exp.json"
     config.write_text(json.dumps({

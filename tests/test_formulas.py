@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -104,6 +105,22 @@ def test_onemax_bounds_adjacent_levels_have_no_correction():
         leave = onemax_leave_probs(n, 1.0 / n)
         assert om.thm_lower == pytest.approx(om.tilde_t)
         assert om.tilde_t == pytest.approx(1.0 / leave[k])
+
+
+# SHA-256 of the float64 bytes of onemax_leave_probs(n, 1/n), recorded while
+# every mutation row was still built whole
+ONEMAX_LEAVE_PROBS_SHA256 = {
+    10: "74273c93a5f5086709488791047db4c95af09fc60474554cd60ca5436ae23e60",
+    200: "6ac64cee65f9b2e7e9f95c9a3a2101acd09b114f813e91e4da3c72677a1710dc",
+    800: "5b3c1e3c96127008578c247ca765fbdb9f90c4f3f08998ad66384140ae7e4036",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ONEMAX_LEAVE_PROBS_SHA256))
+def test_onemax_leave_probs_pinned(n):
+    leave = onemax_leave_probs(n, 1 / n)
+    assert leave.dtype == np.float64 and leave.shape == (n,)
+    assert hashlib.sha256(leave.tobytes()).hexdigest() == ONEMAX_LEAVE_PROBS_SHA256[n]
 
 
 def test_onemax_bounds_orderings_small_case():
