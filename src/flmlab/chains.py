@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .benchmarks import jump_fitness_of_ones, log_binom, pack
+from .benchmarks import jump_fitness_of_ones, log_binom, log_factorials, pack
 
 __all__ = [
     "LevelChain",
@@ -43,9 +44,8 @@ FULL_STATE_MAX_N = 14
 FULL_STATE_BLOCK_ROWS = 3
 LONGPATH_DENSE_ARRAYS = 4
 # float64 (n+1) x (n+1) arrays alive at once at peak, measured with tracemalloc
-# over `oracle` for OneMax and jump: the matrix, LevelChain's copy and its
-# lower-triangle check, or the chain and the visit recursion's ratios
-LEVEL_DENSE_ARRAYS = 4
+# over `oracle` for OneMax and jump: the matrix and LevelChain's copy of it
+LEVEL_DENSE_ARRAYS = 2
 
 StartSpec = Union[str, int]
 
@@ -88,13 +88,13 @@ class LevelChain:
             raise ValueError("transition matrix must be square")
         if s.shape != (t.shape[0],):
             raise ValueError("start vector length must match the level count")
-        if np.any(t < -ROW_SUM_TOL) or np.any(s < -ROW_SUM_TOL):
+        if t.min(initial=0.0) < -ROW_SUM_TOL or np.any(s < -ROW_SUM_TOL):
             raise ValueError("probabilities must be non-negative")
         if not np.max(np.abs(t.sum(axis=1) - 1.0)) <= ROW_SUM_TOL:  # NaN fails too
             raise ValueError("every transition row must sum to 1")
         if not abs(s.sum() - 1.0) <= ROW_SUM_TOL:
             raise ValueError("start distribution must sum to 1")
-        if np.any(np.abs(np.tril(t, k=-1)) > 0):
+        if any(np.any(t[i, :i]) for i in range(1, t.shape[0])):  # row by row: no (n+1)^2 temporary
             raise ValueError("level process must be non-decreasing (lower triangle not zero)")
         t.flags.writeable = False  # private copies, so the chain is immutable
         s.flags.writeable = False
@@ -125,62 +125,82 @@ class ChainSummary:
 # ---------------------------------------------------------------------------
 
 
-# exp(x) is exactly 0.0 for x < -745.14.  A term below TERM_FLOOR is dropped:
-# either its destination's peak is below -745.14 too (so that entry is 0), or
-# the term lies more than 745.14 below the peak and its scaled weight is 0.
-TERM_FLOOR = -2 * 745.2
+# A dropped term lies more than BAND_NATS below its destination's peak, a
+# weight below e^-40 (4.2e-18) of it, or below TERM_FLOOR, where that peak is
+# under -745.14 (so the entry is exactly 0) if the term is not that far below it.
+BAND_NATS = 40.0
+TERM_FLOOR = -(745.2 + BAND_NATS)
 
 
-def mutation_class_row(n: int, p: float, k: int, lowest: int = 0) -> np.ndarray:
+def mutation_class_row(n: int, p: float, k: int, lowest: int = 0, *,
+                       log_fact: Optional[np.ndarray] = None) -> np.ndarray:
     """Distribution of the offspring ones-count under standard bit mutation
     of a parent with ``k`` ones, as a length-(n+1) vector.  Only the entries
     for ones-counts ``>= lowest`` are computed; those below are left at 0,
-    so ``lowest=0`` gives the whole row.
+    so ``lowest=0`` gives the whole row.  ``log_fact`` is a
+    ``log_factorials(n)`` table, which the rows of one chain share.
 
-    Moving from k to l ones requires flipping j zero-bits up and
-    j - (l - k) one-bits down for every feasible j; the terms are summed in
-    log space (grouped by destination) so that tiny masses survive.
-
-    Only terms whose weight does not underflow to exactly 0 are evaluated:
-    the log-term is separable, so the (up, down) counts that can reach
-    ``TERM_FLOOR`` form a rectangle.  It is laid out as one (down-count,
-    net gain) array whose up-terms are a diagonal (sliding-window) view of
-    the -inf-padded up-terms, so each destination is one column: shift it
-    by its peak, exponentiate and sum it in increasing up-count order.
-    Weights more than 745.14 below a peak underflow to exactly 0, so every
-    entry is bit-identical to summing every term.
+    Moving from k to l = k + e ones flips d one-bits down and d + e zero-bits
+    up; the log-terms, grouped by destination, are concave in d.  The ridge
+    (term ratio 1) solves (r^2-1) d^2 - (r^2 (k+m) + e + 2) d + (r^2 k m - e - 1)
+    = 0, r = p/(1-p), m = n-k-e, and the curvature there sets a half-width h.
+    The row sums the band of down-counts from h below its lowest ridge to h
+    above its highest, inside the rectangle of terms above ``TERM_FLOOR``.  The
+    band is checked at its edges: while an edge term lies within ``BAND_NATS``
+    of its column's ridge term, that edge moves out by h, so by concavity every
+    dropped term lies more than ``BAND_NATS`` below its peak.  Each column is
+    shifted by its peak, exponentiated and summed in increasing down-count
+    order, as the full sum, and matches it within 1e-14 relative.
     """
     if not 0 <= k <= n:
         raise ValueError(f"ones-count must be in [0, {n}], got {k}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"mutation rate must be in (0, 1), got {p}")
-    up = np.arange(n - k + 1)
-    down = np.arange(k + 1)
+    lf = log_factorials(n) if log_fact is None else log_fact
     log_odds = math.log(p) - math.log1p(-p)
-    log_up = log_binom(n - k, up) + up * log_odds
-    log_down = log_binom(k, down) + down * log_odds
+    log_up = (lf[n - k] - lf[: n - k + 1] - lf[n - k :: -1]) + np.arange(n - k + 1) * log_odds
+    log_down = (lf[k] - lf[: k + 1] - lf[k::-1]) + np.arange(k + 1) * log_odds
     base = n * math.log1p(-p)
-    u = np.flatnonzero(log_up + log_down.max() + base >= TERM_FLOOR)
-    d = np.flatnonzero(log_down + log_up.max() + base >= TERM_FLOOR)
+    u = np.flatnonzero(log_up >= TERM_FLOOR - (log_down.max() + base))
+    d = np.flatnonzero(log_down >= TERM_FLOOR - (log_up.max() + base))
     u0, u1, d0, d1 = u[0], u[-1], d[0], d[-1]
     e0, e1 = max(lowest - k, u0 - d1), u1 - d0  # net gains l - k of the computed columns
     row = np.zeros(n + 1)
     if e0 > e1:
         return row
     d1 = min(d1, u1 - e0)  # a higher down-count reaches no computed column
-    # a[d - d0, e - e0] = (log_down[d] + log_up[d + e]) + base, the full sum's order,
-    # with log_up -inf off the rectangle
+    cols = np.arange(e1 - e0 + 1)
+    e = cols + float(e0)
+    # the ridge equation as a d^2 - b d + c = 0, rewritten for m = n - k - e; b + root > 0
+    r2 = math.exp(2.0 * log_odds)
+    a, b, c = r2 - 1.0, (1.0 - r2) * e + (r2 * n + 2.0), (r2 * k * (n - k) - 1.0) - (r2 * k + 1.0) * e
+    ridge = 2.0 * c / (b + np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)))
+    ridge = np.minimum(np.maximum(ridge, np.maximum(d0, u0 - e)), np.minimum(d1, u1 - e))
+    # minus the log-term's second derivative in d there, with trigamma(x + 1) ~ 1/(x + 1/2)
+    x, y = ridge + 0.5, ridge + e + 0.5
+    curvature = (k + 1) / ((k + 1 - x) * x) + (n - k + 1) / ((n - k + 1 - y) * y)
+    h = int(math.sqrt(2.0 * BAND_NATS / curvature.min())) + 1
+    # t[i, j] = (log_down[d] + log_up[d + e]) + base, the full sum's order, at
+    # d = d0 + lo + i and e = e0 + j, with log_up -inf off the rectangle
     j0 = d0 + e0
     lu = np.full(d1 + e1 + 1 - j0, -np.inf)
-    lo = max(u0, j0)  # the window ends at d1 + e1 >= u1
-    lu[lo - j0 : u1 - j0 + 1] = log_up[lo : u1 + 1]
-    a = log_down[d0 : d1 + 1, None] + np.lib.stride_tricks.sliding_window_view(lu, e1 - e0 + 1) + base
-    peak = a.max(axis=0)
-    a -= peak
-    np.exp(a, out=a)
+    first = max(u0, j0)  # the window ends at d1 + e1 >= u1
+    lu[first - j0 : u1 - j0 + 1] = log_up[first : u1 + 1]
+    ld, last = log_down[d0 : d1 + 1], d1 - d0
+    center = np.ceil(ridge).astype(np.intp) - d0
+    top = ld[center] + lu[center + cols] - BAND_NATS
+    lo, hi = max(center.min() - h, 0), min(center.max() + h, last)
+    while lo > 0 and not np.all(ld[lo] + lu[lo + cols] < top):
+        lo = max(lo - h, 0)
+    while hi < last and not np.all(ld[hi] + lu[hi + cols] < top):
+        hi = min(hi + h, last)
+    t = ld[lo : hi + 1, None] + sliding_window_view(lu[lo:], len(cols))[: hi + 1 - lo] + base
+    peak = t.max(axis=0)
+    t -= peak
+    np.exp(t, out=t)
     # numpy adds the rows of a wider array one after another: each column is
     # summed in increasing down-count, so increasing up-count, as the full sum
-    row[k + e0 : k + e1 + 1] = np.exp(peak) * a.sum(axis=0)
+    row[k + e0 : k + e1 + 1] = np.exp(peak) * t.sum(axis=0)
     return row
 
 
@@ -230,10 +250,11 @@ def jump_level_matrix(n: int, k: int, p: float, start: Union[StartSpec, np.ndarr
     order = jump_fitness_order(n, k)  # ones-count of each level
     ones = np.array(order)
     lowest = np.minimum.accumulate(ones[::-1])[::-1]  # lowest ones-count at or above each level
+    lf = log_factorials(n)
     t = np.zeros((n + 1, n + 1))
     for i, a in enumerate(order[:-1]):
         # fitness values are distinct, so exactly the higher levels are accepted
-        t[i, i + 1 :] = mutation_class_row(n, p, a, lowest[i + 1])[ones[i + 1 :]]
+        t[i, i + 1 :] = mutation_class_row(n, p, a, lowest[i + 1], log_fact=lf)[ones[i + 1 :]]
         t[i, i] = max(0.0, 1.0 - t[i, i + 1 :].sum())
     t[n, n] = 1.0  # the optimum (n ones) is the top level
     return LevelChain(t, _resolve_start(start, n)[ones], labels=tuple(order))
@@ -291,14 +312,11 @@ def _check_no_absorbing_interior(chain: LevelChain, reach: np.ndarray) -> None:
 
 def _forward_visits(chain: LevelChain, v: np.ndarray) -> np.ndarray:
     """Run the forward visit recursion in place on the start law(s) ``v``:
-    v[..., i] += sum_{j<i} v[..., j] T[j][i] / (1 - T[j][j])."""
+    v[..., i] += sum_{j<i} v[..., j] T[j][i] / (1 - T[j][j]), each level
+    passing its share on once its own v is complete."""
     p = chain.leave_probs
-    m = chain.m_levels
-    ratio = np.zeros((m, m))
-    positive = p > 0.0
-    ratio[positive] = chain.transition[positive] / p[positive, None]
-    for i in range(m):
-        v[..., i] += v[..., :i] @ ratio[:i, i]
+    for j in np.flatnonzero(p > 0.0):  # a level that is never left passes nothing on
+        v[..., j + 1 :] += v[..., j, None] * (chain.transition[j, j + 1 :] / p[j])
     _check_no_absorbing_interior(chain, np.atleast_2d(v).max(axis=0))
     return v
 
@@ -327,15 +345,16 @@ def expected_hitting_time(chain: LevelChain) -> tuple[float, np.ndarray]:
     Unreachable interior levels with p_i = 0 get E_i = inf.
     """
     visit_probabilities(chain)  # raises on reachable absorbing interior levels
+    return _hitting_times(chain)
+
+
+def _hitting_times(chain: LevelChain) -> tuple[float, np.ndarray]:
     t = chain.transition
     p = chain.leave_probs
     m = chain.m_levels
     times = np.zeros(m)
     for i in range(m - 2, -1, -1):
-        if p[i] <= 0.0:
-            times[i] = math.inf
-            continue
-        times[i] = (1.0 + t[i, i + 1 :] @ times[i + 1 :]) / p[i]
+        times[i] = math.inf if p[i] <= 0.0 else (1.0 + t[i, i + 1 :] @ times[i + 1 :]) / p[i]
     mass = chain.start > 0.0
     return float(chain.start[mass] @ times[mass]), times
 
@@ -378,8 +397,8 @@ def truncate_chain(chain: LevelChain, top: int) -> LevelChain:
 
 def summarize(chain: LevelChain) -> ChainSummary:
     """Exact p_i, v_i and expected runtime of a chain in one bundle."""
-    v = visit_probabilities(chain)
-    expected, _ = expected_hitting_time(chain)
+    v = visit_probabilities(chain)  # raises on reachable absorbing interior levels
+    expected, _ = _hitting_times(chain)
     return ChainSummary(leave_probs=chain.leave_probs[:-1], visit_probs=v, expected_time=expected)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import long_k_path_length
+from .benchmarks import log_factorials, long_k_path_length
 from .chains import mutation_class_row
 
 __all__ = [
@@ -86,7 +86,8 @@ def onemax_skip_bound(n: int, i: int) -> float:
 def onemax_leave_probs(n: int, p: float) -> np.ndarray:
     """Exact OneMax level leaving probabilities p_i = p_{i, >= i+1} for
     i in [0, n-1], from the ones-count mutation masses."""
-    return np.array([float(mutation_class_row(n, p, i, i + 1)[i + 1 :].sum()) for i in range(n)])
+    lf = log_factorials(n)
+    return np.array([float(mutation_class_row(n, p, i, i + 1, log_fact=lf)[i + 1 :].sum()) for i in range(n)])
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,6 +98,72 @@ def test_partial_mutation_rows_bit_identical(n, p):
             assert row.shape == (n + 1,)
             assert np.array_equal(row[lowest:], full[lowest:]), (k, lowest)
             assert not row[:lowest].any(), (k, lowest)
+
+
+def assert_rows_close(row, reference):
+    """Each entry within 1e-14 relative of the reference where that is a
+    normal double, and exactly 0 wherever the reference is 0."""
+    assert np.array_equal(row == 0.0, reference == 0.0)
+    normal = reference >= np.finfo(float).tiny
+    assert np.all(np.abs(row[normal] - reference[normal]) <= 1e-14 * reference[normal])
+
+
+TOLERANCE_GRID = [
+    (n, p) for n in (1, 2, 3, 10, 57, 200, 600) for p in (1 / n, 10 / n, 0.3, 0.5, 0.9) if p < 1.0
+]
+
+
+@pytest.mark.parametrize("n,p", TOLERANCE_GRID)
+def test_banded_mutation_rows_within_tolerance(n, p):
+    for k in range(0, n + 1, 1 if n <= 200 else 7):
+        reference = unpruned_mutation_class_row(n, p, k)
+        assert_rows_close(mutation_class_row(n, p, k), reference)
+        assert_rows_close(mutation_class_row(n, p, k, k + 1)[k + 1 :], reference[k + 1 :])
+
+
+@pytest.mark.parametrize("p", [1 / 5000, 10 / 5000, 0.3, 0.5, 0.9])
+def test_banded_mutation_rows_within_tolerance_spot_rows(p):
+    for k in (0, 1, 2, 2500, 4998, 4999, 5000):
+        assert_rows_close(mutation_class_row(5000, p, k), unpruned_mutation_class_row(5000, p, k))
+
+
+def convolved_mutation_class_row(n, p, k):
+    """Reference in linear space: the laws of the up-flip and down-flip counts
+    convolved.  Masses below the smallest double are lost, which no expected
+    time feels."""
+
+    def law(m):
+        j = np.arange(m + 1)
+        return np.exp(gammaln(m + 1) - gammaln(j + 1) - gammaln(m - j + 1) + j * math.log(p) + (m - j) * math.log1p(-p))
+
+    return np.convolve(law(n - k), law(k)[::-1])
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_banded_chain_expected_time_within_tolerance(n):
+    p = 1 / n
+    t = np.zeros((n + 1, n + 1))
+    for k in range(n):
+        t[k, k + 1 :] = convolved_mutation_class_row(n, p, k)[k + 1 :]
+        t[k, k] = max(0.0, 1.0 - t[k, k + 1 :].sum())
+    t[n, n] = 1.0
+    chain = onemax_level_matrix(n, p)
+    reference = summarize(LevelChain(t, chain.start)).expected_time
+    assert summarize(chain).expected_time == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+
+def test_single_term_mutation_entries_pinned():
+    # one flip pattern per entry, valued exactly in rationals at the double p
+    # k = n - 1 -> n flips exactly the one zero-bit: p (1-p)^(n-1)
+    for p in (0.3, 0.5):
+        expected = float(Fraction(p) * (1 - Fraction(p)) ** 399)
+        assert mutation_class_row(400, p, 399)[400] == pytest.approx(expected, rel=1e-14, abs=0.0)
+    # Jump(400, 3) from n - 3 ones to the optimum flips exactly the three zero-bits
+    assert float(Fraction(1 / 400) ** 3 * (1 - Fraction(1 / 400)) ** 397) == 5.7841967413222921e-9
+    row = mutation_class_row(400, 1 / 400, 397, 400)
+    assert row[400] == pytest.approx(5.7841967413222921e-9, rel=1e-14, abs=0.0)
+    chain = jump_level_matrix(400, 3, 1 / 400)
+    assert chain.transition[chain.labels.index(397), -1] == row[400]
 
 
 def test_mutation_row_total_probability():

@@ -37,9 +37,9 @@ GOLDEN = [
     ("bounds --benchmark onemax", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # oracle: level chains, full-state, every chain start, CSV; the v values of the
     # full-state cases are also pinned to a stated tolerance in test_full_state_tolerance.py
-    ("oracle --benchmark onemax --n 10", 0, "53feb41521bfe3ebdbab7a0403163d867cddab8e6c84ecca6e0ec798e2898926"),
+    ("oracle --benchmark onemax --n 10", 0, "ed7f364ce50c93f2f43801e6c678efb85c6feef9f6a2e81f1b80e46f0fcb42ad"),
     ("oracle --benchmark onemax --n 10 --p 2/n --format csv", 0, "34e4647c520adb2de8f1c733c6dee59d3db41b7127a3addf2f0bfa8a4806a0ed"),
-    ("oracle --benchmark onemax --n 10 --init level:3", 0, "2f56a32ef4c19738e4b84f67faece002e3c4a695d3f25214cabc6cf48d47e041"),
+    ("oracle --benchmark onemax --n 10 --init level:3", 0, "7833f96d171ac572e8343e4621229afe80017b9f7192e5e2d398746ac9344ead"),
     ("oracle --benchmark onemax --n 8 --full-state", 0, "90e9441c5a2d037a4c43e26633ac34ddc666ccbd9fe38d570ef15dc7c003fe44"),
     ("oracle --benchmark onemax --n 8 --full-state --init level:2 --format csv", 0, "b3d91b33e493ab504bf12d5da670c630f9960445ab4431bfb37d8b3b543ce8f3"),
     ("oracle --benchmark onemax --n 8 --init point:00110011", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -47,11 +47,11 @@ GOLDEN = [
     ("oracle --benchmark leadingones --n 6", 0, "52b83a55bb9517861b32de04f09bbea97b93d86d338f5b7a5d32a4a53cd6d3a4"),
     ("oracle --benchmark leadingones --n 6 --p 1/3 --init level:2 --format csv --out {out}", 0, "6ea89a71a65cc213013e1184c6e67a0078a8f32e9e95b54c40e7a356aaf39281"),
     ("oracle --benchmark leadingones --n 20", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("oracle --benchmark jump --n 10 --k 3", 0, "05f45e44914e1c8cf7015f233f7330219f0603beee563681e246719ea96c697a"),
+    ("oracle --benchmark jump --n 10 --k 3", 0, "286714451fa98d7009fbf3bacb24fbeac8323c29a0df32529cb5f99085786bba"),
     ("oracle --benchmark jump --n 10 --k 3 --init level:4 --format csv", 0, "a1a13bd091c1fc3a64272aed8562edac441e22b750cf057693dfab1dc8dd62ca"),
     ("oracle --benchmark jump --n 8 --k 3 --full-state", 0, "a237d8d598cdcb0978cc41548a07e99ac6c45aee6db94cc4994b309ba3f2085c"),
-    ("oracle --benchmark longpath --n 8 --k 2", 0, "da789aebc25833eb00378808563269af8a8c7d0a6127c42a61f78edd8c76b012"),
-    ("oracle --benchmark longpath --n 8 --k 2 --init level:3 --format csv", 0, "5c9b63417c7c2bb6b63d02207b9faaf300006f870e73c03b90a0037de232cc90"),
+    ("oracle --benchmark longpath --n 8 --k 2", 0, "ce680447a92e72c2907ab49cce60a73a3f4acc168f1bcf1694a530512b3aa82e"),
+    ("oracle --benchmark longpath --n 8 --k 2 --init level:3 --format csv", 0, "03d92bad134821d4ded31e87249d8acfdd77ced2289f2fa333e225fd1bc0bc4d"),
     ("oracle --benchmark longpath --n 6 --k 2 --full-state", 0, "f848def9ce505f9504798c3f5b0d2a06818260d2dd7d2dd69f402e4fd88662a9"),
     # simulate: every family and init form, JSON, CSV on stdout and to files
     ("simulate --benchmark onemax --n 8 --replicates 30 --seed 1", 0, "4284ad1d00e41a3d2104e4ad0cb8116a5bb88649952e65e3553f0fcc4dc5215f"),
@@ -69,7 +69,7 @@ GOLDEN = [
     ("compare --benchmark leadingones --n 6 --replicates 300 --seed 7 --init level:1 --format csv", 0, "c510d48a8afc17454daa4e1a1fbcc8a2a54683832a784f029d8b77f35cf92db8"),
     ("compare --benchmark leadingones --n 6 --replicates 100 --seed 7 --init point:000000 --format csv", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("compare --benchmark leadingones --n 6 --replicates 5 --max-iterations 0", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("compare --benchmark onemax --n 6 --replicates 200 --seed 8", 0, "a96f1bd4fa337d62bdd07d475462a96eaf39763298507ddd5083879cd8d52167"),
+    ("compare --benchmark onemax --n 6 --replicates 200 --seed 8", 0, "091182a6e01113fb75f35ca14afa3a37df4e2421cc33e2ea236cc93ddc90a6fa"),
     ("compare --benchmark onemax --n 6 --replicates 200 --seed 8 --init level:2 --format csv", 0, "6ca5b550c350799cdb9c5bcc014544cc7c100675302555a318e1b418f68a7185"),
     ("compare --benchmark onemax --n 6 --replicates 20 --seed 8 --init point:000000", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("compare --benchmark jump --n 6 --k 2 --replicates 300 --seed 9 --format csv", 0, "4acc4f7b642f94a9b6d6589b5dc9dabac35df899e389743b6a36fc9ab2943356"),
