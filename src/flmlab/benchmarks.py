@@ -281,8 +281,8 @@ def make_jump(n: int, k: int) -> Benchmark:
     )
 
 
-def make_longpath(n: int, k: int, max_points: int = DEFAULT_PATH_POINT_CAP) -> Benchmark:
-    path = build_long_k_path(n, k, max_points=max_points)
+def make_longpath(n: int, k: int) -> Benchmark:
+    path = build_long_k_path(n, k)
     index_of = path.index_of
     optimum = pack(path.points[-1])
     top = len(path) - 1

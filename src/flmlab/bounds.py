@@ -6,11 +6,13 @@ start-level lower counterpart, the viscosity pair driven by per-pair jump
 weights gamma and a global uniformity constant chi, and the visit-probability
 pair sum(v_i / p_i) that is exact when fed exact inputs.
 
-All calculators are pure functions of their vectors.  Structural problems
-(wrong lengths, non-positive rates, malformed distributions) raise
-``ValueError``; violations of a theorem's preconditions are reported by
-index in ``BoundResult.violated_preconditions`` and make the result
-unusable as a proven bound.
+All calculators are pure functions of their vectors; the two extractors
+``visit_lower_from_chain`` and ``viscosity_params_from_chain`` read their
+inputs off a level chain instead.  Structural problems (wrong lengths,
+non-positive rates, malformed distributions) raise ``ValueError``;
+violations of a theorem's preconditions are reported by index in
+``BoundResult.violated_preconditions`` and make the result unusable as a
+proven bound.
 """
 
 from __future__ import annotations
@@ -94,7 +96,20 @@ def flm_lower_classic(p: np.ndarray, start: np.ndarray) -> BoundResult:
     return BoundResult(float(np.sum(start[:-1] / p)), "lower", "flm-lower-classic")
 
 
-def _check_gamma_structure(gamma: np.ndarray, m: int) -> np.ndarray:
+def _tails(rows: np.ndarray) -> np.ndarray:
+    """tails[..., j] = sum_{l >= j} rows[..., l]: a reverse cumulative sum
+    along the last axis."""
+    return np.cumsum(rows[..., ::-1], axis=-1)[..., ::-1]
+
+
+def _check_viscosity(
+    p: np.ndarray, gamma: np.ndarray, chi: float, start: np.ndarray, direction: str
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Validate the viscosity inputs; return p, start and the preconditions
+    of the ``direction`` theorem that they violate."""
+    start = _check_start(start, len(np.asarray(p)) + 1)
+    p = _check_rates(p)
+    m = len(p) + 1
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (m, m):
         raise ValueError(f"gamma must be a {m}x{m} matrix")
@@ -102,30 +117,29 @@ def _check_gamma_structure(gamma: np.ndarray, m: int) -> np.ndarray:
         raise ValueError("gamma is defined for j > i only; lower triangle and diagonal must be 0")
     if np.any(gamma < 0.0) or np.any(gamma > 1.0 + DIST_TOL):
         raise ValueError("gamma entries must lie in [0, 1]")
-    return gamma
+    if not 0.0 <= chi <= 1.0:
+        raise ValueError("chi must lie in [0, 1]")
+    return p, start, _viscosity_violations(p, gamma, chi, direction)
 
 
 def _viscosity_violations(
     p: np.ndarray, gamma: np.ndarray, chi: float, direction: str
 ) -> list[str]:
-    m = len(p) + 1
-    violations: list[str] = []
-    for i in range(m - 1):
-        row_sum = gamma[i, i + 1 :].sum()
-        if abs(row_sum - 1.0) > EQUALITY_TOL:
-            violations.append(f"gamma_row_sum[{i}]={row_sum!r}")
-        tails = np.cumsum(gamma[i, ::-1])[::-1]  # tails[j] = sum_{l >= j} gamma[i, l]
-        for j in range(i + 1, m):
-            if direction == "lower":
-                if gamma[i, j] < chi * tails[j] - EQUALITY_TOL:
-                    violations.append(f"gamma_chi[{i},{j}]")
-            else:
-                if gamma[i, j] > chi * tails[j] + EQUALITY_TOL:
-                    violations.append(f"gamma_chi[{i},{j}]")
+    scaled = chi * _tails(gamma)
+    if direction == "lower":
+        bad = np.triu(gamma < scaled - EQUALITY_TOL, 1)
+    else:
+        bad = np.triu(gamma > scaled + EQUALITY_TOL, 1)
+    row_sums = [gamma[i, i + 1 :].sum() for i in range(len(p))]
+    bad[np.diag_indices(len(p))] = np.abs(np.subtract(row_sums, 1.0)) > EQUALITY_TOL
+    # row-major order lists each row's sum (its diagonal flag) before its gamma_chi entries
+    violations = [
+        f"gamma_row_sum[{i}]={row_sums[i]!r}" if i == j else f"gamma_chi[{i},{j}]"
+        for i, j in np.argwhere(bad).tolist()
+    ]
     if direction == "upper":
-        for j in range(m - 2):
-            if (1.0 - chi) * p[j] > p[j + 1] + EQUALITY_TOL:
-                violations.append(f"rate_monotone[{j}]")
+        slowdown = (1.0 - chi) * p[:-1] > p[1:] + EQUALITY_TOL
+        violations += [f"rate_monotone[{j}]" for j in np.flatnonzero(slowdown)]
     return violations
 
 
@@ -135,14 +149,8 @@ def flm_lower_viscosity(
     """Viscosity lower bound: with jump weights gamma_{i,j} upper-bounding
     the transition split, row sums 1 and gamma_{i,j} >= chi * tail, the
     expected time is at least sum_i start_i * chi * sum_{j>=i} 1/p_j."""
-    start = _check_start(start, len(np.asarray(p)) + 1)
-    p = _check_rates(p)
-    gamma = _check_gamma_structure(gamma, len(p) + 1)
-    if not 0.0 <= chi <= 1.0:
-        raise ValueError("chi must lie in [0, 1]")
-    violations = _viscosity_violations(p, gamma, chi, "lower")
-    inv_tail = np.cumsum((1.0 / p)[::-1])[::-1]  # sum_{j>=i} 1/p_j over non-top levels
-    value = float(chi * np.sum(start[:-1] * inv_tail))
+    p, start, violations = _check_viscosity(p, gamma, chi, start, "lower")
+    value = float(chi * np.sum(start[:-1] * _tails(1.0 / p)))
     return BoundResult(value, "lower", "flm-lower-viscosity", violations)
 
 
@@ -152,14 +160,9 @@ def flm_upper_viscosity(
     """Viscosity upper bound: with gamma lower-bounding the transition split,
     gamma_{i,j} <= chi * tail and (1-chi) p_j <= p_{j+1}, the expected time
     is at most sum_i start_i (1/p_i + chi * sum_{j>i} 1/p_j)."""
-    start = _check_start(start, len(np.asarray(p)) + 1)
-    p = _check_rates(p)
-    gamma = _check_gamma_structure(gamma, len(p) + 1)
-    if not 0.0 <= chi <= 1.0:
-        raise ValueError("chi must lie in [0, 1]")
-    violations = _viscosity_violations(p, gamma, chi, "upper")
+    p, start, violations = _check_viscosity(p, gamma, chi, start, "upper")
     inv = 1.0 / p
-    tail_beyond = np.concatenate([np.cumsum(inv[::-1])[::-1][1:], [0.0]])  # sum_{j>i} 1/p_j
+    tail_beyond = np.append(_tails(inv)[1:], 0.0)  # sum_{j>i} 1/p_j
     value = float(np.sum(start[:-1] * (inv + chi * tail_beyond)))
     return BoundResult(value, "upper", "flm-upper-viscosity", violations)
 
@@ -188,18 +191,11 @@ def visit_lower_from_chain(chain, i: int) -> float:
     m = chain.m_levels
     if not 0 <= i < m:
         raise ValueError(f"level must be in [0, {m - 1}], got {i}")
-    t = chain.transition
-    candidates = []
-    for j in range(i):
-        tail = t[j, i:].sum()
-        if tail > 0.0:
-            candidates.append(t[j, i] / tail)
-    start_tail = chain.start[i:].sum()
-    if start_tail > 0.0:
-        candidates.append(chain.start[i] / start_tail)
-    if not candidates:
-        return 0.0
-    return float(min(candidates))
+    rows = np.vstack([chain.transition[:i, i:], chain.start[i:]])
+    tails = rows.sum(axis=1)
+    reach = tails > 0.0
+    ratios = rows[reach, 0] / tails[reach]
+    return float(ratios.min()) if ratios.size else 0.0
 
 
 def viscosity_params_from_chain(chain, direction: str = "lower") -> tuple[np.ndarray, np.ndarray, float]:
@@ -220,16 +216,13 @@ def viscosity_params_from_chain(chain, direction: str = "lower") -> tuple[np.nda
     gamma = np.zeros((m, m))
     gamma[: m - 1, :] = chain.transition[: m - 1, :] / p[:, None]
     gamma[np.tril_indices(m)] = 0.0
-    ratios = []
-    for i in range(m - 1):
-        tails = np.cumsum(gamma[i, ::-1])[::-1]
-        for j in range(i + 1, m):
-            if tails[j] > 1e-300:
-                ratios.append(gamma[i, j] / tails[j])
-    if direction == "lower":
-        chi = min(ratios, default=1.0)
+    tails = _tails(gamma)
+    defined = np.triu(tails > 1e-300, 1)
+    ratios = gamma[defined] / tails[defined]
+    if not ratios.size:
+        chi = 1.0
+    elif direction == "lower":
+        chi = ratios.min()
     else:
-        chi = max(ratios, default=1.0)
-        for j in range(m - 2):
-            chi = max(chi, 1.0 - p[j + 1] / p[j])
+        chi = np.max(1.0 - p[1:] / p[:-1], initial=ratios.max())
     return p, gamma, float(min(1.0, max(0.0, chi)))

@@ -369,14 +369,10 @@ def skip_probability(chain: LevelChain, lo: int, hi: int) -> float:
     m = chain.m_levels
     if not 0 <= lo <= hi < m:
         raise ValueError(f"level range [{lo}, {hi}] out of bounds for {m} levels")
-    v = visit_probabilities(chain)
-    t = chain.transition
-    p = chain.leave_probs
-    total = float(chain.start[hi + 1 :].sum())
-    for j in range(lo):
-        if v[j] <= 0.0:
-            continue
-        total += v[j] * (t[j, hi + 1 :].sum() / p[j])
+    v = visit_probabilities(chain)[:lo]
+    seen = v > 0.0
+    clear = chain.transition[:lo, hi + 1 :][seen].sum(axis=1) / chain.leave_probs[:lo][seen]
+    total = float(chain.start[hi + 1 :].sum() + v[seen] @ clear)
     return min(1.0, max(0.0, total))
 
 

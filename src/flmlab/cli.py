@@ -33,7 +33,6 @@ __all__ = ["main", "build_parser"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
-EXIT_USAGE = 2
 EXIT_FAIL_VERDICT = 3
 
 
@@ -43,9 +42,8 @@ def _add_common(parser: argparse.ArgumentParser, benchmark: bool = True) -> None
     parser.add_argument("--out", default=None, help="output file (default: standard output)")
     parser.add_argument("--config", default=None, help="JSON file mirroring the flags")
     if benchmark:
-        # required, but checked after parsing so a --config file can supply them
-        parser.add_argument("--benchmark", choices=tuple(_FAMILIES), default=None)
-        parser.add_argument("--n", type=int, default=None)
+        parser.add_argument("--benchmark", choices=tuple(_FAMILIES), required=True)
+        parser.add_argument("--n", type=int, required=True)
         parser.add_argument("--k", type=int, default=None)
         parser.add_argument("--p", default="1/n", help="mutation rate: real, fraction, or c/n")
         parser.add_argument(
@@ -81,22 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_path = sub.add_parser("path-check", help="build and exhaustively verify a long k-path")
     _add_common(p_path, benchmark=False)
-    p_path.add_argument("--n", type=int, default=None)
-    p_path.add_argument("--k", type=int, default=None)
+    p_path.add_argument("--n", type=int, required=True)
+    p_path.add_argument("--k", type=int, required=True)
 
     return parser
-
-
-def _missing_required(args) -> list[str]:
-    missing = []
-    if args.command == "path-check":
-        needed = ("n", "k")
-    else:
-        needed = ("benchmark", "n")
-    for name in needed:
-        if getattr(args, name, None) is None:
-            missing.append(f"--{name}")
-    return missing
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
@@ -428,9 +414,10 @@ def _compare_inputs(args, p: float):
 
 
 def _cmd_compare(args) -> int:
+    config = _experiment_config(args)  # Monte Carlo flags checked before the exact chain is built
     p = resolve_mutation_rate(args.p, args.n)
     bound_list, exact, visit_lower = _compare_inputs(args, p)  # every input check before the first replicate
-    stats = run_experiment(_experiment_config(args))
+    stats = run_experiment(config)
     report = compare_report(stats, bound_list, exact=exact, visit_lower=visit_lower)
     if args.format == "csv":
         _write_output(report.to_csv(), args.out)
@@ -479,10 +466,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    missing = _missing_required(args)
-    if missing:
-        print(f"usage error: missing {', '.join(missing)}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError, ArithmeticError) as exc:

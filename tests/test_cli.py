@@ -250,6 +250,20 @@ def test_level_chain_over_memory_exits_1_before_allocating(monkeypatch, capsys):
         assert peak < 2**20, argv
 
 
+def test_compare_checks_monte_carlo_flags_before_the_chain(capsys):
+    # n = 100000 would trip the chain's memory guard; the replicate count answers first
+    for flag, value, named in (
+        ("--replicates", "0", "replicates"),
+        ("--seed", "-1", "seed"),
+        ("--max-iterations", "0", "max_iterations"),
+    ):
+        code, out, err = run_main(capsys, "compare", "--benchmark", "onemax", "--n", "100000", flag, value)
+        assert code == 1, flag
+        assert out == ""
+        assert err.startswith("error: ") and named in err
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_config_file_mirrors_flags(tmp_path, capsys):
     config = tmp_path / "exp.json"
     config.write_text(json.dumps({
