@@ -134,7 +134,7 @@ def _viscosity_violations(
     bad[np.diag_indices(len(p))] = np.abs(np.subtract(row_sums, 1.0)) > EQUALITY_TOL
     # row-major order lists each row's sum (its diagonal flag) before its gamma_chi entries
     violations = [
-        f"gamma_row_sum[{i}]={row_sums[i]!r}" if i == j else f"gamma_chi[{i},{j}]"
+        f"gamma_row_sum[{i}]={float(row_sums[i])!r}" if i == j else f"gamma_chi[{i},{j}]"
         for i, j in np.argwhere(bad).tolist()
     ]
     if direction == "upper":

@@ -342,7 +342,8 @@ def expected_hitting_time(chain: LevelChain) -> tuple[float, np.ndarray]:
 
     Returns (overall expectation under the start law, per-level vector E_i)
     via the backward recursion E_i = 1/p_i + sum_{l>i} (T[i][l]/p_i) E_l.
-    Unreachable interior levels with p_i = 0 get E_i = inf.
+    E_i = inf exactly where p_i = 0 (an unreachable absorbing interior level)
+    or level i moves with positive probability to a level with E_l = inf.
     """
     visit_probabilities(chain)  # raises on reachable absorbing interior levels
     return _hitting_times(chain)
@@ -353,8 +354,14 @@ def _hitting_times(chain: LevelChain) -> tuple[float, np.ndarray]:
     p = chain.leave_probs
     m = chain.m_levels
     times = np.zeros(m)
+    finite = True  # every E_l above the current level is finite
     for i in range(m - 2, -1, -1):
-        times[i] = math.inf if p[i] <= 0.0 else (1.0 + t[i, i + 1 :] @ times[i + 1 :]) / p[i]
+        row, later = t[i, i + 1 :], times[i + 1 :]
+        if not finite:  # 0 * inf is nan: drop the infinite levels level i cannot move to
+            keep = (row > 0.0) | np.isfinite(later)
+            row, later = row[keep], later[keep]
+        times[i] = math.inf if p[i] <= 0.0 else (1.0 + row @ later) / p[i]
+        finite = finite and times[i] < math.inf
     mass = chain.start > 0.0
     return float(chain.start[mass] @ times[mass]), times
 

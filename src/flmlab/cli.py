@@ -12,9 +12,10 @@ in a comparison report.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -86,7 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Merge --config FILE values into argv as flags; explicit flags win."""
+    """Merge --config FILE values into argv as flags; explicit flags win.
+
+    The config flags go right after the subcommand, so argparse reads every
+    explicit flag later, in whatever spelling (an abbreviation included).
+    """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
@@ -96,17 +101,15 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         values = json.load(fh)
     if not isinstance(values, dict):
         raise ValueError("--config file must hold a JSON object")
-    merged = list(argv)
+    flags: list[str] = []
     for key, value in values.items():
         flag = "--" + str(key).replace("_", "-")
-        if any(arg == flag or arg.startswith(flag + "=") for arg in argv):
-            continue
         if isinstance(value, bool):
             if value:
-                merged.append(flag)
+                flags.append(flag)
         else:
-            merged.extend([flag, str(value)])
-    return merged
+            flags.extend([flag, str(value)])
+    return argv[:1] + flags + argv[1:]
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -114,6 +117,12 @@ def _write_output(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
+
+
+def _emit(args, doc: dict, header: tuple[str, ...], rows) -> None:
+    """Write ``doc`` as JSON, or ``rows`` under ``header`` as CSV, as --format asks."""
+    text = serialize.emit_csv(header, rows) if args.format == "csv" else serialize.dumps(doc)
+    _write_output(text, args.out)
 
 
 def _chain_start(args):
@@ -321,13 +330,7 @@ def _cmd_bounds(args) -> int:
     fields, results = _FAMILIES[args.benchmark].bounds(args, p)
     doc = {"benchmark": args.benchmark, "n": args.n, **fields}
     doc["bounds"] = [_bound_entry(b) for b in results]
-    if args.format == "csv":
-        lines = ["theorem,kind,value"]
-        for b in results:
-            lines.append(f"{b.theorem},{b.kind},{repr(b.value)}")
-        _write_output("\n".join(lines) + "\n", args.out)
-    else:
-        _write_output(serialize.dumps(doc), args.out)
+    _emit(args, doc, ("theorem", "kind", "value"), ((b.theorem, b.kind, b.value) for b in results))
     return EXIT_OK
 
 
@@ -344,22 +347,11 @@ def _cmd_oracle(args) -> int:
     else:
         summary = chains.summarize(family.chain(args, p))
         oracle = "level-chain"
-    doc = {
-        "levels": len(summary.visit_probs),
-        "p": [float(x) for x in summary.leave_probs],
-        "v": [float(x) for x in summary.visit_probs],
-        "expected_T": summary.expected_time,
-        "oracle": oracle,
-    }
-    if args.format == "csv":
-        lines = ["level,p,v"]
-        for i, v in enumerate(doc["v"]):
-            pv = doc["p"][i] if i < len(doc["p"]) else 0.0
-            lines.append(f"{i},{repr(float(pv))},{repr(float(v))}")
-        lines.append(f"expected_T,{repr(doc['expected_T'])},")
-        _write_output("\n".join(lines) + "\n", args.out)
-    else:
-        _write_output(serialize.dumps(doc), args.out)
+    leave, visit, expected = summary.leave_probs, summary.visit_probs, summary.expected_time
+    doc = {"levels": len(visit), "p": leave, "v": visit, "expected_T": expected, "oracle": oracle}
+    # the top level has no leave probability: its p cell reads 0.0
+    rows = itertools.chain(zip(range(len(visit)), np.append(leave, 0.0), visit), [("expected_T", expected, "")])
+    _emit(args, doc, ("level", "p", "v"), rows)
     return EXIT_OK
 
 
@@ -385,8 +377,8 @@ def _simulate_doc(args, stats) -> dict:
         "seed": args.seed,
         "init": args.init,
         **stats.as_dict(),
-        "runtimes": [int(t) for t in stats.runtimes],
-        "hit_optimum": [bool(h) for h in stats.hits],
+        "runtimes": stats.runtimes,
+        "hit_optimum": stats.hits,
     }
 
 
@@ -419,21 +411,18 @@ def _cmd_compare(args) -> int:
     bound_list, exact, visit_lower = _compare_inputs(args, p)  # every input check before the first replicate
     stats = run_experiment(config)
     report = compare_report(stats, bound_list, exact=exact, visit_lower=visit_lower)
-    if args.format == "csv":
-        _write_output(report.to_csv(), args.out)
-    else:
-        doc = {
-            "benchmark": args.benchmark,
-            "n": args.n,
-            "k": args.k,
-            "p": p,
-            "seed": args.seed,
-            "statistics": stats.as_dict(),
-            "bounds": [_bound_entry(b) for b in bound_list],
-            "exact": exact,
-            "report": report.as_dict(),
-        }
-        _write_output(serialize.dumps(doc), args.out)
+    doc = {
+        "benchmark": args.benchmark,
+        "n": args.n,
+        "k": args.k,
+        "p": p,
+        "seed": args.seed,
+        "statistics": stats.as_dict(),
+        "bounds": [_bound_entry(b) for b in bound_list],
+        "exact": exact,
+        "report": report.as_dict(),
+    }
+    _emit(args, doc, ("quantity", "empirical", "theoretical", "verdict"), map(astuple, report.rows))
     return EXIT_FAIL_VERDICT if report.failed else EXIT_OK
 
 

@@ -29,36 +29,32 @@ def uniform_random_bitstring(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=n, dtype=np.uint8)
 
 
-def _flip_sets(n: int, p: float, rng: np.random.Generator) -> Iterator[list[int]]:
-    """The positions standard bit mutation flips, one set per iteration.
+def _flip_sets(n: int, p: float, rng: np.random.Generator) -> Iterator[int]:
+    """The positions standard bit mutation flips, one XOR mask per iteration.
 
     The flip count is Binomial(n, p), so each bit flips independently with
     probability p.  Counts come from blocks of binomial variates; the
-    positions of up to 8 flips (at most n/2) come from blocks of uniform
-    indices with duplicates rejected, larger counts from Generator.choice.
-    Every block is drawn when its first value is needed, so the stream is
-    fully determined by the generator's state.
+    positions of up to 8 flips (at most n/2, or the one flip of n <= 3) come
+    from blocks of uniform indices with duplicates rejected, larger counts
+    from Generator.choice.  Every block is drawn when its first value is
+    needed, so the stream is fully determined by the generator's state.
     """
 
     def blocks(draw) -> Iterator[int]:
         while True:
             yield from draw().tolist()
 
+    limit = min(_REJECTION_LIMIT, max(n // 2, 1))
     indices = blocks(lambda: rng.integers(0, n, size=_BLOCK))
     for count in blocks(lambda: rng.binomial(n, p, size=_BLOCK)):
-        if count == 0:
-            yield []
-        elif count == 1:
-            yield [next(indices)]
-        elif count <= _REJECTION_LIMIT and count <= n // 2:
-            chosen: list[int] = []
-            while len(chosen) < count:
-                idx = next(indices)
-                if idx not in chosen:
-                    chosen.append(idx)
-            yield chosen
+        mask = 0
+        if count <= limit:
+            while mask.bit_count() < count:  # a repeated index sets no new bit
+                mask |= 1 << next(indices)
         else:
-            yield rng.choice(n, size=count, replace=False, shuffle=False).tolist()
+            for pos in rng.choice(n, size=count, replace=False, shuffle=False).tolist():
+                mask |= 1 << pos
+        yield mask
 
 
 @dataclass
@@ -109,18 +105,16 @@ def run_ea(
         trace.append((level, 0))
         return RunResult(0, True, trace)
 
-    flip_sets = _flip_sets(n, rate, rng)
+    masks = _flip_sets(n, rate, rng)
     iterations = 0
     level_iters = 0
     while iterations < max_iterations:
         iterations += 1
         level_iters += 1
-        flips = next(flip_sets)
-        if not flips:
+        mask = next(masks)
+        if not mask:
             continue  # offspring equals parent: accepted, nothing changes
-        y = x
-        for pos in flips:
-            y ^= 1 << pos
+        y = x ^ mask
         fy = fitness(y)
         if fy >= fx:
             x = y

@@ -9,7 +9,7 @@ so the same seed yields bit-identical statistics.  The module also owns the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -109,12 +109,12 @@ class RunStatistics:
             "mean_runtime": self.mean,
             "variance": self.variance,
             "std_error": self.std_error,
-            "ci99": [self.ci99[0], self.ci99[1]],
+            "ci99": self.ci99,
             "timeouts": self.timeouts,
-            "levels": list(range(len(self.visit_freq))),
-            "visit_freq": [float(x) for x in self.visit_freq],
-            "leave_rate": [float(x) for x in self.leave_rate],
-            "mean_sojourn": [float(x) for x in self.mean_sojourn],
+            "levels": np.arange(len(self.visit_freq)),
+            "visit_freq": self.visit_freq,
+            "leave_rate": self.leave_rate,
+            "mean_sojourn": self.mean_sojourn,
         }
 
 
@@ -203,6 +203,8 @@ def aggregate_results(results: Sequence[RunResult], level_count: int) -> RunStat
 
 @dataclass
 class ReportRow:
+    """One verdict; its fields, in order, are compare's JSON keys and CSV columns."""
+
     quantity: str
     empirical: float
     theoretical: float
@@ -218,24 +220,7 @@ class Report:
         return any(row.verdict == "FAIL" for row in self.rows)
 
     def as_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "quantity": r.quantity,
-                    "empirical": r.empirical,
-                    "theoretical": r.theoretical,
-                    "verdict": r.verdict,
-                }
-                for r in self.rows
-            ],
-            "failed": self.failed,
-        }
-
-    def to_csv(self) -> str:
-        lines = ["quantity,empirical,theoretical,verdict"]
-        for r in self.rows:
-            lines.append(f"{r.quantity},{repr(r.empirical)},{repr(r.theoretical)},{r.verdict}")
-        return "\n".join(lines) + "\n"
+        return {"rows": [asdict(r) for r in self.rows], "failed": self.failed}
 
 
 def compare_report(

@@ -1,22 +1,30 @@
-"""Deterministic output formats.
+"""Deterministic output formats: the one place where results become text.
 
 JSON is emitted with every float printed to 17 significant digits (full
-double round-trip precision) so repeated runs are byte-identical.  The two
-CSV schemas are fixed: per-replicate files carry
-``replicate,runtime,hit_optimum`` and aggregate files carry
-``level,visit_freq,leave_rate,mean_sojourn``; parsing either reproduces the
-emitted values exactly.
+double round-trip precision) so repeated runs are byte-identical.
+:func:`emit_csv` writes all five CSV schemas, each a fixed header:
+
+- ``replicate,runtime,hit_optimum`` (``simulate``, one row per replicate);
+- ``level,visit_freq,leave_rate,mean_sojourn`` (``simulate``, per level);
+- ``theorem,kind,value`` (``bounds``);
+- ``level,p,v`` and a closing ``expected_T`` row (``oracle``);
+- ``quantity,empirical,theoretical,verdict`` (``compare``).
+
+Floats are written by ``repr``, so every float cell parses back to the
+emitted value; the two ``simulate`` schemas have parsers here.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import json
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "dumps",
     "format_float",
+    "emit_csv",
     "emit_replicates_csv",
     "parse_replicates_csv",
     "emit_levels_csv",
@@ -35,35 +43,14 @@ def format_float(x: float) -> str:
 
 
 def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return json.dumps(s, ensure_ascii=False)
 
 
 def _write(obj: Any, parts: list[str], level: int) -> None:
-    pad = "  " * (level + 1)
-    closing_pad = "  " * level
     if obj is None:
         parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
+    elif isinstance(obj, (bool, np.bool_)):
+        parts.append("true" if obj else "false")
     elif isinstance(obj, str):
         parts.append(_escape(obj))
     elif isinstance(obj, (int, np.integer)):
@@ -74,6 +61,7 @@ def _write(obj: Any, parts: list[str], level: int) -> None:
         if not obj:
             parts.append("{}")
             return
+        pad = "  " * (level + 1)
         parts.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             parts.append(pad)
@@ -81,17 +69,13 @@ def _write(obj: Any, parts: list[str], level: int) -> None:
             parts.append(": ")
             _write(value, parts, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(closing_pad + "}")
+        parts.append("  " * level + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            parts.append("[]")
-            return
         parts.append("[")
-        for i, value in enumerate(items):
-            _write(value, parts, level + 1)
-            if i < len(items) - 1:
+        for i, value in enumerate(obj.tolist() if isinstance(obj, np.ndarray) else obj):
+            if i:
                 parts.append(", ")
+            _write(value, parts, level + 1)
         parts.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -105,11 +89,29 @@ def dumps(obj: Any) -> str:
     return "".join(parts)
 
 
-def emit_replicates_csv(runtimes: np.ndarray, hits: np.ndarray) -> str:
-    lines = ["replicate,runtime,hit_optimum"]
-    for r, (t, h) in enumerate(zip(runtimes, hits)):
-        lines.append(f"{r},{int(t)},{'true' if h else 'false'}")
+def _cell(x: Any) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return x
+
+
+def emit_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """CSV text: the header, then one line per row; trailing newline.
+
+    Cells are written as booleans ``true``/``false``, integers in decimal,
+    floats by ``repr`` and strings as they are (no quoting).
+    """
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def emit_replicates_csv(runtimes: np.ndarray, hits: np.ndarray) -> str:
+    return emit_csv(("replicate", "runtime", "hit_optimum"), zip(range(len(runtimes)), runtimes, hits))
 
 
 def parse_replicates_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -130,10 +132,8 @@ def parse_replicates_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
 def emit_levels_csv(
     levels: np.ndarray, visit_freq: np.ndarray, leave_rate: np.ndarray, mean_sojourn: np.ndarray
 ) -> str:
-    lines = ["level,visit_freq,leave_rate,mean_sojourn"]
-    for lvl, vf, lr, ms in zip(levels, visit_freq, leave_rate, mean_sojourn):
-        lines.append(f"{int(lvl)},{repr(float(vf))},{repr(float(lr))},{repr(float(ms))}")
-    return "\n".join(lines) + "\n"
+    header = ("level", "visit_freq", "leave_rate", "mean_sojourn")
+    return emit_csv(header, zip(levels, visit_freq, leave_rate, mean_sojourn))
 
 
 def parse_levels_csv(text: str) -> dict[str, np.ndarray]:

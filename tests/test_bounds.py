@@ -102,6 +102,22 @@ def test_viscosity_validators_report_perturbed_rows_by_index():
     assert any(v.startswith("gamma_row_sum[1]") for v in result.violated_preconditions)
 
 
+def test_viscosity_violation_messages_print_plain_floats():
+    # a numpy scalar's repr would read "np.float64(1.0005)"
+    m = 4
+    gamma = np.zeros((m, m))
+    for i in range(m - 1):
+        gamma[i, i + 1 :] = 1.0 / (m - 1 - i)
+    gamma[1, 2] *= 1.001
+    p, start = [0.5, 0.4, 0.3], [1.0, 0.0, 0.0, 0.0]
+    messages = [
+        *flm_lower_viscosity(p, gamma, 0.9, start).violated_preconditions,
+        *flm_upper_viscosity(p, gamma, 0.1, start).violated_preconditions,
+    ]
+    assert "gamma_row_sum[1]=1.0005" in messages
+    assert messages and not any("np." in msg for msg in messages)
+
+
 def test_viscosity_validator_rejects_chi_incoherence():
     gamma = np.zeros((3, 3))
     gamma[0, 1], gamma[0, 2] = 0.1, 0.9

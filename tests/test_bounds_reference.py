@@ -34,7 +34,7 @@ def loop_viscosity_violations(p, gamma, chi, direction):
     for i in range(m - 1):
         row_sum = gamma[i, i + 1 :].sum()
         if abs(row_sum - 1.0) > EQUALITY_TOL:
-            violations.append(f"gamma_row_sum[{i}]={row_sum!r}")
+            violations.append(f"gamma_row_sum[{i}]={float(row_sum)!r}")
         tails = np.cumsum(gamma[i, ::-1])[::-1]
         for j in range(i + 1, m):
             if direction == "lower":

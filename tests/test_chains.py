@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -293,6 +294,22 @@ def test_expected_hitting_time_hand_chain():
     overall, per_level = expected_hitting_time(hand_chain())
     assert overall == pytest.approx(2.5, abs=1e-12)  # E0 = 2 + 0.5 * 1
     assert per_level[1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_expected_hitting_time_past_unreachable_absorbing_level():
+    # level 1 is absorbing but level 0 never moves there: 0 * inf must not reach E_0
+    t = np.array([[0.5, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.0, 1.0]])
+    chain = LevelChain(t, np.array([1.0, 0.0, 0.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        overall, per_level = expected_hitting_time(chain)
+        summary = summarize(chain)
+    assert overall == 4.0 and summary.expected_time == 4.0
+    np.testing.assert_array_equal(per_level, [4.0, math.inf, 2.0, 0.0])
+    # a level that can move to the absorbing one never finishes
+    t[0] = [0.5, 0.25, 0.25, 0.0]
+    _, per_level = expected_hitting_time(LevelChain(t, np.array([0.0, 0.0, 1.0, 0.0])))
+    np.testing.assert_array_equal(per_level, [math.inf, math.inf, 2.0, 0.0])
 
 
 def test_expected_hitting_time_geometric():

@@ -279,6 +279,16 @@ def test_config_file_mirrors_flags(tmp_path, capsys):
     assert json.loads(out)["replicates"] == 10
 
 
+def test_config_file_loses_to_abbreviated_flags(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"replicates": 100}))
+    base = ("simulate", "--benchmark", "onemax", "--n", "6", "--config", str(config))
+    for spelling in (["--rep", "5"], ["--rep=5"], ["--replicates", "5"]):
+        code, out, _ = run_main(capsys, *base, *spelling)
+        assert code == 0
+        assert json.loads(out)["replicates"] == 5, spelling
+
+
 def test_flm_threads_environment_default(monkeypatch, capsys):
     monkeypatch.setenv("FLM_THREADS", "3")
     code, out, _ = run_main(

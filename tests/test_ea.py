@@ -39,52 +39,54 @@ def test_uniform_bitstring_ones_count_binomial():
     assert chi2_pvalue(counts, exact_binom_pmf(10, 0.5)) > 1e-3
 
 
-def draw_flip_sets(n, p, seed, count):
-    flip_sets = _flip_sets(n, p, np.random.default_rng(seed))
-    return [next(flip_sets) for _ in range(count)]
+def draw_flip_masks(n, p, seed, count):
+    masks = _flip_sets(n, p, np.random.default_rng(seed))
+    return [next(masks) for _ in range(count)]
 
 
 def test_flip_count_binomial():
     counts = np.zeros(9, dtype=np.int64)
-    for flips in draw_flip_sets(8, 1 / 8, 13, 10**5):
-        counts[len(flips)] += 1
+    for mask in draw_flip_masks(8, 1 / 8, 13, 10**5):
+        counts[mask.bit_count()] += 1
     assert chi2_pvalue(counts, exact_binom_pmf(8, 1 / 8)) > 1e-3
 
 
 @pytest.mark.parametrize("n,p", [(1, 0.5), (8, 1 / 8), (30, 0.2), (4, 0.9), (50, 0.5)])
 def test_flip_positions_distinct_and_in_range(n, p):
-    for flips in draw_flip_sets(n, p, 14, 5000):
-        assert all(type(pos) is int and 0 <= pos < n for pos in flips)
-        assert len(set(flips)) == len(flips)
+    # a mask sets each flipped position once; a rejected duplicate would
+    # show as a deficit of set bits in test_flip_count_binomial
+    for mask in draw_flip_masks(n, p, 14, 5000):
+        assert type(mask) is int and 0 <= mask < 1 << n
 
 
 def test_flip_sets_exercise_every_branch():
-    # n = 4, p = 0.9: 1 flip from the index stream, 2 flips by rejection,
+    # n = 4, p = 0.9: 1 and 2 flips by rejection from the index stream,
     # 3 and 4 flips (more than n/2) by Generator.choice
-    sizes = {len(flips) for flips in draw_flip_sets(4, 0.9, 15, 2000)}
+    sizes = {mask.bit_count() for mask in draw_flip_masks(4, 0.9, 15, 2000)}
     assert {1, 2, 3, 4} <= sizes
     # n = 30, p = 0.2: up to 8 flips by rejection, more by Generator.choice
-    sizes = {len(flips) for flips in draw_flip_sets(30, 0.2, 16, 2000)}
+    sizes = {mask.bit_count() for mask in draw_flip_masks(30, 0.2, 16, 2000)}
     assert {0, 1, 8, 9} <= sizes
 
 
-# SHA-256 of the first 2000 flip sets (one "i,j,...\n" line each) of seed 2021,
-# followed by the generator's next integers(0, 2**63) draw; recorded from
-# the previous sampler, so the engine's random stream is unchanged
+# SHA-256 of the first 2000 flip masks (one decimal "mask\n" line each) of seed
+# 2021, followed by the generator's next integers(0, 2**63) draw; recorded from
+# the position-list sampler's output converted to masks, so the engine's
+# random stream is unchanged
 FLIP_STREAM_DIGESTS = {
-    (100, 1 / 100): "af74ee07e342d49b39c4894c2096830c9f64a5f99ced0e7736ce1ee4710bcdb5",
-    (10, 0.3): "782fd5280e5c5e885ca0118cb675fe06b2914aa1a93615e56ec263581d38a3a0",
-    (30, 0.5): "e57cbcb6d736d3df61fdb596482164d35f40d4feb8a2096ee0ef324928213035",
+    (100, 1 / 100): "02f8181e0f3c97819bac430dc6636d4ea5309c125a513d079102214cbc764c49",
+    (10, 0.3): "449a343be111ff0267d61869ae77b86b904373edf140e41d4a6a2e89598b86c3",
+    (30, 0.5): "59799e8f105f219352d5ed1ae49924cf581422a1cb37f413f7c17651fae3be9c",
 }
 
 
 @pytest.mark.parametrize("n,p", list(FLIP_STREAM_DIGESTS))
 def test_flip_stream_pinned(n, p):
     rng = np.random.default_rng(2021)
-    flip_sets = _flip_sets(n, p, rng)
+    masks = _flip_sets(n, p, rng)
     digest = hashlib.sha256()
     for _ in range(2000):
-        digest.update((",".join(map(str, next(flip_sets))) + "\n").encode())
+        digest.update(f"{next(masks)}\n".encode())
     digest.update(str(int(rng.integers(0, 2**63))).encode())
     assert digest.hexdigest() == FLIP_STREAM_DIGESTS[(n, p)]
 

@@ -6,6 +6,7 @@ import pytest
 
 from flmlab.serialize import (
     dumps,
+    emit_csv,
     emit_levels_csv,
     emit_replicates_csv,
     format_float,
@@ -40,6 +41,29 @@ def test_dumps_is_valid_json():
     assert parsed["values"] == [1, 2.5, None, True, False]
     assert parsed["array"] == [0.25, 0.5]
     assert parsed["name"] == 'run with "quotes"\n'
+
+
+def test_dumps_strings_round_trip_through_json():
+    for text in [chr(cp) for cp in range(0x80)] + ["\u2028", "\u2029", "level:\f3", "a\bb\"c\\"]:
+        assert json.loads(dumps(text)) == text
+        assert json.loads(dumps({text: [text]})) == {text: [text]}
+
+
+def test_dumps_takes_numpy_scalars_and_arrays():
+    doc = {"flag": np.bool_(False), "hits": np.array([True, False]), "t": np.array([3, 4], dtype=np.int64)}
+    assert json.loads(dumps(doc)) == {"flag": False, "hits": [True, False], "t": [3, 4]}
+    assert dumps(np.float64(0.1)) == dumps(0.1) == "0.10000000000000001\n"
+
+
+def test_emit_csv_cell_rules():
+    rows = [
+        (np.bool_(True), True, np.int64(7), 7),
+        (np.bool_(False), False, np.float64(0.1), 0.1),
+        ("word", "", np.float32(0.5), float("inf")),
+    ]
+    text = emit_csv(("a", "b", "c", "d"), rows)
+    assert text == "a,b,c,d\ntrue,true,7,7\nfalse,false,0.1,0.1\nword,,0.5,inf\n"
+    assert emit_csv(("only",), []) == "only\n"
 
 
 def test_dumps_special_floats_match_json_module():
