@@ -72,28 +72,28 @@ def _check_start(start: np.ndarray, m: int) -> np.ndarray:
     return start
 
 
-def _check_visits(v: np.ndarray, length: int) -> np.ndarray:
+def _level_sum(p: np.ndarray, v: np.ndarray, kind: str, theorem: str) -> BoundResult:
+    """sum_i v_i / p_i over the non-top levels: E[T] itself for exact p and v."""
+    p = _check_rates(p)
     v = np.asarray(v, dtype=float)
-    if v.shape != (length,):
-        raise ValueError(f"visit probabilities must have length {length}")
-    if np.any(v < 0.0) or np.any(v > 1.0 + DIST_TOL):
+    if v.shape != p.shape:
+        raise ValueError(f"visit probabilities must have length {len(p)}")
+    if np.any(v < -DIST_TOL) or np.any(v > 1.0 + DIST_TOL):  # the tolerance of a start law
         raise ValueError("visit probabilities must lie in [0, 1]")
-    return v
+    return BoundResult(float(np.sum(v / p)), kind, theorem)
 
 
 def flm_upper_classic(p: np.ndarray) -> BoundResult:
     """Classic upper bound: every level below the top is left at most once,
-    so E[T] <= sum of 1/p_i."""
-    p = _check_rates(p)
-    return BoundResult(float(np.sum(1.0 / p)), "upper", "flm-upper-classic")
+    so E[T] <= sum of 1/p_i, the level sum with every v_i = 1."""
+    return _level_sum(p, np.ones(np.shape(p)), "upper", "flm-upper-classic")
 
 
 def flm_lower_classic(p: np.ndarray, start: np.ndarray) -> BoundResult:
-    """Weak classic lower bound: at least the start level must be left,
-    E[T] >= sum_i Pr[start at i] / p_i over the non-top levels."""
+    """Weak classic lower bound: at least the start level must be left, so
+    E[T] >= sum_i Pr[start at i] / p_i, the level sum with v = the start law."""
     start = _check_start(start, len(np.asarray(p)) + 1)
-    p = _check_rates(p)
-    return BoundResult(float(np.sum(start[:-1] / p)), "lower", "flm-lower-classic")
+    return _level_sum(p, start[:-1], "lower", "flm-lower-classic")
 
 
 def _tails(rows: np.ndarray) -> np.ndarray:
@@ -170,17 +170,13 @@ def flm_upper_viscosity(
 def flm_lower_visit(p_upper: np.ndarray, v_lower: np.ndarray) -> BoundResult:
     """Visit-probability lower bound: exactly the visited levels must be
     left, so E[T] >= sum_i v_i / p_i with p_i upper and v_i lower bounds."""
-    p = _check_rates(p_upper)
-    v = _check_visits(v_lower, len(p))
-    return BoundResult(float(np.sum(v / p)), "lower", "flm-lower-visit")
+    return _level_sum(p_upper, v_lower, "lower", "flm-lower-visit")
 
 
 def flm_upper_visit(p_lower: np.ndarray, v_upper: np.ndarray) -> BoundResult:
     """Visit-probability upper bound: E[T] <= sum_i v_i / p_i with p_i lower
     and v_i upper bounds; v_i = 1 recovers the classic upper bound."""
-    p = _check_rates(p_lower)
-    v = _check_visits(v_upper, len(p))
-    return BoundResult(float(np.sum(v / p)), "upper", "flm-upper-visit")
+    return _level_sum(p_lower, v_upper, "upper", "flm-upper-visit")
 
 
 def visit_lower_from_chain(chain, i: int) -> float:

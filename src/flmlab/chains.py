@@ -345,14 +345,11 @@ def expected_hitting_time(chain: LevelChain) -> tuple[float, np.ndarray]:
     E_i = inf exactly where p_i = 0 (an unreachable absorbing interior level)
     or level i moves with positive probability to a level with E_l = inf.
     """
-    visit_probabilities(chain)  # raises on reachable absorbing interior levels
-    return _hitting_times(chain)
-
-
-def _hitting_times(chain: LevelChain) -> tuple[float, np.ndarray]:
     t = chain.transition
     p = chain.leave_probs
     m = chain.m_levels
+    if np.any(p[: m - 1] <= 0.0):
+        visit_probabilities(chain)  # raises on reachable absorbing interior levels
     times = np.zeros(m)
     finite = True  # every E_l above the current level is finite
     for i in range(m - 2, -1, -1):
@@ -401,7 +398,7 @@ def truncate_chain(chain: LevelChain, top: int) -> LevelChain:
 def summarize(chain: LevelChain) -> ChainSummary:
     """Exact p_i, v_i and expected runtime of a chain in one bundle."""
     v = visit_probabilities(chain)  # raises on reachable absorbing interior levels
-    expected, _ = _hitting_times(chain)
+    expected, _ = expected_hitting_time(chain)
     return ChainSummary(leave_probs=chain.leave_probs[:-1], visit_probs=v, expected_time=expected)
 
 

@@ -192,19 +192,22 @@ def _leadingones_bounds(args, p: float):
 
 
 def _leadingones_compare(args, p: float, summary: None):
+    # the bits behind the first zero stay uniform, so a run visits every level
+    # above its start with probability 1/2 (from random: every level below n)
+    v = np.full(args.n, 0.5)
     start = _chain_start(args)
-    if start == "random":  # every level below n is visited with probability 1/2
-        fields, lower_upper = _leadingones_bounds(args, p)
-        visit_lower = dict.fromkeys(range(args.n), 0.5)
-        return lower_upper[::-1], fields["exact_expected_runtime"], visit_lower  # reports list the upper first
-    if not 0 <= start <= args.n:
-        raise ValueError(f"LeadingOnes level must be in [0, {args.n}], got {start}")
-    # the bits behind the first zero stay uniform, so a run started at level
-    # L visits every higher level with probability 1/2 and no lower one
-    levels = np.arange(args.n)
-    v = np.where(levels == start, 1.0, np.where(levels > start, 0.5, 0.0))
-    exact = float(np.sum(v / formulas.leadingones_leave_probs(args.n, p)))  # sum v_i / p_i
-    return [], exact, dict(enumerate(v.tolist()))
+    if start != "random":
+        if not 0 <= start <= args.n:
+            raise ValueError(f"LeadingOnes level must be in [0, {args.n}], got {start}")
+        v[:start] = 0.0  # no lower level
+        v[start : start + 1] = 1.0  # level L surely (no level when L = n)
+    with np.errstate(over="raise"):  # a subnormal p_i's reciprocal: one error line, not inf
+        exact = bounds.flm_upper_visit(formulas.leadingones_leave_probs(args.n, p), v).value
+    visit_lower = dict(enumerate(v.tolist()))
+    if start != "random":  # the closed form is stated for a uniform start
+        return [], exact, visit_lower
+    _, lower_upper = _leadingones_bounds(args, p)  # the closed form, checked against the sum
+    return lower_upper[::-1], exact, visit_lower  # reports list the upper first
 
 
 def _jump_chain(args, p: float) -> chains.LevelChain:

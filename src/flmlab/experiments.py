@@ -234,9 +234,10 @@ def compare_report(
     A lower bound fails when the empirical mean plus slack is still below
     it; an upper bound fails when the mean minus slack exceeds it; an exact
     oracle counts as bound in both directions and is itself checked against
-    every supplied bound; a proven per-level visit lower bound fails when
-    the empirical frequency plus its own slack stays below it (its SE is
-    never taken below that of a frequency equal to the clipped bound).
+    every supplied bound up to 1e-9 max(1, |bound|); a proven per-level visit
+    lower bound fails when the empirical frequency plus its own slack stays
+    below it (its SE is never taken below that of a frequency equal to the
+    clipped bound).
     """
     report = Report()
     slack = SE_SLACK * stats.std_error
@@ -251,10 +252,11 @@ def compare_report(
             ReportRow(f"mean_runtime_vs_{bound.theorem}[{bound.kind}]", stats.mean, bound.value, verdict)
         )
         if exact is not None:
+            tol = 1e-9 * max(1.0, abs(bound.value))  # rounding: relative, absolute below 1
             if bound.kind == "lower":
-                verdict = "PASS" if exact >= bound.value - 1e-9 else "FAIL"
+                verdict = "PASS" if exact >= bound.value - tol else "FAIL"
             else:
-                verdict = "PASS" if exact <= bound.value + 1e-9 else "FAIL"
+                verdict = "PASS" if exact <= bound.value + tol else "FAIL"
             report.rows.append(
                 ReportRow(f"exact_vs_{bound.theorem}[{bound.kind}]", exact, bound.value, verdict)
             )

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bounds
 from .benchmarks import log_factorials, long_k_path_length
 from .chains import mutation_class_row
 
@@ -119,7 +120,7 @@ def onemax_bounds(n: int, k: int, l: int) -> OneMaxBounds:
     if not 0 <= k < l <= n:
         raise ValueError(f"need 0 <= k < l <= n, got k={k}, l={l}, n={n}")
     leave = onemax_leave_probs(n, 1.0 / n)
-    tilde_t = float(np.sum(1.0 / leave[k:l]))
+    tilde_t = bounds.flm_upper_classic(leave[k:l]).value
     e_n = e_n_factor(n)
     harmonic = float(np.sum(1.0 / np.arange(n - l + 1, n - k + 1, dtype=float)))
     tilde_t_plus = e_n * n * harmonic

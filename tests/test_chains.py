@@ -288,6 +288,35 @@ def test_visit_probabilities_absorbing_interior_rejected():
     chain = LevelChain(t, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="absorbing"):
         visit_probabilities(chain)
+    with pytest.raises(ValueError, match="absorbing"):
+        expected_hitting_time(chain)
+
+
+def counting(monkeypatch, name):
+    """Replace chains.<name> by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(chains_module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(chains_module, name, wrapped)
+    return calls
+
+
+def test_summarize_runs_each_recursion_once_through_the_module(monkeypatch):
+    # through the public names, so wrappers on the module (a profiler's) see both;
+    # one forward pass: the backward one needs it only for an absorbing interior level
+    chain = onemax_level_matrix(20, 1 / 20)
+    before = summarize(chain)
+    visits = counting(monkeypatch, "visit_probabilities")
+    times = counting(monkeypatch, "expected_hitting_time")
+    after = summarize(chain)
+    assert len(visits) == 1 and len(times) == 1
+    assert after.expected_time == before.expected_time
+    np.testing.assert_array_equal(after.visit_probs, before.visit_probs)
+    np.testing.assert_array_equal(after.leave_probs, before.leave_probs)
 
 
 def test_expected_hitting_time_hand_chain():

@@ -178,6 +178,36 @@ def test_compare_passes_on_leadingones(capsys):
     assert any(q.startswith("visit_freq") for q in quantities)
 
 
+def test_compare_leadingones_exact_is_the_level_sum(capsys):
+    from flmlab.bounds import flm_upper_visit
+    from flmlab.formulas import leadingones_exact, leadingones_leave_probs
+
+    _, out, _ = run_main(
+        capsys, "compare", "--benchmark", "leadingones", "--n", "12", "--p", "1/12",
+        "--replicates", "2", "--max-iterations", "1",
+    )
+    doc = json.loads(out)
+    level_sum = flm_upper_visit(leadingones_leave_probs(12, 1 / 12), np.full(12, 0.5)).value
+    closed = leadingones_exact(12, 1 / 12)
+    assert doc["exact"] == level_sum
+    assert abs(doc["exact"] - closed) <= 1e-13 * closed
+    # the closed form is the bound the level sum is checked against
+    checks = {row["quantity"]: row for row in doc["report"]["rows"] if row["quantity"].startswith("exact_vs_")}
+    assert set(checks) == {"exact_vs_leadingones-exact[upper]", "exact_vs_leadingones-exact[lower]"}
+    assert all(row["theoretical"] == closed and row["verdict"] == "PASS" for row in checks.values())
+
+
+def test_compare_exact_vs_bound_row_allows_relative_rounding(capsys):
+    # the exact inputs' sum v/p rounds 1.4e-9 (3.6e-16 relative) above the backward recursion
+    _, out, _ = run_main(
+        capsys, "compare", "--benchmark", "onemax", "--n", "600", "--p", "10/n",
+        "--replicates", "2", "--max-iterations", "1", "--format", "csv",
+    )
+    rows = {line.split(",")[0]: line.split(",") for line in out.strip().splitlines()[1:]}
+    row = rows["exact_vs_flm-lower-visit[lower]"]
+    assert float(row[2]) > float(row[1]) and row[3] == "PASS"
+
+
 def test_compare_fail_verdict_exits_3(monkeypatch, capsys):
     # an impossible lower bound forces a FAIL row
     import flmlab.cli as cli_module
@@ -383,6 +413,17 @@ def test_compare_onemax_zero_leave_probability_one_stderr_line():
     )
     assert_one_line_error(result.returncode, result.stdout, result.stderr)
     assert "leaving probabilities" in result.stderr
+
+
+@pytest.mark.parametrize("n", ["1200", "1060"])
+def test_compare_leadingones_unrepresentable_rates_one_stderr_line(n):
+    # at n = 1200 the top leave probabilities 2^-(i+1) round to 0, at n = 1060
+    # to subnormals whose reciprocals overflow: exit 1 before any replicate
+    result = run_cli_process(
+        "compare", "--benchmark", "leadingones", "--n", n, "--p", "0.5", "--init", "level:3",
+        "--replicates", "2", "--max-iterations", "1",
+    )
+    assert_one_line_error(result.returncode, result.stdout, result.stderr)
 
 
 def test_simulate_jump_level_k_beyond_float_binomials():

@@ -125,6 +125,25 @@ def test_compare_report_verdict_rules():
     assert not report.failed
 
 
+def test_compare_report_exact_vs_bound_tolerance_is_relative():
+    results = aggregate_results_for_fixed_runtimes([10, 12, 14, 16, 18])
+
+    def exact_verdict(exact, value, kind):
+        report = compare_report(results, [BoundResult(value, kind, "b")], exact=exact)
+        return report.rows[1].verdict
+
+    # OneMax n = 600 at p = 10/n: sum v/p rounds 1.4e-9 above the backward recursion
+    assert exact_verdict(3854595.2876144834, 3854595.287614485, "lower") == "PASS"
+    for value in (3854595.287614485, 0.5):
+        assert exact_verdict(value * (1 - 1e-6), value, "lower") == "FAIL"
+        assert exact_verdict(value * (1 + 1e-6), value, "upper") == "FAIL"
+        assert exact_verdict(value * (1 + 1e-6), value, "lower") == "PASS"
+        assert exact_verdict(value * (1 - 1e-6), value, "upper") == "PASS"
+    # below 1 the tolerance stays absolute
+    assert exact_verdict(0.5 - 5e-10, 0.5, "lower") == "PASS"
+    assert exact_verdict(0.5 - 2e-9, 0.5, "lower") == "FAIL"
+
+
 def test_compare_report_visit_rule():
     # synthetic traces all skip level 1 on their way from 0 to the top
     results = aggregate_results_for_fixed_runtimes([3, 4, 5, 6] * 10, levels=3)

