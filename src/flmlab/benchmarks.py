@@ -31,6 +31,7 @@ __all__ = [
     "make_onemax",
     "make_leadingones",
     "make_jump",
+    "jump_level_weights",
     "make_longpath",
     "make_benchmark",
 ]
@@ -244,6 +245,18 @@ def make_leadingones(n: int) -> Benchmark:
     )
 
 
+def jump_level_weights(n: int, k: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ones-counts of Jump_k level ``level`` and weights proportional to the
+    law of a uniform string of the level over them: at level k, C(n, a) over
+    0..n-k shifted by its peak (no weight overflows); one count elsewhere."""
+    if not 1 <= level <= k + 1:
+        raise ValueError(f"jump level must be in [1, {k + 1}]")
+    if level != k:
+        return np.array([n if level == k + 1 else n - level]), np.ones(1)
+    log_w = log_binom(n, np.arange(n - k + 1))
+    return np.arange(n - k + 1), np.exp(log_w - log_w.max())
+
+
 def make_jump(n: int, k: int) -> Benchmark:
     if not 1 <= k <= n:
         raise ValueError(f"jump size must be in [1, {n}], got {k}")
@@ -258,18 +271,11 @@ def make_jump(n: int, k: int) -> Benchmark:
         return k
 
     def sample_level(lvl: int, rng: np.random.Generator) -> np.ndarray:
-        if not 1 <= lvl <= k + 1:
-            raise ValueError(f"jump level must be in [1, {k + 1}]")
+        counts, weights = jump_level_weights(n, k, lvl)
         if lvl == k + 1:
-            return np.ones(n, dtype=np.uint8)
-        if lvl <= k - 1:
-            return _bits_with_ones(n, n - lvl, rng)
-        # level k is the whole non-gap region; weight ones-counts binomially
-        counts = np.arange(0, n - k + 1)
-        log_w = log_binom(n, counts)  # C(n, c), shifted by its peak so no weight overflows
-        weights = np.exp(log_w - log_w.max())
-        ones = int(rng.choice(counts, p=weights / weights.sum()))
-        return _bits_with_ones(n, ones, rng)
+            return np.ones(n, dtype=np.uint8)  # the optimum: no draw
+        ones = counts[0] if len(counts) == 1 else rng.choice(counts, p=weights / weights.sum())
+        return _bits_with_ones(n, int(ones), rng)
 
     return Benchmark(
         n=n,

@@ -17,6 +17,7 @@ proven bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,7 +59,7 @@ def _check_rates(p: np.ndarray, m: Optional[int] = None) -> np.ndarray:
         raise ValueError("leaving probabilities must be a non-empty vector")
     if m is not None and len(p) != m - 1:
         raise ValueError(f"expected {m - 1} leaving probabilities, got {len(p)}")
-    if np.any(p <= 0.0) or np.any(p > 1.0):
+    if not np.all((p > 0.0) & (p <= 1.0)):  # NaN fails too
         raise ValueError("leaving probabilities must lie in (0, 1]")
     return p
 
@@ -78,9 +79,13 @@ def _level_sum(p: np.ndarray, v: np.ndarray, kind: str, theorem: str) -> BoundRe
     v = np.asarray(v, dtype=float)
     if v.shape != p.shape:
         raise ValueError(f"visit probabilities must have length {len(p)}")
-    if np.any(v < -DIST_TOL) or np.any(v > 1.0 + DIST_TOL):  # the tolerance of a start law
+    if not np.all((v >= -DIST_TOL) & (v <= 1.0 + DIST_TOL)):  # the tolerance of a start law; NaN fails
         raise ValueError("visit probabilities must lie in [0, 1]")
-    return BoundResult(float(np.sum(v / p)), kind, theorem)
+    with np.errstate(over="ignore"):  # reported below as one error, with no warning
+        total = float(np.sum(v / p))
+    if not math.isfinite(total):  # finite inputs: only an overflow
+        raise ValueError(f"sum v_i/p_i overflows a double (smallest leave probability {float(p.min())!r})")
+    return BoundResult(total, kind, theorem)
 
 
 def flm_upper_classic(p: np.ndarray) -> BoundResult:

@@ -348,8 +348,6 @@ def expected_hitting_time(chain: LevelChain) -> tuple[float, np.ndarray]:
     t = chain.transition
     p = chain.leave_probs
     m = chain.m_levels
-    if np.any(p[: m - 1] <= 0.0):
-        visit_probabilities(chain)  # raises on reachable absorbing interior levels
     times = np.zeros(m)
     finite = True  # every E_l above the current level is finite
     for i in range(m - 2, -1, -1):
@@ -360,7 +358,10 @@ def expected_hitting_time(chain: LevelChain) -> tuple[float, np.ndarray]:
         times[i] = math.inf if p[i] <= 0.0 else (1.0 + row @ later) / p[i]
         finite = finite and times[i] < math.inf
     mass = chain.start > 0.0
-    return float(chain.start[mass] @ times[mass]), times
+    expected = float(chain.start[mass] @ times[mass])
+    if expected == math.inf:  # only then can a run reach an absorbing interior level
+        visit_probabilities(chain)  # raises if one is reachable
+    return expected, times
 
 
 def skip_probability(chain: LevelChain, lo: int, hi: int) -> float:

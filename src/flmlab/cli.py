@@ -125,11 +125,6 @@ def _emit(args, doc: dict, header: tuple[str, ...], rows) -> None:
     _write_output(text, args.out)
 
 
-def _chain_start(args):
-    """Start law of an exact oracle: "random" or a level index."""
-    return _parse_init(args.init, args.n, point=False)
-
-
 def _rate_is_one_over_n(p: float, n: int) -> bool:
     """The OneMax sandwich and the jump skip bounds are stated for rate 1/n only."""
     return abs(p - 1.0 / n) < 1e-15
@@ -141,21 +136,32 @@ def _require_k(args) -> int:
     return args.k
 
 
+def _where_stated(family_bounds: Callable, args, p: float, start):
+    """A family's ``bounds`` entry, or no fields and no bounds where it
+    raises: where its bounds are not stated."""
+    try:
+        return family_bounds(args, p, start)
+    except ValueError:
+        return {}, []
+
+
 # ---------------------------------------------------------------------------
 # per-family ingredients: exact chain, bounds document, compare inputs
 # ---------------------------------------------------------------------------
 
 
-def _onemax_chain(args, p: float) -> chains.LevelChain:
-    return chains.onemax_level_matrix(args.n, p, start=_chain_start(args))
+def _onemax_chain(args, p: float, start) -> chains.LevelChain:
+    return chains.onemax_level_matrix(args.n, p, start=start)
 
 
-def _onemax_bounds(args, p: float):
+def _onemax_bounds(args, p: float, start):
     k = 0 if args.from_level is None else args.from_level
     l = args.n if args.to_level is None else args.to_level
     om = formulas.onemax_bounds(args.n, k, l)  # validates n, from and to
     if not _rate_is_one_over_n(p, args.n):
         raise ValueError(f"onemax bounds are stated for rate 1/n only, got p={p!r}")
+    if isinstance(start, int) and not 0 <= start <= args.n:
+        raise ValueError(f"OneMax level must be in [0, {args.n}], got {start}")
     fields = {
         "from": k,
         "to": l,
@@ -173,7 +179,7 @@ def _onemax_bounds(args, p: float):
     ]
 
 
-def _onemax_compare(args, p: float, summary: chains.ChainSummary):
+def _onemax_compare(args, p: float, start, summary: chains.ChainSummary):
     # the calculators validate the leave probabilities before any division
     upper = bounds.flm_upper_classic(summary.leave_probs)
     lower = bounds.flm_lower_visit(summary.leave_probs, summary.visit_probs[:-1])
@@ -181,8 +187,9 @@ def _onemax_compare(args, p: float, summary: chains.ChainSummary):
     return [upper, lower], summary.expected_time, visit_lower
 
 
-def _leadingones_bounds(args, p: float):
-    if args.init != "random":
+def _leadingones_bounds(args, p: float, start):
+    # the closed form is stated for a uniform start
+    if isinstance(start, np.ndarray) or start != "random":
         raise ValueError(f"leadingones bounds are stated for --init random only, got {args.init!r}")
     exact = formulas.leadingones_exact(args.n, p)
     return {"exact_expected_runtime": exact}, [
@@ -191,46 +198,38 @@ def _leadingones_bounds(args, p: float):
     ]
 
 
-def _leadingones_compare(args, p: float, summary: None):
+def _leadingones_compare(args, p: float, start, summary: None):
     # the bits behind the first zero stay uniform, so a run visits every level
     # above its start with probability 1/2 (from random: every level below n)
     v = np.full(args.n, 0.5)
-    start = _chain_start(args)
-    if start != "random":
+    if isinstance(start, int):
         if not 0 <= start <= args.n:
             raise ValueError(f"LeadingOnes level must be in [0, {args.n}], got {start}")
         v[:start] = 0.0  # no lower level
         v[start : start + 1] = 1.0  # level L surely (no level when L = n)
-    with np.errstate(over="raise"):  # a subnormal p_i's reciprocal: one error line, not inf
-        exact = bounds.flm_upper_visit(formulas.leadingones_leave_probs(args.n, p), v).value
-    visit_lower = dict(enumerate(v.tolist()))
-    if start != "random":  # the closed form is stated for a uniform start
-        return [], exact, visit_lower
-    _, lower_upper = _leadingones_bounds(args, p)  # the closed form, checked against the sum
-    return lower_upper[::-1], exact, visit_lower  # reports list the upper first
+    exact = bounds.flm_upper_visit(formulas.leadingones_leave_probs(args.n, p), v).value
+    _, lower_upper = _where_stated(_leadingones_bounds, args, p, start)  # the closed form, checked against the sum
+    return lower_upper[::-1], exact, dict(enumerate(v.tolist()))  # reports list the upper first
 
 
-def _jump_chain(args, p: float) -> chains.LevelChain:
+def _jump_chain(args, p: float, start) -> chains.LevelChain:
     k = _require_k(args)
-    start = _chain_start(args)
-    if start != "random":  # benchmark level L, uniform over its strings as in simulate
-        level = benchmarks.make_benchmark("jump", args.n, k).level
-        ones = np.array([a for a in range(args.n + 1) if level((1 << a) - 1) == start])
-        if not ones.size:
-            raise ValueError(f"no state has level {start}")
-        log_w = benchmarks.log_binom(args.n, ones)  # C(n, a), shifted by its peak so no class underflows
-        law = np.zeros(args.n + 1)
-        law[ones] = np.exp(log_w - log_w.max())
-        start = law / law.sum()
+    if isinstance(start, int):  # benchmark level L: the law sample_level(L) draws from
+        ones, weights = benchmarks.jump_level_weights(args.n, k, start)
+        start = np.zeros(args.n + 1)
+        start[ones] = weights
+        start /= start.sum()
     return chains.jump_level_matrix(args.n, k, p, start=start)
 
 
-def _jump_bounds(args, p: float):
+def _jump_bounds(args, p: float, start):
     k = _require_k(args)
-    init = "random" if args.init == "random" else "arbitrary"  # the bound that covers any fixed start
+    init = start if isinstance(start, str) else "arbitrary"  # the bound that covers any fixed start
     jb = formulas.jump_bounds(args.n, k, init=init)  # validates n and k
     if not _rate_is_one_over_n(p, args.n):
         raise ValueError(f"jump bounds are stated for rate 1/n only, got p={p!r}")
+    if (isinstance(start, int) and not 1 <= start <= k) or (isinstance(start, np.ndarray) and start.all()):
+        raise ValueError(f"jump bounds are stated for a start below the optimum (level 1..{k}), got {args.init!r}")
     fields = {
         "k": k,
         "init": init,
@@ -242,34 +241,25 @@ def _jump_bounds(args, p: float):
     return fields, [bounds.BoundResult(jb.lower_bound, "lower", f"jump-skip-{init}")]
 
 
-def _jump_compare(args, p: float, summary: chains.ChainSummary):
-    k = args.k
-    # a run started at the optimum (level k+1) has no valley left to jump
-    if not (_rate_is_one_over_n(p, args.n) and formulas.jump_bounds_stated(args.n, k) and _chain_start(args) != k + 1):
-        return [], summary.expected_time, {}
-    fields, bound_list = _jump_bounds(args, p)
-    skip = fields[f"skip_bound_{fields['init']}"]
-    return bound_list, summary.expected_time, {k: 1.0 - float(skip)}  # canonical non-gap level
+def _jump_compare(args, p: float, start, summary: chains.ChainSummary):
+    fields, bound_list = _where_stated(_jump_bounds, args, p, start)
+    # the skip bound's complement, on the canonical non-gap level
+    visit_lower = {args.k: 1.0 - float(fields[f"skip_bound_{fields['init']}"])} if fields else {}
+    return bound_list, summary.expected_time, visit_lower
 
 
-def _longpath_chain(args, p: float) -> chains.LevelChain:
+def _longpath_chain(args, p: float, start) -> chains.LevelChain:
     path = benchmarks.build_long_k_path(args.n, _require_k(args))
-    start = _chain_start(args)
     # known defect: simulate starts from a uniform random string, not path position 0
-    return chains.longpath_level_matrix(path, p, start=0 if start == "random" else start)
+    return chains.longpath_level_matrix(path, p, start=0 if isinstance(start, str) else start)
 
 
-def _starts_at_path_start(args) -> bool:
-    """The long k-path bounds are stated for a run started at path position 0
-    (where the chain also starts a "random" run: known defect)."""
-    return args.init != "arbitrary" and _chain_start(args) in ("random", 0)
-
-
-def _longpath_bounds(args, p: float):
+def _longpath_bounds(args, p: float, start):
     k = _require_k(args)
-    if not _starts_at_path_start(args):
+    # stated for a run from path position 0, where the chain also starts "random"
+    if isinstance(start, np.ndarray) or start not in ("random", 0):
         raise ValueError(f"longpath bounds are stated for --init random or level:0 only, got {args.init!r}")
-    main_bound = formulas.longpath_lower_bound(args.n, k, p)
+    main_bound = formulas.longpath_lower_bound(args.n, k, p)  # validates k and p in (0, 1/2]
     fields = {
         "k": k,
         "p": p,
@@ -283,10 +273,10 @@ def _longpath_bounds(args, p: float):
     return fields, [bounds.BoundResult(main_bound, "lower", "longpath-visit-lower")]
 
 
-def _longpath_compare(args, p: float, summary: chains.ChainSummary):
-    if not _starts_at_path_start(args):
+def _longpath_compare(args, p: float, start, summary: chains.ChainSummary):
+    _, bound_list = _where_stated(_longpath_bounds, args, p, start)
+    if not bound_list:
         return [], summary.expected_time, {}
-    _, bound_list = _longpath_bounds(args, p)
     v_low = formulas.longpath_level_visit_lower(args.n, args.k, p)
     visit_lower = {i: v_low for i in range(1, len(summary.visit_probs) - 1)}
     return bound_list, summary.expected_time, visit_lower
@@ -294,12 +284,13 @@ def _longpath_compare(args, p: float, summary: chains.ChainSummary):
 
 @dataclass(frozen=True)
 class _Family:
-    """Everything the CLI knows about one benchmark family.
+    """Everything the CLI knows about one benchmark family; each entry takes
+    the start its command resolved from --init ("arbitrary" and points: bounds only).
 
     ``chain`` builds the exact level chain; a full-state-only family has none.
     ``bounds`` returns the family's fields of the ``bounds`` document and its
-    bounds; ``compare`` returns the bounds, exact runtime and visit lower
-    bounds of a comparison from the exact chain's summary.
+    bounds, and raises where they are not stated; ``compare`` returns those
+    bounds (OneMax: its chain's), exact runtime and visit lower bounds.
     """
 
     chain: Optional[Callable]
@@ -328,9 +319,8 @@ def _bound_entry(b: bounds.BoundResult) -> dict:
 
 def _cmd_bounds(args) -> int:
     p = resolve_mutation_rate(args.p, args.n)
-    if args.init != "arbitrary":  # every family rejects an unknown --init form
-        _parse_init(args.init, args.n)
-    fields, results = _FAMILIES[args.benchmark].bounds(args, p)
+    start = args.init if args.init == "arbitrary" else _parse_init(args.init, args.n)
+    fields, results = _FAMILIES[args.benchmark].bounds(args, p, start)
     doc = {"benchmark": args.benchmark, "n": args.n, **fields}
     doc["bounds"] = [_bound_entry(b) for b in results]
     _emit(args, doc, ("theorem", "kind", "value"), ((b.theorem, b.kind, b.value) for b in results))
@@ -340,15 +330,15 @@ def _cmd_bounds(args) -> int:
 def _cmd_oracle(args) -> int:
     p = resolve_mutation_rate(args.p, args.n)
     family = _FAMILIES[args.benchmark]
+    start = _parse_init(args.init, args.n, point=False)
     if args.full_state or family.chain is None:
         benchmark = benchmarks.make_benchmark(args.benchmark, args.n, args.k)
-        start = _chain_start(args)
-        if benchmark.path is not None and start != "random":  # the path point simulate starts from
+        if benchmark.path is not None and isinstance(start, int):  # the path point simulate starts from
             start = benchmark.sample_level(start, None)  # a path level has one point: no draw
         summary = chains.full_state_expected_time(benchmark, p, start=start)
         oracle = "full-state"
     else:
-        summary = chains.summarize(family.chain(args, p))
+        summary = chains.summarize(family.chain(args, p, start))
         oracle = "level-chain"
     leave, visit, expected = summary.leave_probs, summary.visit_probs, summary.expected_time
     doc = {"levels": len(visit), "p": leave, "v": visit, "expected_T": expected, "oracle": oracle}
@@ -404,8 +394,9 @@ def _cmd_simulate(args) -> int:
 def _compare_inputs(args, p: float):
     """Bounds, exact oracle value and proven visit lower bounds for compare."""
     family = _FAMILIES[args.benchmark]
-    summary = None if family.chain is None else chains.summarize(family.chain(args, p))
-    return family.compare(args, p, summary)
+    start = _parse_init(args.init, args.n, point=False)
+    summary = None if family.chain is None else chains.summarize(family.chain(args, p, start))
+    return family.compare(args, p, start, summary)
 
 
 def _cmd_compare(args) -> int:

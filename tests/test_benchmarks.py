@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -15,6 +17,23 @@ from flmlab.benchmarks import (
     make_onemax,
     pack,
 )
+
+
+# SHA-256 of every string sample_level draws and the generator state after
+# each draw, over every level of four jump functions and seeds 0-9
+JUMP_SAMPLE_STREAM_DIGEST = "11443f80675f3c521d7846e012de38b89c69ef956340c665457f0732eb1e5a67"
+
+
+def test_jump_sample_level_stream_pinned():
+    digest = hashlib.sha256()
+    for n, k in [(6, 2), (12, 3), (30, 5), (1100, 3)]:
+        bench = make_jump(n, k)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            for level in range(1, k + 2):
+                digest.update(bench.sample_level(level, rng).tobytes())
+                digest.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+    assert digest.hexdigest() == JUMP_SAMPLE_STREAM_DIGEST
 
 
 def bits(s: str) -> np.ndarray:

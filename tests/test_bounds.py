@@ -33,6 +33,25 @@ def test_upper_classic_rejects_nonpositive_rates():
         flm_upper_classic([0.5, 0.0])
 
 
+@pytest.mark.parametrize(
+    "p,smallest", [([1e-320, 0.5], "1e-320"), (np.full(3, 1e-308), "1e-308")]
+)
+def test_level_sum_overflow_is_one_error_naming_the_smallest_rate(p, smallest):
+    # a subnormal rate's reciprocal, or a sum of finite reciprocals, overflows
+    # a double: one ValueError, no RuntimeWarning (the suite makes those errors)
+    with pytest.raises(ValueError, match=r"sum v_i/p_i overflows a double") as info:
+        flm_upper_classic(p)
+    assert f"smallest leave probability {smallest}" in str(info.value)
+    assert "\n" not in str(info.value)
+
+
+def test_level_sum_rejects_nan_inputs():
+    with pytest.raises(ValueError, match="leaving probabilities"):
+        flm_upper_classic([np.nan, 0.5])
+    with pytest.raises(ValueError, match="visit probabilities"):
+        flm_lower_visit([0.5, 0.5], [np.nan, 1.0])
+
+
 def test_upper_classic_dominates_exact_onemax():
     chain = onemax_level_matrix(8, 1 / 8, start=0)
     overall, _ = expected_hitting_time(chain)

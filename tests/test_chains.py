@@ -341,6 +341,21 @@ def test_expected_hitting_time_past_unreachable_absorbing_level():
     np.testing.assert_array_equal(per_level, [math.inf, math.inf, 2.0, 0.0])
 
 
+def test_summarize_runs_one_visit_pass_past_unreachable_absorbing_level(monkeypatch):
+    # the reachability check runs only when the expectation is infinite
+    t = np.array([[0.5, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.0, 1.0]])
+    calls = []
+    counted = chains_module.visit_probabilities
+
+    def counting(chain):
+        calls.append(chain)
+        return counted(chain)
+
+    monkeypatch.setattr(chains_module, "visit_probabilities", counting)
+    assert summarize(LevelChain(t, np.array([1.0, 0.0, 0.0, 0.0]))).expected_time == 4.0
+    assert len(calls) == 1
+
+
 def test_expected_hitting_time_geometric():
     t = np.array([[0.75, 0.25], [0.0, 1.0]])
     chain = LevelChain(t, np.array([1.0, 0.0]))

@@ -93,6 +93,13 @@ def test_oracle_full_state_rows_give_its_own_expected_time(capsys):
         "bounds --benchmark leadingones --n 6 --init arbitrary",
         "bounds --benchmark longpath --n 12 --k 4 --init level:20",
         "bounds --benchmark longpath --n 12 --k 4 --init arbitrary",
+        # level 4 and the all-ones point are the optimum of Jump(10, 3): no valley left
+        "bounds --benchmark jump --n 10 --k 3 --init level:4",
+        "bounds --benchmark jump --n 10 --k 3 --init point:1111111111",
+        # levels the benchmark does not have
+        "bounds --benchmark jump --n 12 --k 2 --init level:4",
+        "bounds --benchmark jump --n 12 --k 2 --init level:0",
+        "bounds --benchmark onemax --n 10 --init level:11",
     ],
 )
 def test_bounds_refuse_starts_they_are_not_stated_for(capsys, argv):
@@ -100,6 +107,23 @@ def test_bounds_refuse_starts_they_are_not_stated_for(capsys, argv):
     assert code == 1
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the long k-path bounds are stated for p <= 1/2; the exact value is not
+        "compare --benchmark longpath --n 6 --k 2 --p 0.6 --replicates 20 --seed 1",
+        # a run started at the optimum has no valley left to jump
+        "compare --benchmark jump --n 10 --k 3 --init level:4 --replicates 20 --seed 1",
+    ],
+)
+def test_compare_where_bounds_are_not_stated_has_only_the_exact_row(capsys, argv):
+    code, out, _ = run_main(capsys, *argv.split())
+    assert code in (0, 3)
+    doc = json.loads(out)
+    assert doc["bounds"] == []
+    assert [row["quantity"] for row in doc["report"]["rows"]] == ["mean_runtime_vs_exact"]
 
 
 def test_compare_longpath_from_a_later_position_has_only_the_exact_row(capsys):
@@ -499,7 +523,7 @@ def test_bounds_jump_checks_n_and_k_before_the_rate(capsys):
 
 @pytest.mark.parametrize(
     "init,bound",
-    [("random", "random"), ("arbitrary", "arbitrary"), ("level:4", "arbitrary"), ("point:0011001100", "arbitrary")],
+    [("random", "random"), ("arbitrary", "arbitrary"), ("level:3", "arbitrary"), ("point:0011001100", "arbitrary")],
 )
 def test_bounds_jump_init_selects_skip_bound(capsys, init, bound):
     code, out, _ = run_main(capsys, "bounds", "--benchmark", "jump", "--n", "10", "--k", "3", "--init", init)

@@ -6,7 +6,10 @@ level included), and the rates 1/n and 2/n:
 - ``oracle`` (the level chain, where the family has one) and
   ``oracle --full-state`` give the same ``expected_T``;
 - ``compare``'s ``exact`` value is ``oracle``'s ``expected_T``;
-- an input one route rejects with exit 1, every route rejects with exit 1.
+- an input one route rejects with exit 1, every route rejects with exit 1;
+- ``compare``'s bounds are the ones ``bounds`` prints for the same flags, or
+  none where ``bounds`` exits 1 (except OneMax, whose ``compare`` rows come
+  from its exact chain).
 
 ``level:<L>`` is the benchmark level of ``Benchmark.level`` in every route, so
 these equalities hold to rounding (1e-12 relative).  Long k-path ``level:<L>``
@@ -72,6 +75,35 @@ def test_oracle_full_state_and_compare_agree(case):
     expected = json.loads(chain_out)["expected_T"]
     assert math.isclose(json.loads(full_out)["expected_T"], expected, rel_tol=REL)
     assert math.isclose(json.loads(cmp_out)["exact"], expected, rel_tol=REL)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_bounds_reject_every_level_the_oracle_rejects(case):
+    if run(f"oracle {case}")[0] == 1:
+        assert run(f"bounds {case}")[0] == 1
+
+
+BOUND_CASES = [
+    (f"--benchmark {family} --p {rate} --init {init}")
+    for family, levels, with_random in FAMILIES
+    if not family.startswith("onemax")
+    for rate in ("1/n", "2/n", "0.5", "0.6")
+    for init in (["random"] if with_random else []) + [f"level:{level}" for level in levels]
+]
+
+
+@pytest.mark.parametrize("case", BOUND_CASES)
+def test_compare_reports_the_bounds_that_bounds_prints(case):
+    cmp_code, cmp_out, _ = run(f"compare {case} --replicates 2 --seed 1")
+    if cmp_code == 1:
+        return
+    assert cmp_code in (0, 3)
+    bounds_code, bounds_out, _ = run(f"bounds {case}")
+    assert bounds_code in (0, 1)
+    printed = json.loads(bounds_out)["bounds"] if bounds_code == 0 else []
+    if case.startswith("--benchmark leadingones"):
+        printed = printed[::-1]  # compare lists the upper bound first
+    assert json.loads(cmp_out)["bounds"] == printed
 
 
 @pytest.mark.parametrize(
