@@ -12,6 +12,7 @@ from .benchmarks import (
     build_long_k_path,
     make_benchmark,
     pack,
+    pack_words,
     verify_long_k_path,
 )
 from .bounds import (
@@ -39,7 +40,7 @@ from .chains import (
     visit_probabilities,
     visit_probability_matrix,
 )
-from .ea import RunResult, run_ea, uniform_random_bitstring
+from .ea import BlockResult, RunResult, run_block, run_ea, uniform_random_words
 from .experiments import (
     ExperimentConfig,
     Report,

@@ -6,8 +6,10 @@ optimum predicate and a level function mapping bit strings to integers so
 that higher levels always mean strictly higher fitness (off-path points of
 a long k-path share level 0 with the path start).
 
-The callables of a :class:`Benchmark` take a bit string packed into a Python
-int: bit i of the int is position i of the string (see :func:`pack`).
+The callables of a :class:`Benchmark` evaluate many bit strings in one call.
+They take an ``(m, W)`` uint64 array, one string per row packed into
+``W = ceil(n / 64)`` words, position i at bit i % 64 of word i // 64 and every
+bit from n up clear (see :func:`pack_words`), and return an ``(m,)`` array.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ __all__ = [
     "Benchmark",
     "LongKPath",
     "pack",
+    "pack_words",
+    "word_count",
     "log_factorials",
     "log_binom",
     "jump_fitness_of_ones",
@@ -37,6 +41,7 @@ __all__ = [
 ]
 
 DEFAULT_PATH_POINT_CAP = 10**6
+_ONE = np.uint64(1)
 
 # Cephes' lgam, the kernel of scipy.special.gammaln, at x = j + 1: log of the
 # exact product j! for j <= 12 (at x = 13 its Stirling branch gives the same
@@ -50,6 +55,21 @@ _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.936503404577
 def pack(x: np.ndarray) -> int:
     """The bit string as a Python int whose bit i is position i of ``x``."""
     return int.from_bytes(np.packbits(np.asarray(x, dtype=np.uint8), bitorder="little").tobytes(), "little")
+
+
+def word_count(n: int) -> int:
+    """Number of uint64 words that hold an n-bit string."""
+    return (n + 63) // 64
+
+
+def pack_words(x: np.ndarray) -> np.ndarray:
+    """Bit strings (the rows of a 2-d uint8 array, or one 1-d string) as an
+    ``(m, W)`` uint64 array: position i at bit i % 64 of word i // 64."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.uint8))
+    packed = np.packbits(x, axis=1, bitorder="little")
+    out = np.zeros((len(x), 8 * word_count(x.shape[1])), dtype=np.uint8)
+    out[:, : packed.shape[1]] = packed
+    return out.view("<u8").astype(np.uint64, copy=False)
 
 
 def log_factorials(m: int) -> np.ndarray:
@@ -78,18 +98,37 @@ def log_binom(m: int, j: np.ndarray) -> np.ndarray:
     return lf[m] - lf[j] - lf[m - j]
 
 
-def _leading_ones(x: int) -> int:
-    # ~x & (x + 1) isolates the lowest zero bit of x
-    return (~x & (x + 1)).bit_length() - 1
+def _ones(x: np.ndarray) -> np.ndarray:
+    # column by column: for the few words of a string a run can finish on,
+    # faster than numpy's sum over a short axis (two words, 512 rows: 7 against 15 us)
+    count = np.bitwise_count(x)
+    ones = count[:, 0].astype(np.int64)
+    for word in range(1, x.shape[1]):
+        ones += count[:, word]
+    return ones
 
 
-def jump_fitness_of_ones(ones: int, n: int, k: int) -> int:
-    """Jump function with jump size k as a function of the ones-count: OneMax
-    shifted by k outside the gap, deceptive ``n - ones`` inside the gap of
-    the k-1 ones-counts below n."""
-    if ones <= n - k or ones == n:
-        return ones + k
-    return n - ones
+def _leading_ones(x: np.ndarray) -> np.ndarray:
+    # x & ~(x + 1) keeps the bits below the lowest zero bit of each word (all
+    # of a full word); the count runs on past the full words of the prefix
+    trailing = np.bitwise_count(x & ~(x + _ONE)).astype(np.int64)
+    count = trailing[:, -1]
+    for word in range(x.shape[1] - 2, -1, -1):
+        ones = trailing[:, word]
+        count = ones + (ones == 64) * count
+    return count
+
+
+def _equals(target: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The predicate "the string is ``target``" (one packed row)."""
+    return lambda x: (x == target).all(axis=1)
+
+
+def jump_fitness_of_ones(ones, n: int, k: int):
+    """Jump function with jump size k as a function of the ones-count (an
+    int or an int array): OneMax shifted by k outside the gap, deceptive
+    ``n - ones`` inside the gap of the k-1 ones-counts below n."""
+    return np.where((ones <= n - k) | (ones == n), ones + k, n - ones)
 
 
 @dataclass
@@ -130,18 +169,16 @@ def build_long_k_path(n: int, k: int, max_points: int = DEFAULT_PATH_POINT_CAP) 
             f"path would have {long_k_path_length(n, k)} points, exceeding the cap {max_points}"
         )
 
-    suffixes = [[0] * (k - j) + [1] * j for j in range(k + 1)]
-    path = [list(s) for s in suffixes]  # dimension-k base path
-    dim = k
-    while dim < n:
-        prefixed_zero = [[0] * k + pt for pt in path]
-        last = path[-1]
-        bridges = [suffixes[j] + last for j in range(1, k)]
-        prefixed_one = [[1] * k + pt for pt in reversed(path)]
-        path = prefixed_zero + bridges + prefixed_one
-        dim += k
+    suffixes = np.tri(k + 1, k, -1, dtype=np.uint8)[:, ::-1]  # row j: k - j zeros, then j ones
+    points = suffixes  # dimension-k base path
+    while points.shape[1] < n:
+        m = len(points)
+        points = np.vstack((
+            np.hstack((np.zeros((m, k), dtype=np.uint8), points)),
+            np.hstack((suffixes[1:k], np.repeat(points[-1:], k - 1, axis=0))),  # the bridges
+            np.hstack((np.ones((m, k), dtype=np.uint8), points[::-1])),
+        ))
 
-    points = np.array(path, dtype=np.uint8)
     packed = np.packbits(points, axis=1, bitorder="little").tobytes()  # the rows packed as by pack
     width = (n + 7) // 8
     index_of = {int.from_bytes(packed[i * width : (i + 1) * width], "little"): i for i in range(len(points))}
@@ -173,24 +210,21 @@ def verify_long_k_path(path: LongKPath) -> None:
 class Benchmark:
     """A fitness function with optimum predicate and level partition.
 
-    ``fitness``, ``is_optimum`` and ``level`` take the bit string packed into
-    a Python int (bit i is position i, see :func:`pack`); ``sample_level``
-    draws a uniform member of a level as a uint8 array.  Immutable after
-    construction; safe for concurrent shared reads.  ``top_level`` is the
-    level of the optimum class; levels are integers in [0, top_level].
+    ``fitness``, ``is_optimum`` and ``level`` map an ``(m, W)`` uint64 array
+    of packed strings (see :func:`pack_words`) to an ``(m,)`` array of int64
+    values, bools and int64 levels; ``sample_level`` draws a uniform member of
+    a level as a uint8 array.  Immutable after construction; safe for
+    concurrent shared reads.  ``top_level`` is the level of the optimum
+    class; levels are integers in [0, top_level].
     """
 
     n: int
-    fitness: Callable[[int], int]
-    is_optimum: Callable[[int], bool]
-    level: Callable[[int], int]
+    fitness: Callable[[np.ndarray], np.ndarray]
+    is_optimum: Callable[[np.ndarray], np.ndarray]
+    level: Callable[[np.ndarray], np.ndarray]
     top_level: int
     sample_level: Callable[[int, np.random.Generator], np.ndarray]
     path: Optional[LongKPath] = None
-
-    @property
-    def level_count(self) -> int:
-        return self.top_level + 1
 
 
 def _bits_with_ones(n: int, ones: int, rng: np.random.Generator) -> np.ndarray:
@@ -200,10 +234,13 @@ def _bits_with_ones(n: int, ones: int, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
+def _all_ones(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    return _equals(pack_words(np.ones(n, dtype=np.uint8)))
+
+
 def make_onemax(n: int) -> Benchmark:
     if n < 1:
         raise ValueError("n must be >= 1")
-    optimum = (1 << n) - 1
 
     def sample_level(level: int, rng: np.random.Generator) -> np.ndarray:
         if not 0 <= level <= n:
@@ -212,9 +249,9 @@ def make_onemax(n: int) -> Benchmark:
 
     return Benchmark(
         n=n,
-        fitness=int.bit_count,
-        is_optimum=lambda x: x == optimum,
-        level=int.bit_count,
+        fitness=_ones,
+        is_optimum=_all_ones(n),
+        level=_ones,
         top_level=n,
         sample_level=sample_level,
     )
@@ -223,7 +260,6 @@ def make_onemax(n: int) -> Benchmark:
 def make_leadingones(n: int) -> Benchmark:
     if n < 1:
         raise ValueError("n must be >= 1")
-    optimum = (1 << n) - 1
 
     def sample_level(level: int, rng: np.random.Generator) -> np.ndarray:
         if not 0 <= level <= n:
@@ -238,7 +274,7 @@ def make_leadingones(n: int) -> Benchmark:
     return Benchmark(
         n=n,
         fitness=_leading_ones,
-        is_optimum=lambda x: x == optimum,
+        is_optimum=_all_ones(n),
         level=_leading_ones,
         top_level=n,
         sample_level=sample_level,
@@ -260,15 +296,11 @@ def jump_level_weights(n: int, k: int, level: int) -> tuple[np.ndarray, np.ndarr
 def make_jump(n: int, k: int) -> Benchmark:
     if not 1 <= k <= n:
         raise ValueError(f"jump size must be in [1, {n}], got {k}")
-    optimum = (1 << n) - 1
 
-    def level(x: int) -> int:
-        ones = x.bit_count()
-        if ones == n:
-            return k + 1
-        if ones > n - k:
-            return n - ones  # gap: level equals the (low) fitness
-        return k
+    def level(x: np.ndarray) -> np.ndarray:
+        ones = _ones(x)
+        # the optimum on top, the gap's levels equal its (low) fitness
+        return np.where(ones == n, k + 1, np.where(ones > n - k, n - ones, k))
 
     def sample_level(lvl: int, rng: np.random.Generator) -> np.ndarray:
         counts, weights = jump_level_weights(n, k, lvl)
@@ -279,25 +311,34 @@ def make_jump(n: int, k: int) -> Benchmark:
 
     return Benchmark(
         n=n,
-        fitness=lambda x: jump_fitness_of_ones(x.bit_count(), n, k),
-        is_optimum=lambda x: x == optimum,
+        fitness=lambda x: jump_fitness_of_ones(_ones(x), n, k),
+        is_optimum=_all_ones(n),
         level=level,
         top_level=k + 1,
         sample_level=sample_level,
     )
 
 
+def _path_index(path: LongKPath) -> Callable[[np.ndarray], np.ndarray]:
+    """The path index of each packed string, -1 off the path: a binary search
+    over the sorted points, each row compared as one block of bytes."""
+    row = np.dtype((np.void, 8 * word_count(path.n)))
+    keys = np.ascontiguousarray(pack_words(np.array(path.points))).view(row)[:, 0]
+    order = np.argsort(keys)
+    keys = keys[order]
+
+    def index(x: np.ndarray) -> np.ndarray:
+        query = np.ascontiguousarray(x).view(row)[:, 0]
+        at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        return np.where(keys[at] == query, order[at], -1)
+
+    return index
+
+
 def make_longpath(n: int, k: int) -> Benchmark:
     path = build_long_k_path(n, k)
-    index_of = path.index_of
-    optimum = pack(path.points[-1])
     top = len(path) - 1
-
-    def fitness(x: int) -> int:
-        return index_of.get(x, -1)  # -1 off path, else the (distinct, increasing) index
-
-    def level(x: int) -> int:
-        return index_of.get(x, 0)  # off-path points share level 0 with the start
+    index = _path_index(path)
 
     def sample_level(lvl: int, rng: np.random.Generator) -> np.ndarray:
         if not 0 <= lvl <= top:
@@ -306,9 +347,9 @@ def make_longpath(n: int, k: int) -> Benchmark:
 
     return Benchmark(
         n=n,
-        fitness=fitness,
-        is_optimum=lambda x: x == optimum,
-        level=level,
+        fitness=index,  # -1 off path, else the (distinct, increasing) index
+        is_optimum=_equals(pack_words(path.points[-1])),
+        level=lambda x: np.maximum(index(x), 0),  # off-path points share level 0 with the start
         top_level=top,
         sample_level=sample_level,
         path=path,

@@ -68,9 +68,17 @@ def _check_start(start: np.ndarray, m: int) -> np.ndarray:
     start = np.asarray(start, dtype=float)
     if start.shape != (m,):
         raise ValueError(f"start distribution must have length {m}")
-    if np.any(start < -DIST_TOL) or abs(start.sum() - 1.0) > DIST_TOL:
+    if not (np.all(start >= -DIST_TOL) and abs(start.sum() - 1.0) <= DIST_TOL):  # NaN fails too
         raise ValueError("start must be a probability distribution over the levels")
     return start
+
+
+def _finite(total: float, p: np.ndarray) -> float:
+    """A bound's sum of v_i / p_i terms, or one error: with finite, validated
+    inputs only an overflow leaves it infinite (or 0 * inf, NaN)."""
+    if not math.isfinite(total):
+        raise ValueError(f"sum v_i/p_i overflows a double (smallest leave probability {float(p.min())!r})")
+    return total
 
 
 def _level_sum(p: np.ndarray, v: np.ndarray, kind: str, theorem: str) -> BoundResult:
@@ -81,11 +89,9 @@ def _level_sum(p: np.ndarray, v: np.ndarray, kind: str, theorem: str) -> BoundRe
         raise ValueError(f"visit probabilities must have length {len(p)}")
     if not np.all((v >= -DIST_TOL) & (v <= 1.0 + DIST_TOL)):  # the tolerance of a start law; NaN fails
         raise ValueError("visit probabilities must lie in [0, 1]")
-    with np.errstate(over="ignore"):  # reported below as one error, with no warning
+    with np.errstate(over="ignore"):  # reported by _finite as one error, with no warning
         total = float(np.sum(v / p))
-    if not math.isfinite(total):  # finite inputs: only an overflow
-        raise ValueError(f"sum v_i/p_i overflows a double (smallest leave probability {float(p.min())!r})")
-    return BoundResult(total, kind, theorem)
+    return BoundResult(_finite(total, p), kind, theorem)
 
 
 def flm_upper_classic(p: np.ndarray) -> BoundResult:
@@ -155,8 +161,9 @@ def flm_lower_viscosity(
     the transition split, row sums 1 and gamma_{i,j} >= chi * tail, the
     expected time is at least sum_i start_i * chi * sum_{j>=i} 1/p_j."""
     p, start, violations = _check_viscosity(p, gamma, chi, start, "lower")
-    value = float(chi * np.sum(start[:-1] * _tails(1.0 / p)))
-    return BoundResult(value, "lower", "flm-lower-viscosity", violations)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite
+        value = float(chi * np.sum(start[:-1] * _tails(1.0 / p)))
+    return BoundResult(_finite(value, p), "lower", "flm-lower-viscosity", violations)
 
 
 def flm_upper_viscosity(
@@ -166,10 +173,11 @@ def flm_upper_viscosity(
     gamma_{i,j} <= chi * tail and (1-chi) p_j <= p_{j+1}, the expected time
     is at most sum_i start_i (1/p_i + chi * sum_{j>i} 1/p_j)."""
     p, start, violations = _check_viscosity(p, gamma, chi, start, "upper")
-    inv = 1.0 / p
-    tail_beyond = np.append(_tails(inv)[1:], 0.0)  # sum_{j>i} 1/p_j
-    value = float(np.sum(start[:-1] * (inv + chi * tail_beyond)))
-    return BoundResult(value, "upper", "flm-upper-viscosity", violations)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite
+        inv = 1.0 / p
+        tail_beyond = np.append(_tails(inv)[1:], 0.0)  # sum_{j>i} 1/p_j
+        value = float(np.sum(start[:-1] * (inv + chi * tail_beyond)))
+    return BoundResult(_finite(value, p), "upper", "flm-upper-viscosity", violations)
 
 
 def flm_lower_visit(p_upper: np.ndarray, v_lower: np.ndarray) -> BoundResult:

@@ -226,7 +226,7 @@ def _resolve_start(start: Union[StartSpec, np.ndarray], n: int) -> np.ndarray:
 def jump_fitness_order(n: int, k: int) -> list[int]:
     """Ones-counts ordered by increasing jump fitness: the gap classes from
     worst (n-1 ones) to best (n-k+1 ones), then 0..n-k, then the optimum."""
-    return sorted(range(n + 1), key=lambda a: jump_fitness_of_ones(a, n, k))
+    return np.argsort(jump_fitness_of_ones(np.arange(n + 1), n, k)).tolist()  # distinct values
 
 
 def jump_level_matrix(n: int, k: int, p: float, start: Union[StartSpec, np.ndarray] = "random") -> LevelChain:
@@ -434,9 +434,10 @@ def full_state_expected_time(
         raise ValueError(f"mutation rate must be in (0, 1), got {p}")
     size = 2**n
     # state s is the bit string packed into s (bit i is position i)
-    fitness = np.array([benchmark.fitness(s) for s in range(size)], dtype=float)
-    optimal = np.array([bool(benchmark.is_optimum(s)) for s in range(size)])
-    levels = np.array([benchmark.level(s) for s in range(size)], dtype=int)
+    states = np.arange(size, dtype=np.uint64)[:, None]
+    fitness = benchmark.fitness(states).astype(float)
+    optimal = benchmark.is_optimum(states)
+    levels = benchmark.level(states)
     classes, counts = np.unique(fitness[~optimal], return_counts=True)
     need = FULL_STATE_BLOCK_ROWS * 8 * int(counts.max(initial=0)) * size  # the largest class's block
     _check_dense_bytes(need, f"full-state oracle at n={n}")

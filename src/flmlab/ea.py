@@ -1,60 +1,188 @@
-"""The (1+1) EA engine: bit strings, standard bit mutation, the elitist loop.
+"""The (1+1) EA engine: a block of independent runs that step in lockstep.
 
-Start strings are numpy uint8 arrays with entries in {0, 1}.  The loop packs
-the start string once into a Python int (bit i is position i, as
-``benchmarks.pack`` does) and mutates it by XOR, so every evaluation works
-on an immutable int.
+A block holds ``lanes`` runs of one benchmark at one mutation rate.  Their
+current strings live in one ``(lanes, W)`` uint64 array (``W = ceil(n/64)``
+words per string, packed as by ``benchmarks.pack_words``), and each iteration
+mutates, evaluates and selects every lane with a few numpy calls on whole
+arrays.  A lane that reaches the optimum leaves the block; the others go on.
+
+Standard bit mutation for many iterations of every lane is drawn at once:
+the flipped positions of the flat ``(steps, lanes, n)`` bit cube form a
+Bernoulli(p) process, drawn as cumulative geometric gaps, so every bit of
+every offspring flips independently with probability p.  ``BUFFER_BYTES``
+bounds every buffer the engine allocates per block, lane strings aside when
+one string alone is larger.  ``run_ea`` is the same engine with one lane.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from .benchmarks import pack
+from .benchmarks import pack_words, word_count
 
-__all__ = ["RunResult", "uniform_random_bitstring", "run_ea"]
+__all__ = ["BlockResult", "RunResult", "block_lanes", "flip_masks", "refill_steps", "run_block", "run_ea",
+           "uniform_random_words"]
 
 DEFAULT_MAX_ITERATIONS = 10**9
-_BLOCK = 1024  # variates drawn per call to the generator
-_REJECTION_LIMIT = 8  # largest flip count drawn from the uniform index stream
+BUFFER_BYTES = 1 << 18  # the size bound of each engine buffer
 
 
-def uniform_random_bitstring(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a bit string of length n with each bit 1 independently w.p. 1/2."""
+def block_lanes(n: int) -> int:
+    """Lanes per block: as many as leave room in the buffer for the masks of
+    32 iterations, and at least one."""
+    return max(1, BUFFER_BYTES // (8 * 32 * word_count(n)))
+
+
+def refill_steps(n: int, p: float, lanes: int) -> int:
+    """Iterations one draw of masks serves: the masks fill at most the buffer,
+    and so do the expected ``steps * lanes * n * p`` gap draws (at least one)."""
+    masks = BUFFER_BYTES // (8 * word_count(n) * lanes)
+    gaps = BUFFER_BYTES / (8 * lanes * n * p)  # inf for a rate that rounds n p to 0
+    return max(1, int(min(masks, gaps)))
+
+
+def _gap_chunk(expected: float) -> int:
+    """Gaps drawn at once: enough to pass the expected count with room to
+    spare, and few enough that the five arrays of their size alive at once
+    in ``flip_masks`` fit in the buffer."""
+    return int(min(BUFFER_BYTES // 64, expected + 4.0 * math.sqrt(expected) + 16.0))
+
+
+def flip_masks(steps: int, lanes: int, n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Standard bit mutation masks for ``steps`` iterations of ``lanes`` runs
+    on n bits: a ``(steps, lanes, W)`` uint64 array, bit set = bit flipped.
+
+    The flipped positions of the flat ``(steps, lanes, n)`` bit cube are a
+    Bernoulli(p) process: positions are cumulative ``Generator.geometric(p)``
+    gaps, drawn in chunks until they pass the cube's end.  Positions are
+    distinct and every bit flips independently with probability p.
+    """
+    words = word_count(n)
+    masks = np.zeros(steps * lanes * words, dtype=np.uint64)
+    total = steps * lanes * n
+    last = -1  # the last flipped position drawn
+    while last < total - 1:
+        flips = rng.geometric(p, size=_gap_chunk((total - 1 - last) * p))
+        np.minimum(flips, total + 1, out=flips)  # a gap past the end leads past the end
+        np.cumsum(flips, out=flips)
+        flips += last
+        last = int(flips[-1])
+        string, bit = np.divmod(flips[: np.searchsorted(flips, total)], n)
+        string *= words
+        string += bit >> 6  # the word of each flip
+        bit &= 63
+        # positions are distinct, so adding their bits into a word ORs them
+        np.add.at(masks, string, np.left_shift(np.uint64(1), bit.view(np.uint64)))
+    return masks.reshape(steps, lanes, words)
+
+
+def uniform_random_words(lanes: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``lanes`` packed n-bit strings with each bit 1 independently w.p. 1/2."""
     if n < 1:
         raise ValueError(f"bit string length must be >= 1, got {n}")
-    return rng.integers(0, 2, size=n, dtype=np.uint8)
+    x = rng.integers(0, 2**64, size=(lanes, word_count(n)), dtype=np.uint64)
+    if n % 64:
+        x[:, -1] &= np.uint64((1 << (n % 64)) - 1)
+    return x
 
 
-def _flip_sets(n: int, p: float, rng: np.random.Generator) -> Iterator[int]:
-    """The positions standard bit mutation flips, one XOR mask per iteration.
+@dataclass
+class BlockResult:
+    """Outcome of a block of runs.
 
-    The flip count is Binomial(n, p), so each bit flips independently with
-    probability p.  Counts come from blocks of binomial variates; the
-    positions of up to 8 flips (at most n/2, or the one flip of n <= 3) come
-    from blocks of uniform indices with duplicates rejected, larger counts
-    from Generator.choice.  Every block is drawn when its first value is
-    needed, so the stream is fully determined by the generator's state.
+    ``runtimes`` and ``hits`` hold each run's iteration count and optimum
+    flag.  Per level, ``visits`` counts the runs that were at the level,
+    ``leaves`` the runs that left it and ``iterations`` the iterations spent
+    there.  A run's sojourn at the optimum is 0; a run stopped by the
+    iteration cap is at its last level and never left it.
     """
 
-    def blocks(draw) -> Iterator[int]:
-        while True:
-            yield from draw().tolist()
+    runtimes: np.ndarray
+    hits: np.ndarray
+    visits: np.ndarray
+    leaves: np.ndarray
+    iterations: np.ndarray
 
-    limit = min(_REJECTION_LIMIT, max(n // 2, 1))
-    indices = blocks(lambda: rng.integers(0, n, size=_BLOCK))
-    for count in blocks(lambda: rng.binomial(n, p, size=_BLOCK)):
-        mask = 0
-        if count <= limit:
-            while mask.bit_count() < count:  # a repeated index sets no new bit
-                mask |= 1 << next(indices)
-        else:
-            for pos in rng.choice(n, size=count, replace=False, shuffle=False).tolist():
-                mask |= 1 << pos
-        yield mask
+
+def run_block(
+    benchmark,
+    rate: float,
+    rng: np.random.Generator,
+    starts: np.ndarray,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+) -> BlockResult:
+    """Run the (1+1) EA from each packed start string, all in lockstep.
+
+    Each iteration mutates every unfinished lane with rate ``rate`` and
+    accepts its offspring iff the fitness is not worse.  A lane stops on
+    reaching the top level, which holds the optimum alone, or after
+    ``max_iterations`` iterations (flagged ``hits = False``).  A lane's level
+    is read only when its fitness strictly rises: in every family equal
+    fitness means equal level.  The buffers grow with ``len(starts)``;
+    ``block_lanes`` keeps them within ``BUFFER_BYTES``.
+    """
+    if not 0.0 < rate < 1.0:
+        raise ValueError(f"mutation rate must be in (0, 1), got {rate}")
+    n, top = benchmark.n, benchmark.top_level
+    fitness, level = benchmark.fitness, benchmark.level
+    x = np.array(starts, dtype=np.uint64)
+    lanes = len(x)
+    runtimes = np.full(lanes, max_iterations, dtype=np.int64)
+    hits = np.zeros(lanes, dtype=bool)
+    visits, leaves, iterations = np.zeros((3, top + 1), dtype=np.int64)
+
+    fx = fitness(x)
+    at = level(x)
+    np.add.at(visits, at, 1)
+    lane = np.flatnonzero(at != top)  # the unfinished lanes, by index in the block
+    runtimes[at == top] = 0
+    hits[at == top] = True
+    x, fx, at = x[lane], fx[lane], at[lane]
+    since = np.zeros(len(lane), dtype=np.int64)  # the iteration each lane entered its level
+
+    t = 0
+    while len(lane) and t < max_iterations:
+        masks = flip_masks(refill_steps(n, rate, len(lane)), len(lane), n, rate, rng)
+        left, stays, entered = [], [], []  # the level changes of this refill
+        for step in range(min(len(masks), max_iterations - t)):  # the cap does not change the stream
+            t += 1
+            y = x ^ masks[step]
+            fy = fitness(y)
+            np.copyto(x, y, where=(fy >= fx)[:, None])
+            rise = (fy > fx).nonzero()[0]
+            if not len(rise):
+                continue
+            np.maximum(fx, fy, out=fx)
+            new = level(y[rise])
+            moved = new != at[rise]
+            who, new = rise[moved], new[moved]
+            if not len(who):
+                continue
+            left.append(at[who])
+            stays.append(t - since[who])
+            entered.append(new)
+            at[who] = new
+            since[who] = t
+            done = new == top
+            if done.any():
+                runtimes[lane[who[done]]] = t
+                hits[lane[who[done]]] = True
+                keep = at != top
+                x, fx, at, since, lane = x[keep], fx[keep], at[keep], since[keep], lane[keep]
+                masks = masks[:, keep]
+                if not len(lane):
+                    break
+        if left:
+            left = np.concatenate(left)
+            np.add.at(leaves, left, 1)
+            np.add.at(iterations, left, np.concatenate(stays))
+            np.add.at(visits, np.concatenate(entered), 1)
+    np.add.at(iterations, at, t - since)  # lanes stopped by the cap
+    return BlockResult(runtimes, hits, visits, leaves, iterations)
 
 
 @dataclass
@@ -79,56 +207,21 @@ def run_ea(
     initial: Optional[np.ndarray] = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> RunResult:
-    """Run the (1+1) EA on ``benchmark`` until its optimum predicate holds.
+    """One run of the (1+1) EA on ``benchmark``: ``run_block`` with one lane.
 
-    Each iteration mutates the current individual with rate ``rate`` and
-    accepts the offspring iff its fitness is not worse; the run starts from
-    ``initial`` or a uniform random string and records the sojourn at each
-    ``benchmark.level``.  If ``max_iterations`` is exhausted the result is
-    flagged ``hit_optimum=False`` with the partial trace; no exception is
-    raised.
+    The run starts from ``initial`` (a uint8 bit string, left unmodified) or
+    a uniform random string.  A run never returns to a level it left, so the
+    block's per-level counts are the run's trace.  If ``max_iterations`` is
+    exhausted the result is flagged ``hit_optimum=False`` with the partial
+    trace; no exception is raised.
     """
-    if not 0.0 < rate < 1.0:
-        raise ValueError(f"mutation rate must be in (0, 1), got {rate}")
     n = benchmark.n
-    start = uniform_random_bitstring(n, rng) if initial is None else np.asarray(initial, dtype=np.uint8)
-    if len(start) != n:
+    if initial is None:
+        start = uniform_random_words(1, n, rng)
+    elif len(initial) != n:
         raise ValueError("initial individual has wrong length")
-    x = pack(start)
-    fitness = benchmark.fitness
-    is_optimum = benchmark.is_optimum
-    level_fn = benchmark.level
-    fx = fitness(x)
-    level = level_fn(x)
-    trace: list[tuple[int, int]] = []
-    if is_optimum(x):
-        trace.append((level, 0))
-        return RunResult(0, True, trace)
-
-    masks = _flip_sets(n, rate, rng)
-    iterations = 0
-    level_iters = 0
-    while iterations < max_iterations:
-        iterations += 1
-        level_iters += 1
-        mask = next(masks)
-        if not mask:
-            continue  # offspring equals parent: accepted, nothing changes
-        y = x ^ mask
-        fy = fitness(y)
-        if fy >= fx:
-            x = y
-            fx = fy
-            new_level = level_fn(x)
-            if new_level != level:
-                if new_level < level:
-                    raise RuntimeError(f"level function not fitness-compatible: {level} -> {new_level}")
-                trace.append((level, level_iters))
-                level = new_level
-                level_iters = 0
-            if is_optimum(x):
-                trace.append((level, level_iters))
-                return RunResult(iterations, True, trace)
-
-    trace.append((level, level_iters))
-    return RunResult(iterations, False, trace)
+    else:
+        start = pack_words(initial)
+    block = run_block(benchmark, rate, rng, start, max_iterations)
+    trace = [(int(lvl), int(block.iterations[lvl])) for lvl in np.flatnonzero(block.visits)]
+    return RunResult(int(block.runtimes[0]), bool(block.hits[0]), trace)

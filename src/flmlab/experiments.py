@@ -1,9 +1,11 @@
 """Monte Carlo experiment harness and bound-vs-empirical comparison reports.
 
-Replicate r of an experiment draws its random stream from
-``SeedSequence(entropy=master_seed, spawn_key=(r,))`` — numpy's published
-entropy-mixing hash — and replicates run one after another in index order,
-so the same seed yields bit-identical statistics.  The module also owns the
+Replicates run in blocks of a fixed size (``ea.block_lanes(n)``, set by n
+alone), each block in lockstep through ``ea.run_block``.  Block b draws its
+start strings and then its mutations from
+``SeedSequence(entropy=master_seed, spawn_key=(b,))`` — numpy's published
+entropy-mixing hash — and blocks run one after another in index order, so
+the same seed yields bit-identical statistics.  The module also owns the
 ``--init`` grammar shared by the Monte Carlo runs and the exact oracles.
 """
 
@@ -15,9 +17,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .benchmarks import Benchmark, make_benchmark
+from .benchmarks import Benchmark, make_benchmark, pack_words
 from .bounds import BoundResult
-from .ea import DEFAULT_MAX_ITERATIONS, RunResult, run_ea
+from .ea import DEFAULT_MAX_ITERATIONS, BlockResult, block_lanes, run_block, uniform_random_words
+from .ea import run_ea  # noqa: F401  (the one-run form of the engine, re-exported beside run_block)
 
 __all__ = [
     "ExperimentConfig",
@@ -118,9 +121,9 @@ class RunStatistics:
         }
 
 
-def replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
-    """The dedicated random stream of one replicate."""
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate,))
+def replicate_rng(master_seed: int, block: int) -> np.random.Generator:
+    """The dedicated random stream of one block of replicates."""
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(block,))
     return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -140,48 +143,41 @@ def _parse_init(init: str, n: int, point: bool = True) -> Union[str, int, np.nda
     raise ValueError(f"init must be {forms}, got {init!r}")
 
 
-def _run_replicate(
-    benchmark: Benchmark, rate: float, config: ExperimentConfig, replicate: int, start
-) -> RunResult:
-    rng = replicate_rng(config.master_seed, replicate)
+def _block_starts(benchmark: Benchmark, start, lanes: int, rng: np.random.Generator) -> np.ndarray:
+    """The packed start strings of one block for a parsed ``--init``."""
     if isinstance(start, str):
-        initial = None
-    elif isinstance(start, int):
-        initial = benchmark.sample_level(start, rng)
-    else:
-        initial = start
-    return run_ea(benchmark, rate, rng, initial=initial, max_iterations=config.max_iterations)
+        return uniform_random_words(lanes, benchmark.n, rng)
+    if isinstance(start, int):
+        return pack_words(np.array([benchmark.sample_level(start, rng) for _ in range(lanes)]))
+    return np.repeat(pack_words(start), lanes, axis=0)
 
 
 def run_experiment(config: ExperimentConfig) -> RunStatistics:
-    """Execute the configured replicates in index order and merge them."""
+    """Execute the configured replicates block by block and merge them."""
     # the rate before the benchmark, so a bad n is reported as such
     rate = resolve_mutation_rate(config.mutation_rate, config.n)
     benchmark = make_benchmark(config.benchmark, config.n, config.k)
     start = _parse_init(config.init, config.n)
-    results = [_run_replicate(benchmark, rate, config, r, start) for r in range(config.replicates)]
-    return aggregate_results(results, benchmark.level_count)
+    lanes = block_lanes(config.n)
+    blocks = []
+    for block, first in enumerate(range(0, config.replicates, lanes)):
+        rng = replicate_rng(config.master_seed, block)
+        starts = _block_starts(benchmark, start, min(lanes, config.replicates - first), rng)
+        blocks.append(run_block(benchmark, rate, rng, starts, config.max_iterations))
+    return aggregate_results(blocks)
 
 
-def aggregate_results(results: Sequence[RunResult], level_count: int) -> RunStatistics:
-    """Merge per-replicate results (in the given order) into statistics."""
-    n_rep = len(results)
-    runtimes = np.array([res.runtime for res in results], dtype=np.int64)
-    hits = np.array([res.hit_optimum for res in results], dtype=bool)
+def aggregate_results(blocks: Sequence[BlockResult]) -> RunStatistics:
+    """Merge block results (in the given order) into statistics."""
+    runtimes = np.concatenate([block.runtimes for block in blocks])
+    hits = np.concatenate([block.hits for block in blocks])
+    visits = sum(block.visits for block in blocks)
+    leaves = sum(block.leaves for block in blocks)
+    iters = sum(block.iterations for block in blocks)
+    n_rep = len(runtimes)
     mean = float(np.mean(runtimes))
     variance = float(np.var(runtimes, ddof=1)) if n_rep > 1 else 0.0
     half = Z_99 * float(np.sqrt(variance / n_rep))
-
-    visits = np.zeros(level_count, dtype=np.int64)
-    leaves = np.zeros(level_count, dtype=np.int64)
-    iters = np.zeros(level_count, dtype=np.int64)
-    for res in results:
-        trace = res.level_trace
-        for pos, (level, spent) in enumerate(trace):
-            visits[level] += 1
-            iters[level] += spent
-            if pos < len(trace) - 1:  # every entry except the final one was left
-                leaves[level] += 1
 
     with np.errstate(invalid="ignore", divide="ignore"):
         leave_rate = np.where(iters > 0, leaves / np.maximum(iters, 1), 0.0)

@@ -41,6 +41,13 @@ __all__ = [
 ]
 
 
+def _finite(value: float, quantity: str) -> float:
+    """``value``, or one error naming the quantity that overflows a double."""
+    if not math.isfinite(value):
+        raise ValueError(f"{quantity} overflows a double")
+    return value
+
+
 def e_n_factor(n: int) -> float:
     """The reciprocal one-bit-survival factor (1 - 1/n)^-(n-1).
 
@@ -62,7 +69,11 @@ def leadingones_exact(n: int, p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"mutation rate must be in (0, 1), got {p}")
     # 0.5 * (1/p) * (r^n - 1)/(r - 1) with r = 1/(1-p)
-    return 0.5 * math.expm1(-n * math.log1p(-p)) * (1.0 - p) / (p * p)
+    try:
+        value = 0.5 * math.expm1(-n * math.log1p(-p)) * (1.0 - p) / (p * p)
+    except OverflowError:
+        value = math.inf
+    return _finite(value, f"LeadingOnes expected runtime at n={n}, p={p!r}")
 
 
 def leadingones_leave_probs(n: int, p: float) -> np.ndarray:
@@ -239,18 +250,29 @@ def longpath_level_visit_lower(n: int, k: int, p: float) -> float:
     of :func:`longpath_visit_lower` times the no-shortcut factor
     (1 - m (p/(1-p))^(k-1))^m of :func:`longpath_lower_bound`, clamped at 0."""
     _check_longpath_params(n, k, p)
-    m = float(long_k_path_length(n, k) - 1)
+    m = _positive_points(n, k)
     return longpath_visit_lower(p) * max(0.0, 1.0 - m * (p / (1.0 - p)) ** (k - 1)) ** m
 
 
+def _positive_points(n: int, k: int) -> float:
+    """m = k 2^(n/k) - k, the path points of positive fitness, as a float."""
+    try:
+        return float(long_k_path_length(n, k) - 1)
+    except OverflowError:
+        raise ValueError(f"long k-path length k*2^(n/k) at n={n}, k={k} overflows a double") from None
+
+
 def _longpath_bound(n: int, k: int, p: float, survival_base: float) -> float:
-    m = float(long_k_path_length(n, k) - 1)  # positive-fitness points
+    m = _positive_points(n, k)
     base = max(0.0, survival_base)
     if base == 0.0 or p == 0.5:
         return 0.0
-    waiting = m * (1.0 - 2.0 * p) / (p * (1.0 - p) ** n)
+    try:
+        waiting = m * (1.0 - 2.0 * p) / (p * (1.0 - p) ** n)
+    except ZeroDivisionError:  # (1 - p)^n underflows
+        waiting = math.inf
     visit = (1.0 - 2.0 * p) / (1.0 - p)
-    return waiting * visit * base**m
+    return _finite(waiting * visit * base**m, f"long k-path bound at n={n}, k={k}, p={p!r}")
 
 
 def longpath_lower_bound(n: int, k: int, p: float) -> float:
@@ -258,7 +280,7 @@ def longpath_lower_bound(n: int, k: int, p: float) -> float:
     m (1-2p)/(p(1-p)^n) (1-2p)/(1-p) (1 - m (p/(1-p))^(k-1))^m, clamped at 0
     when the no-shortcut factor goes negative."""
     _check_longpath_params(n, k, p)
-    m = float(long_k_path_length(n, k) - 1)
+    m = _positive_points(n, k)
     return _longpath_bound(n, k, p, 1.0 - m * (p / (1.0 - p)) ** (k - 1))
 
 

@@ -16,6 +16,7 @@ from flmlab.benchmarks import (
     make_leadingones,
     make_onemax,
     pack,
+    pack_words,
 )
 
 
@@ -45,8 +46,13 @@ def all_bitstrings(n: int):
         yield np.array(tup, dtype=np.uint8)
 
 
+def all_words(n: int) -> np.ndarray:
+    """All 2^n strings, packed, in the order of all_bitstrings."""
+    return pack_words(np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.uint8))
+
+
 def fitness(kind: str, s: str, k=None) -> int:
-    return make_benchmark(kind, len(s), k).fitness(pack(bits(s)))
+    return int(make_benchmark(kind, len(s), k).fitness(pack_words(bits(s)))[0])
 
 
 def test_onemax_values():
@@ -75,11 +81,11 @@ def test_jump_fitness_rejects_bad_k():
 
 
 def test_make_benchmark_level_examples():
-    assert make_benchmark("onemax", 4).level(pack(bits("1010"))) == 2
+    assert make_benchmark("onemax", 4).level(pack_words(bits("1010")))[0] == 2
     jump_level = make_benchmark("jump", 4, 2).level
-    assert jump_level(pack(bits("1110"))) == 1  # gap class of fitness 1
-    assert jump_level(pack(bits("1100"))) == 2  # the non-gap region
-    assert jump_level(pack(bits("1111"))) == 3  # optimum on top
+    strings = pack_words(np.array([bits("1110"), bits("1100"), bits("1111")]))
+    # gap class of fitness 1, the non-gap region, the optimum on top
+    assert jump_level(strings).tolist() == [1, 2, 3]
 
 
 def test_unknown_kind_rejected():
@@ -109,8 +115,8 @@ def test_level_partition_fitness_compatible_exhaustive(kind, n, k):
     # over all 2^n points: the best fitness of a lower level must stay below
     # the worst fitness of any higher level (off-path points excluded)
     bm = make_benchmark(kind, n, k)
-    fitness = np.array([bm.fitness(pack(x)) for x in all_bitstrings(n)])
-    level = np.array([bm.level(pack(x)) for x in all_bitstrings(n)])
+    strings = all_words(n)
+    fitness, level = bm.fitness(strings), bm.level(strings)
     keep = fitness >= 0
     fitness, level = fitness[keep], level[keep]
     present = np.unique(level)
@@ -122,21 +128,16 @@ def test_level_partition_fitness_compatible_exhaustive(kind, n, k):
 
 @pytest.mark.parametrize("n", [6, 9, 12])
 def test_only_optimum_on_top_level(n):
+    strings = all_words(n)
     for bm in (make_onemax(n), make_leadingones(n), make_jump(n, 3)):
-        for x in all_bitstrings(n):
-            assert bm.is_optimum(pack(x)) == (bm.level(pack(x)) == bm.top_level)
+        assert np.array_equal(bm.is_optimum(strings), bm.level(strings) == bm.top_level)
 
 
 @pytest.mark.parametrize("n", list(range(2, 15)))
 def test_jump_unique_maximum_at_all_ones(n):
     for k in (1, 2, min(3, n)):
-        bm = make_benchmark("jump", n, k)
-        values = {}
-        for x in all_bitstrings(n):
-            values[x.tobytes()] = bm.fitness(pack(x))
-        top = max(values.values())
-        winners = [key for key, val in values.items() if val == top]
-        assert winners == [np.ones(n, dtype=np.uint8).tobytes()]
+        values = make_benchmark("jump", n, k).fitness(all_words(n))
+        assert np.flatnonzero(values == values.max()).tolist() == [2**n - 1]  # the all-ones string
 
 
 def test_sample_level_uniform_members(rng):
@@ -144,11 +145,11 @@ def test_sample_level_uniform_members(rng):
     for level in range(1, bm.top_level + 1):
         for _ in range(20):
             x = bm.sample_level(level, rng)
-            assert bm.level(pack(x)) == level
+            assert bm.level(pack_words(x))[0] == level
     lo = make_leadingones(7)
     for level in range(lo.top_level + 1):
         for _ in range(20):
-            assert lo.level(pack(lo.sample_level(level, rng))) == level
+            assert lo.level(pack_words(lo.sample_level(level, rng)))[0] == level
 
 
 def test_jump_level_k_sampler_weights_ones_counts_binomially(rng):
@@ -220,19 +221,111 @@ EXHAUSTIVE_CASES = (
 )
 
 
+def _int_reference(kind, n, k, path=None):
+    """(fitness, level, is_optimum) of a string packed into a Python int (see
+    ``pack``): the integer callables the benchmarks had before they took
+    packed word arrays."""
+    optimum = (1 << n) - 1
+
+    def leading_ones(x: int) -> int:
+        return (~x & (x + 1)).bit_length() - 1  # ~x & (x + 1) isolates the lowest zero bit
+
+    def jump(x: int) -> int:
+        ones = x.bit_count()
+        return ones + k if ones <= n - k or ones == n else n - ones
+
+    def jump_level(x: int) -> int:
+        ones = x.bit_count()
+        return k + 1 if ones == n else n - ones if ones > n - k else k
+
+    if kind == "longpath":
+        index_of = path.index_of
+        optimum = max(index_of, key=index_of.get)
+        return (lambda x: index_of.get(x, -1)), (lambda x: index_of.get(x, 0)), lambda x: x == optimum
+    if kind == "jump":
+        return jump, jump_level, lambda x: x == optimum
+    if kind == "leadingones":
+        return leading_ones, leading_ones, lambda x: x == optimum
+    return int.bit_count, int.bit_count, lambda x: x == optimum
+
+
+def assert_matches_int_reference(kind, n, k, strings: np.ndarray, bm=None) -> None:
+    """The array callables on the rows of a uint8 array equal the integer
+    callables on each row packed into an int."""
+    bm = make_benchmark(kind, n, k) if bm is None else bm
+    packed = pack_words(strings)
+    codes = [pack(x) for x in strings]
+    for array_fn, int_fn in zip((bm.fitness, bm.level, bm.is_optimum), _int_reference(kind, n, k, bm.path)):
+        assert array_fn(packed).tolist() == [int_fn(code) for code in codes]
+
+
+@pytest.mark.parametrize("kind,n,k", EXHAUSTIVE_CASES)
+def test_array_callables_match_int_callables_exhaustive(kind, n, k):
+    assert_matches_int_reference(kind, n, k, np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.uint8))
+
+
+def edge_strings(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random strings, all-ones, all-zeros, and strings whose first words are
+    full and whose leading ones end just before, at and after a word edge."""
+    rows = [np.ones(n), np.zeros(n)]
+    for ones in sorted({0, 1, 63, 64, 65, 127, 128, 129, n - 1, n} & set(range(n + 1))):
+        x = rng.integers(0, 2, size=n)
+        x[:ones] = 1
+        if ones < n:
+            x[ones] = 0
+        rows.append(x)
+    rows.extend(rng.integers(0, 2, size=(40, n)))
+    return np.array(rows, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 100, 128, 130, 200])
+@pytest.mark.parametrize("kind,k", [("onemax", None), ("leadingones", None), ("jump", 1), ("jump", 3)])
+def test_array_callables_match_int_callables_across_word_edges(kind, n, k, rng):
+    k = None if k is None else min(k, n)
+    assert_matches_int_reference(kind, n, k, edge_strings(n, rng))
+
+
+def test_long_path_array_callables_match_int_callables_on_two_words(rng):
+    # n = 68: every point spans two words; on-path points, their Hamming
+    # neighbours (mostly off the path), and random strings
+    n, k = 68, 4
+    bm = make_benchmark("longpath", n, k)
+    path = np.array(bm.path.points)
+    picks = path[rng.choice(len(path), size=60, replace=False)]
+    neighbours = picks.copy()
+    neighbours[np.arange(60), rng.integers(0, n, size=60)] ^= 1
+    strings = np.concatenate([path[:3], path[-3:], picks, neighbours, rng.integers(0, 2, size=(20, n), dtype=np.uint8)])
+    assert_matches_int_reference("longpath", n, k, strings, bm)
+    on_path = bm.fitness(pack_words(strings)) >= 0
+    assert 0 < on_path.sum() < len(strings)
+
+
+def test_pack_words_layout():
+    # position i at bit i % 64 of word i // 64, bits from n up clear
+    x = np.zeros((2, 130), dtype=np.uint8)
+    x[0, [0, 63, 64, 129]] = 1
+    x[1] = 1
+    words = pack_words(x)
+    assert words.dtype == np.uint64 and words.shape == (2, 3)
+    assert words[0].tolist() == [1 | 1 << 63, 1, 2]
+    assert words[1].tolist() == [2**64 - 1, 2**64 - 1, 3]
+    assert np.array_equal(pack_words(x[0]), words[:1])
+
+
 @pytest.mark.parametrize("kind,n,k", EXHAUSTIVE_CASES)
 def test_packed_callables_match_array_functions_exhaustive(kind, n, k):
     # every one of the 2^n strings, off-path points of a long k-path included
     bm = make_benchmark(kind, n, k)
     ref_fitness, ref_level, ref_optimum = _array_reference(kind, n, k)
+    strings = all_words(n)
+    fitness, level, optimum = bm.fitness(strings), bm.level(strings), bm.is_optimum(strings)
     off_path = 0
-    for x in all_bitstrings(n):
-        code = pack(x)
-        assert bm.fitness(code) == ref_fitness(x)
-        assert bm.level(code) == ref_level(x)
-        assert bm.is_optimum(code) == ref_optimum(x)
+    for i, x in enumerate(all_bitstrings(n)):
+        assert fitness[i] == ref_fitness(x)
+        assert level[i] == ref_level(x)
+        assert optimum[i] == ref_optimum(x)
         if kind == "longpath":
-            assert bm.path.index_of.get(code, -1) == ref_fitness(x)
+            assert bm.path.index_of.get(pack(x), -1) == ref_fitness(x)
             off_path += ref_fitness(x) < 0
     if kind == "longpath":
         assert off_path == 2**n - len(bm.path) > 0

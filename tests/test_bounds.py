@@ -52,6 +52,27 @@ def test_level_sum_rejects_nan_inputs():
         flm_lower_visit([0.5, 0.5], [np.nan, 1.0])
 
 
+VISCOSITY_GAMMA = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+
+
+def test_viscosity_overflow_is_one_error_naming_the_smallest_rate():
+    # a subnormal rate: the level sum's one-line error, no RuntimeWarning
+    for bound in (flm_lower_viscosity, flm_upper_viscosity):
+        with pytest.raises(ValueError, match=r"sum v_i/p_i overflows a double") as info:
+            bound([1e-320, 0.5], VISCOSITY_GAMMA, 0.5, [1.0, 0.0, 0.0])
+        assert "smallest leave probability 1e-320" in str(info.value)
+        assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("start", [[np.nan, 1.0, 0.0], [0.5, np.nan, 0.5], [np.nan] * 3])
+def test_viscosity_and_classic_bounds_reject_nan_start(start):
+    for bound in (flm_lower_viscosity, flm_upper_viscosity):
+        with pytest.raises(ValueError, match="start must be a probability distribution"):
+            bound([0.5, 0.5], VISCOSITY_GAMMA, 0.5, start)
+    with pytest.raises(ValueError, match="start must be a probability distribution"):
+        flm_lower_classic([0.5, 0.5], start)
+
+
 def test_upper_classic_dominates_exact_onemax():
     chain = onemax_level_matrix(8, 1 / 8, start=0)
     overall, _ = expected_hitting_time(chain)

@@ -249,7 +249,7 @@ def test_compare_fail_verdict_exits_3(monkeypatch, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("seed", ["1", "2", "4"])
+@pytest.mark.parametrize("seed", ["1", "3", "4"])
 def test_compare_visit_row_with_zero_frequency_passes(seed, capsys):
     # some OneMax level is never visited in 300 replicates; its empirical SE
     # is 0, so the row's slack comes from the bound's own binomial SE
@@ -365,6 +365,7 @@ def test_bounds_leadingones_overflow_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert err == "error: LeadingOnes expected runtime at n=100000, p=0.5 overflows a double\n"
 
 
 def test_bounds_longpath_overflow_exits_1(capsys):
@@ -373,6 +374,7 @@ def test_bounds_longpath_overflow_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert err == "error: long k-path length k*2^(n/k) at n=2400, k=2 overflows a double\n"
 
 
 def test_oracle_without_k_exits_1(capsys):

@@ -79,3 +79,13 @@ def test_cli_exit_contract(argv):
     assert elapsed < CASE_SECONDS, f"case took {elapsed:.1f} s"
     if code == 1:
         assert len(stderr.getvalue().splitlines()) == 1, stderr.getvalue()
+
+
+def test_simulate_a_million_bits_exits_0():
+    # the engine's buffers are bounded whatever n is: one lane per block, one
+    # iteration per draw of masks, gap draws in chunks (tests/test_ea.py)
+    argv = "simulate --benchmark onemax --n 1000000 --replicates 5 --max-iterations 3".split()
+    with contextlib.redirect_stdout(io.StringIO()) as stdout, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert '"timeouts": 5' in stdout.getvalue()

@@ -3,92 +3,112 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from flmlab.benchmarks import make_benchmark, make_leadingones, make_onemax
+from flmlab.benchmarks import make_benchmark, make_leadingones, make_onemax, pack_words, word_count
 from flmlab.chains import onemax_level_matrix
-from flmlab.ea import _flip_sets, run_ea, uniform_random_bitstring
+from flmlab.ea import (
+    BUFFER_BYTES,
+    _gap_chunk,
+    block_lanes,
+    flip_masks,
+    refill_steps,
+    run_block,
+    run_ea,
+    uniform_random_words,
+)
 from flmlab.formulas import leadingones_exact
 
 from conftest import chi2_pvalue, exact_binom_pmf
 
 
+def unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """Packed strings (the last axis holds the words) as uint8 bit rows of
+    length n, with the bits from n up checked to be clear."""
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
+    assert not bits[..., n:].any(), "a bit at or above n is set"
+    return bits[..., :n].reshape(-1, n)
+
+
 def test_uniform_bitstring_rejects_empty():
     with pytest.raises(ValueError):
-        uniform_random_bitstring(0, np.random.default_rng(0))
+        uniform_random_words(1, 0, np.random.default_rng(0))
 
 
 def test_uniform_bitstring_single_bit_frequency():
     rng = np.random.default_rng(11)
     draws = 10**5
-    ones = sum(int(uniform_random_bitstring(1, rng)[0]) for _ in range(draws))
+    ones = int(unpack(uniform_random_words(draws, 1, rng), 1).sum())
     sigma = math.sqrt(draws * 0.25)
     assert abs(ones - draws / 2) < 3 * sigma
 
 
 def test_uniform_bitstring_deterministic_for_fixed_seed():
-    first = uniform_random_bitstring(4, np.random.default_rng(99))
-    second = uniform_random_bitstring(4, np.random.default_rng(99))
+    first = uniform_random_words(3, 70, np.random.default_rng(99))
+    second = uniform_random_words(3, 70, np.random.default_rng(99))
     assert np.array_equal(first, second)
 
 
 def test_uniform_bitstring_ones_count_binomial():
     rng = np.random.default_rng(12)
-    counts = np.zeros(11, dtype=np.int64)
-    for _ in range(10**5):
-        counts[int(uniform_random_bitstring(10, rng).sum())] += 1
+    counts = np.bincount(unpack(uniform_random_words(10**5, 10, rng), 10).sum(axis=1), minlength=11)
     assert chi2_pvalue(counts, exact_binom_pmf(10, 0.5)) > 1e-3
 
 
-def draw_flip_masks(n, p, seed, count):
-    masks = _flip_sets(n, p, np.random.default_rng(seed))
-    return [next(masks) for _ in range(count)]
+@pytest.mark.parametrize(
+    "n,p,seed", [(1, 0.5, 13), (8, 1 / 8, 14), (30, 0.2, 15), (4, 0.9, 16), (65, 1 / 65, 17), (130, 0.05, 18)]
+)
+def test_flip_masks_bit_frequency_and_count_law(n, p, seed):
+    # 20 000 offspring: each bit flips w.p. p (a chi-square over the n bits'
+    # counts) and the flip count per offspring is Binomial(n, p)
+    flips = unpack(flip_masks(100, 200, n, p, np.random.default_rng(seed)), n)
+    draws = len(flips)
+    per_bit = flips.sum(axis=0)
+    statistic = np.sum((per_bit - draws * p) ** 2) / (draws * p * (1 - p))
+    assert stats.chi2.sf(statistic, df=n) > 1e-3
+    counts = np.bincount(flips.sum(axis=1), minlength=n + 1)
+    assert chi2_pvalue(counts, exact_binom_pmf(n, p)) > 1e-3
 
 
-def test_flip_count_binomial():
-    counts = np.zeros(9, dtype=np.int64)
-    for mask in draw_flip_masks(8, 1 / 8, 13, 10**5):
-        counts[mask.bit_count()] += 1
-    assert chi2_pvalue(counts, exact_binom_pmf(8, 1 / 8)) > 1e-3
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+@pytest.mark.parametrize("p", [0.5, 0.9])
+def test_flip_masks_set_no_bit_at_or_above_n(n, p):
+    masks = flip_masks(50, 7, n, p, np.random.default_rng(n))
+    assert masks.shape == (50, 7, word_count(n))
+    assert unpack(masks, n).any(axis=0).all()  # and every bit below n flips at some point
 
 
-@pytest.mark.parametrize("n,p", [(1, 0.5), (8, 1 / 8), (30, 0.2), (4, 0.9), (50, 0.5)])
-def test_flip_positions_distinct_and_in_range(n, p):
-    # a mask sets each flipped position once; a rejected duplicate would
-    # show as a deficit of set bits in test_flip_count_binomial
-    for mask in draw_flip_masks(n, p, 14, 5000):
-        assert type(mask) is int and 0 <= mask < 1 << n
-
-
-def test_flip_sets_exercise_every_branch():
-    # n = 4, p = 0.9: 1 and 2 flips by rejection from the index stream,
-    # 3 and 4 flips (more than n/2) by Generator.choice
-    sizes = {mask.bit_count() for mask in draw_flip_masks(4, 0.9, 15, 2000)}
-    assert {1, 2, 3, 4} <= sizes
-    # n = 30, p = 0.2: up to 8 flips by rejection, more by Generator.choice
-    sizes = {mask.bit_count() for mask in draw_flip_masks(30, 0.2, 16, 2000)}
-    assert {0, 1, 8, 9} <= sizes
-
-
-# SHA-256 of the first 2000 flip masks (one decimal "mask\n" line each) of seed
-# 2021, followed by the generator's next integers(0, 2**63) draw; recorded from
-# the position-list sampler's output converted to masks, so the engine's
-# random stream is unchanged
-FLIP_STREAM_DIGESTS = {
-    (100, 1 / 100): "02f8181e0f3c97819bac430dc6636d4ea5309c125a513d079102214cbc764c49",
-    (10, 0.3): "449a343be111ff0267d61869ae77b86b904373edf140e41d4a6a2e89598b86c3",
-    (30, 0.5): "59799e8f105f219352d5ed1ae49924cf581422a1cb37f413f7c17651fae3be9c",
+# SHA-256 of flip_masks(100, 20, n, p) from seed 2021 (2000 offspring, as
+# bytes), followed by the generator's next integers(0, 2**63) draw
+FLIP_MASK_DIGESTS = {
+    (100, 1 / 100): "c58178e6e6b4d42939559a12ba22f0781eb4f45d85483ed97545761d24b07e04",
+    (10, 0.3): "c707513b6631a0836a5dbb9c8eea692c0fb5d5f1b9bc803177ad05b45c438a28",
+    (30, 0.5): "37dbae9853357deac860a6f1d05b191003a2282c3d8ddb32a4e215f2e209c68f",
 }
 
 
-@pytest.mark.parametrize("n,p", list(FLIP_STREAM_DIGESTS))
-def test_flip_stream_pinned(n, p):
+@pytest.mark.parametrize("n,p", list(FLIP_MASK_DIGESTS))
+def test_flip_masks_stream_pinned(n, p):
     rng = np.random.default_rng(2021)
-    masks = _flip_sets(n, p, rng)
-    digest = hashlib.sha256()
-    for _ in range(2000):
-        digest.update(f"{next(masks)}\n".encode())
+    digest = hashlib.sha256(flip_masks(100, 20, n, p, rng).astype("<u8").tobytes())
     digest.update(str(int(rng.integers(0, 2**63))).encode())
-    assert digest.hexdigest() == FLIP_STREAM_DIGESTS[(n, p)]
+    assert digest.hexdigest() == FLIP_MASK_DIGESTS[(n, p)]
+
+
+def test_engine_buffers_fit_the_budget_at_a_million_bits():
+    # the lanes, the masks of one refill and the five arrays of one chunk of
+    # gap draws each fit BUFFER_BYTES, although one step of one lane expects
+    # n p = 500 000 flips
+    n, p = 10**6, 0.5
+    lanes = block_lanes(n)
+    steps = refill_steps(n, p, lanes)
+    assert (lanes, steps) == (1, 1)
+    assert 8 * word_count(n) * lanes <= BUFFER_BYTES
+    assert 8 * word_count(n) * lanes * steps <= BUFFER_BYTES
+    assert 5 * 8 * _gap_chunk(steps * lanes * n * p) <= BUFFER_BYTES
+    for n, p in [(50, 1 / 50), (100, 0.5), (1000, 1e-9), (12, 0.9)]:
+        lanes = block_lanes(n)
+        assert 8 * word_count(n) * lanes * refill_steps(n, p, lanes) <= BUFFER_BYTES
 
 
 def test_run_ea_rejects_rate_outside_open_interval():
@@ -109,9 +129,7 @@ def test_run_ea_geometric_mean_on_single_bit():
     bm = make_onemax(1)
     rng = np.random.default_rng(21)
     runs = 10**5
-    runtimes = np.array([
-        run_ea(bm, 0.5, rng, initial=np.array([0], dtype=np.uint8)).runtime for _ in range(runs)
-    ])
+    runtimes = run_block(bm, 0.5, rng, np.zeros((runs, 1), dtype=np.uint64)).runtimes
     se = runtimes.std(ddof=1) / math.sqrt(runs)
     assert abs(runtimes.mean() - 2.0) < 3 * se
 
@@ -122,7 +140,7 @@ def test_run_ea_leadingones_mean_matches_closed_form():
     bm = make_leadingones(8)
     rng = np.random.default_rng(22)
     runs = 10**5
-    runtimes = np.fromiter((run_ea(bm, 1 / 8, rng).runtime for _ in range(runs)), dtype=np.int64)
+    runtimes = run_block(bm, 1 / 8, rng, uniform_random_words(runs, 8, rng)).runtimes
     se = runtimes.std(ddof=1) / math.sqrt(runs)
     assert abs(runtimes.mean() - expected) < 3 * se
 
@@ -158,20 +176,21 @@ def test_level_trace_strictly_increasing_and_sums_to_runtime():
 
 
 def test_fitness_nondecreasing_over_iterations():
-    # observe every parent fitness through a wrapped benchmark: the last
-    # value before each call with a new individual is the accepted parent
+    # observe the parents through a wrapped benchmark: a one-lane run reads
+    # the level of the start and of each accepted offspring of higher fitness
     bm = make_leadingones(10)
     parents = []
-    inner_fitness = bm.fitness
+    inner_level, inner_fitness = bm.level, bm.fitness
 
-    def recording_is_optimum(x):
-        parents.append(inner_fitness(x))  # called exactly on accepted parents
-        return inner_fitness(x) == 10
+    def recording_level(x):
+        parents.extend(inner_fitness(x).tolist())
+        return inner_level(x)
 
-    bm.is_optimum = recording_is_optimum
+    bm.level = recording_level
     for seed in range(10):
         parents.clear()
-        run_ea(bm, 0.1, np.random.default_rng(seed))
+        result = run_ea(bm, 0.1, np.random.default_rng(seed))
+        assert parents[-1] == 10 and len(parents) == len(result.level_trace)
         assert all(b >= a for a, b in zip(parents, parents[1:]))
 
 
@@ -185,20 +204,47 @@ def test_run_ea_identical_for_same_seed():
 def test_sojourn_lengths_geometric_against_chain_rates():
     # exact leaving probabilities from the level chain are the oracle
     n, p = 10, 1 / 10
+    # the sojourns at a level are geometric with the chain's leave rate q, so
+    # their mean over the runs that visit it has SE sqrt((1 - q) / q^2 / visits)
     chain = onemax_level_matrix(n, p)
-    bm = make_onemax(n)
-    sojourns = {5: [], 7: []}
-    for seed in range(4000):
-        result = run_ea(bm, p, np.random.default_rng(10_000 + seed))
-        assert result.hit_optimum
-        for level, spent in result.level_trace[:-1]:
-            if level in sojourns:
-                sojourns[level].append(spent)
-    for level, samples in sojourns.items():
-        samples = np.array(samples, dtype=float)
-        expected = 1.0 / chain.leave_probs[level]
-        se = samples.std(ddof=1) / math.sqrt(len(samples))
-        assert abs(samples.mean() - expected) < 3 * se
+    rng = np.random.default_rng(10_000)
+    block = run_block(make_onemax(n), p, rng, uniform_random_words(4000, n, rng))
+    assert block.hits.all()
+    for level in (5, 7):
+        q = chain.leave_probs[level]
+        visits = block.visits[level]
+        assert block.leaves[level] == visits  # every run left it
+        se = math.sqrt((1.0 - q) / q**2 / visits)
+        assert abs(block.iterations[level] / visits - 1.0 / q) < 3 * se
+
+
+def test_iteration_cap_truncates_runs():
+    # the cap changes no random draw: a capped block is the uncapped block cut
+    # at the cap, and a lane that hits the optimum at the cap itself counts
+    bm = make_benchmark("jump", 8, 2)
+    starts = uniform_random_words(500, 8, np.random.default_rng(8))
+    free = run_block(bm, 1 / 8, np.random.default_rng(9), starts)
+    cap = int(np.median(free.runtimes))
+    capped = run_block(bm, 1 / 8, np.random.default_rng(9), starts, max_iterations=cap)
+    assert np.array_equal(capped.runtimes, np.minimum(free.runtimes, cap))
+    assert np.array_equal(capped.hits, free.runtimes <= cap)
+    assert np.any(free.runtimes == cap)
+
+
+def test_block_counts_account_for_every_iteration():
+    # hit lanes, lanes stopped by the cap and lanes starting at the optimum
+    bm = make_leadingones(70)
+    rng = np.random.default_rng(5)
+    starts = uniform_random_words(300, 70, rng)
+    starts[:3] = pack_words(np.ones(70, dtype=np.uint8))
+    starts[3:100] = pack_words(bm.sample_level(65, rng))
+    block = run_block(bm, 1 / 70, rng, starts, max_iterations=1500)
+    assert 0 < block.hits.sum() < 300 and block.runtimes[:3].tolist() == [0, 0, 0]
+    assert block.iterations.sum() == block.runtimes.sum()
+    assert block.visits[70] == block.hits.sum() and block.leaves[70] == 0
+    # each run leaves every level it visits except its last one
+    assert block.leaves.sum() == block.visits.sum() - 300
+    assert np.all(block.runtimes[~block.hits] == 1500)
 
 
 def _pinned_runs():
@@ -220,8 +266,8 @@ def _pinned_runs():
 
 
 # SHA-256 of the (runtime, hit_optimum, level_trace) triples of _pinned_runs,
-# recorded from the engine that worked on numpy arrays
-RUN_RESULTS_DIGEST = "59944e1c04d32caa33c2f0d1a693252db2a34f53cb59d7db2e6fa857407b04d1"
+# recorded from the lockstep block engine
+RUN_RESULTS_DIGEST = "00ce93ac349cfcdef48e607fdeb3c507d25883916494f42766b493a05af15b22"
 
 
 def test_run_ea_results_pinned():

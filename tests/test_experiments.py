@@ -160,10 +160,13 @@ def test_compare_report_visit_rule():
 
 
 def aggregate_results_for_fixed_runtimes(runtimes, levels=2):
-    from flmlab.ea import RunResult
+    # every run spends its runtime at level 0 and then enters the top level
+    from flmlab.ea import BlockResult
 
-    results = []
-    for t in runtimes:
-        trace = [(0, t), (levels - 1, 0)]
-        results.append(RunResult(runtime=t, hit_optimum=True, level_trace=trace))
-    return aggregate_results(results, levels)
+    count = len(runtimes)
+    visits, leaves, iterations = np.zeros((3, levels), dtype=np.int64)
+    visits[[0, -1]] = count
+    leaves[0] = count
+    iterations[0] = sum(runtimes)
+    block = BlockResult(np.array(runtimes), np.ones(count, dtype=bool), visits, leaves, iterations)
+    return aggregate_results([block])

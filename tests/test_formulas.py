@@ -91,6 +91,12 @@ def test_leadingones_exact_rejects_bad_rate():
             leadingones_exact(5, bad)
 
 
+def test_longpath_bound_overflow_is_one_error_naming_its_parameters():
+    # m = 8000 path points, but (1 - p)^n underflows and the waiting time with it
+    with pytest.raises(ValueError, match=r"^long k-path bound at n=3000, k=1000, p=0\.4 overflows a double$"):
+        longpath_lower_bound(3000, 1000, 0.4)
+
+
 def test_leadingones_leave_probs_closed_form():
     probs = leadingones_leave_probs(4, 0.25)
     np.testing.assert_allclose(probs, [0.25 * 0.75**i for i in range(4)])

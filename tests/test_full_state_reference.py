@@ -39,9 +39,10 @@ def dense_reference(benchmark, p: float, starts: list) -> list[tuple[float, np.n
     """(E[T], v) for each start, from the dense 2^n-state matrix."""
     n = benchmark.n
     size = 2**n
-    fitness = np.array([benchmark.fitness(s) for s in range(size)], dtype=float)
-    optimal = np.array([bool(benchmark.is_optimum(s)) for s in range(size)])
-    levels = np.array([benchmark.level(s) for s in range(size)], dtype=int)
+    states = np.arange(size, dtype=np.uint64)[:, None]  # state s is the string packed into s
+    fitness = benchmark.fitness(states).astype(float)
+    optimal = benchmark.is_optimum(states)
+    levels = benchmark.level(states)
     codes = np.arange(size, dtype=np.uint32)
     dist = np.bitwise_count(codes[:, None] ^ codes[None, :])
     flips = np.arange(n + 1)
@@ -82,7 +83,7 @@ def dense_reference(benchmark, p: float, starts: list) -> list[tuple[float, np.n
 
 def starts_of(benchmark) -> list:
     """"random", every level that holds a state, and one explicit bit string."""
-    levels = sorted({benchmark.level(s) for s in range(2**benchmark.n)})
+    levels = np.unique(benchmark.level(np.arange(2**benchmark.n, dtype=np.uint64)[:, None])).tolist()
     point = np.array([i % 3 == 0 for i in range(benchmark.n)], dtype=np.uint8)
     return ["random", *levels, point]
 

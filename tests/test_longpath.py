@@ -6,6 +6,7 @@ from flmlab.benchmarks import (
     long_k_path_length,
     make_benchmark,
     pack,
+    pack_words,
     verify_long_k_path,
 )
 
@@ -57,9 +58,8 @@ def test_invalid_parameters_rejected():
 
 def test_long_path_fitness_values():
     fitness = make_benchmark("longpath", 4, 2).fitness
-    assert fitness(pack(np.array([0, 0, 0, 0], dtype=np.uint8))) == 0
-    assert fitness(pack(np.array([1, 1, 0, 0], dtype=np.uint8))) == 6
-    assert fitness(pack(np.array([1, 0, 1, 0], dtype=np.uint8))) == -1
+    strings = np.array([[0, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0]], dtype=np.uint8)
+    assert fitness(pack_words(strings)).tolist() == [0, 6, -1]
 
 
 def test_on_path_fitness_distinct_and_increasing():
