@@ -11,7 +11,6 @@ from .benchmarks import (
     LongKPath,
     build_long_k_path,
     make_benchmark,
-    pack,
     pack_words,
     verify_long_k_path,
 )

@@ -15,7 +15,7 @@ bit from n up clear (see :func:`pack_words`), and return an ``(m,)`` array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "Benchmark",
     "LongKPath",
-    "pack",
     "pack_words",
     "word_count",
     "log_factorials",
@@ -42,6 +41,7 @@ __all__ = [
 
 DEFAULT_PATH_POINT_CAP = 10**6
 _ONE = np.uint64(1)
+_FULL = ~np.uint64(0)  # a word of 64 ones
 
 # Cephes' lgam, the kernel of scipy.special.gammaln, at x = j + 1: log of the
 # exact product j! for j <= 12 (at x = 13 its Stirling branch gives the same
@@ -50,11 +50,6 @@ _LOG_SMALL_FACTORIALS = np.array([math.log(math.factorial(j)) for j in range(13)
 _LOG_SMALL_FACTORIALS.flags.writeable = False
 _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
            -2.77777777730099687205e-3, 8.33333333333331927722e-2)
-
-
-def pack(x: np.ndarray) -> int:
-    """The bit string as a Python int whose bit i is position i of ``x``."""
-    return int.from_bytes(np.packbits(np.asarray(x, dtype=np.uint8), bitorder="little").tobytes(), "little")
 
 
 def word_count(n: int) -> int:
@@ -99,24 +94,17 @@ def log_binom(m: int, j: np.ndarray) -> np.ndarray:
 
 
 def _ones(x: np.ndarray) -> np.ndarray:
-    # column by column: for the few words of a string a run can finish on,
-    # faster than numpy's sum over a short axis (two words, 512 rows: 7 against 15 us)
-    count = np.bitwise_count(x)
-    ones = count[:, 0].astype(np.int64)
-    for word in range(1, x.shape[1]):
-        ones += count[:, word]
-    return ones
+    return np.bitwise_count(x).sum(axis=1, dtype=np.int64)
 
 
 def _leading_ones(x: np.ndarray) -> np.ndarray:
-    # x & ~(x + 1) keeps the bits below the lowest zero bit of each word (all
-    # of a full word); the count runs on past the full words of the prefix
-    trailing = np.bitwise_count(x & ~(x + _ONE)).astype(np.int64)
-    count = trailing[:, -1]
-    for word in range(x.shape[1] - 2, -1, -1):
-        ones = trailing[:, word]
-        count = ones + (ones == 64) * count
-    return count
+    # 64 per full word before the first word that is not full, plus that
+    # word's trailing ones (w & ~(w + 1) keeps the bits below its lowest zero
+    # bit); a row of full words alone finds no such word and reads 64 at word 0
+    first = (x != _FULL).argmax(axis=1)
+    word = x[np.arange(len(x)), first]
+    trailing = np.bitwise_count(word & ~(word + _ONE)).astype(np.int64)
+    return np.where(trailing == 64, 64 * x.shape[1], 64 * first + trailing)
 
 
 def _equals(target: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -139,7 +127,6 @@ class LongKPath:
     n: int
     k: int
     points: list[np.ndarray]
-    index_of: dict[int, int] = field(repr=False)  # keyed by the packed point
 
     def __len__(self) -> int:
         return len(self.points)
@@ -178,11 +165,7 @@ def build_long_k_path(n: int, k: int, max_points: int = DEFAULT_PATH_POINT_CAP) 
             np.hstack((suffixes[1:k], np.repeat(points[-1:], k - 1, axis=0))),  # the bridges
             np.hstack((np.ones((m, k), dtype=np.uint8), points[::-1])),
         ))
-
-    packed = np.packbits(points, axis=1, bitorder="little").tobytes()  # the rows packed as by pack
-    width = (n + 7) // 8
-    index_of = {int.from_bytes(packed[i * width : (i + 1) * width], "little"): i for i in range(len(points))}
-    return LongKPath(n=n, k=k, points=list(points), index_of=index_of)
+    return LongKPath(n=n, k=k, points=list(points))
 
 
 def verify_long_k_path(path: LongKPath) -> None:
@@ -193,7 +176,7 @@ def verify_long_k_path(path: LongKPath) -> None:
         raise AssertionError(f"path has {m} points, expected {long_k_path_length(path.n, path.k)}")
     if np.any(pts[0] != 0):
         raise AssertionError("path does not start at the all-zero string")
-    if len(path.index_of) != m:
+    if len(np.unique(pack_words(pts), axis=0)) != m:
         raise AssertionError("path points are not distinct")
     k = path.k
     for i in range(m):

@@ -19,7 +19,7 @@ from typing import Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .benchmarks import jump_fitness_of_ones, log_binom, log_factorials, pack
+from .benchmarks import jump_fitness_of_ones, log_binom, log_factorials, pack_words
 
 __all__ = [
     "LevelChain",
@@ -453,7 +453,7 @@ def full_state_expected_time(
         inflow = at_level / at_level.sum()
     else:
         inflow = np.zeros(size)
-        inflow[pack(start)] = 1.0
+        inflow[int(pack_words(start)[0, 0])] = 1.0  # the string's one word is its state
 
     top = int(levels.max())
     visit = np.bincount(levels, weights=inflow, minlength=top + 1)

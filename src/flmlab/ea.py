@@ -158,6 +158,8 @@ def run_block(
                 continue
             np.maximum(fx, fy, out=fx)
             new = level(y[rise])
+            if np.any(new < at[rise]):
+                raise RuntimeError("level function not fitness-compatible: a level fell as fitness rose")
             moved = new != at[rise]
             who, new = rise[moved], new[moved]
             if not len(who):

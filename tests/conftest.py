@@ -1,6 +1,6 @@
-"""Shared test oracles: exact binomial pmf, brute-force mutation
-distributions by flip-mask enumeration, chi-square goodness of fit with
-tail pooling, and seeded random chain generators."""
+"""Shared test oracles: bit strings packed into Python ints, exact binomial
+pmf, brute-force mutation distributions by flip-mask enumeration, chi-square
+goodness of fit with tail pooling, and seeded random chain generators."""
 
 from __future__ import annotations
 
@@ -12,6 +12,11 @@ import pytest
 from scipy import stats
 
 from flmlab.chains import LevelChain
+
+
+def pack(x: np.ndarray) -> int:
+    """The bit string as a Python int whose bit i is position i of ``x``."""
+    return int.from_bytes(np.packbits(np.asarray(x, dtype=np.uint8), bitorder="little").tobytes(), "little")
 
 
 def exact_binom_pmf(n: int, p: float) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from conftest import chi2_pvalue
+from conftest import chi2_pvalue, pack
 from flmlab.benchmarks import (
     build_long_k_path,
     log_factorials,
@@ -15,7 +15,6 @@ from flmlab.benchmarks import (
     make_jump,
     make_leadingones,
     make_onemax,
-    pack,
     pack_words,
 )
 
@@ -172,12 +171,14 @@ def test_log_factorials_reproduce_scipy_gammaln():
 
 
 def test_pack_puts_position_i_at_bit_i():
+    # the int packing of the reference callables below, and the one word
+    # pack_words gives a string of up to 64 bits
     assert pack(bits("")) == 0
     assert pack(bits("1")) == 1
     assert pack(bits("0100")) == 0b10
     assert pack(bits("110100001")) == 0b100001011
     for x in all_bitstrings(9):
-        assert pack(x) == sum(int(b) << i for i, b in enumerate(x))
+        assert pack(x) == sum(int(b) << i for i, b in enumerate(x)) == int(pack_words(x)[0, 0])
 
 
 def _array_reference(kind, n, k):
@@ -239,8 +240,8 @@ def _int_reference(kind, n, k, path=None):
         return k + 1 if ones == n else n - ones if ones > n - k else k
 
     if kind == "longpath":
-        index_of = path.index_of
-        optimum = max(index_of, key=index_of.get)
+        index_of = {pack(point): i for i, point in enumerate(path.points)}
+        optimum = pack(path.points[-1])
         return (lambda x: index_of.get(x, -1)), (lambda x: index_of.get(x, 0)), lambda x: x == optimum
     if kind == "jump":
         return jump, jump_level, lambda x: x == optimum
@@ -325,7 +326,6 @@ def test_packed_callables_match_array_functions_exhaustive(kind, n, k):
         assert level[i] == ref_level(x)
         assert optimum[i] == ref_optimum(x)
         if kind == "longpath":
-            assert bm.path.index_of.get(pack(x), -1) == ref_fitness(x)
             off_path += ref_fitness(x) < 0
     if kind == "longpath":
         assert off_path == 2**n - len(bm.path) > 0

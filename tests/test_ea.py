@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from flmlab import ea
 from flmlab.benchmarks import make_benchmark, make_leadingones, make_onemax, pack_words, word_count
 from flmlab.chains import onemax_level_matrix
 from flmlab.ea import (
@@ -175,23 +176,45 @@ def test_level_trace_strictly_increasing_and_sums_to_runtime():
         assert sum(spent for _, spent in result.level_trace) == result.runtime
 
 
-def test_fitness_nondecreasing_over_iterations():
-    # observe the parents through a wrapped benchmark: a one-lane run reads
-    # the level of the start and of each accepted offspring of higher fitness
+def test_fitness_nondecreasing_over_iterations(monkeypatch):
+    # a one-lane run evaluates its start and then one offspring per iteration;
+    # recording those and the masks it drew gives the parent of every
+    # offspring (the offspring XOR its mask), whose fitness never falls
     bm = make_leadingones(10)
-    parents = []
-    inner_level, inner_fitness = bm.level, bm.fitness
+    offspring, masks = [], []
+    inner_fitness, inner_masks = bm.fitness, ea.flip_masks
 
-    def recording_level(x):
-        parents.extend(inner_fitness(x).tolist())
-        return inner_level(x)
+    def recording_fitness(x):
+        offspring.append(x.copy())
+        return inner_fitness(x)
 
-    bm.level = recording_level
+    def recording_masks(*args):
+        masks.append(inner_masks(*args)[:, 0])
+        return masks[-1][:, None]
+
+    bm.fitness = recording_fitness
+    monkeypatch.setattr(ea, "flip_masks", recording_masks)
     for seed in range(10):
-        parents.clear()
+        offspring.clear()
+        masks.clear()
         result = run_ea(bm, 0.1, np.random.default_rng(seed))
-        assert parents[-1] == 10 and len(parents) == len(result.level_trace)
-        assert all(b >= a for a, b in zip(parents, parents[1:]))
+        steps = np.concatenate(offspring[1:])
+        assert len(steps) == result.runtime
+        parents = np.concatenate([offspring[0], steps ^ np.concatenate(masks)[: len(steps)]])
+        fitness = inner_fitness(parents)
+        assert np.array_equal(parents[0], parents[1]) and np.all(np.diff(fitness) >= 0)
+        # each parent is its predecessor's offspring iff that is not worse
+        accepted = inner_fitness(steps[:-1]) >= fitness[1:-1]
+        assert np.array_equal(parents[2:], np.where(accepted[:, None], steps[:-1], parents[1:-1]))
+        assert inner_fitness(steps[-1:])[0] == 10
+
+
+def test_level_that_falls_as_fitness_rises_is_rejected():
+    bm = make_onemax(6)
+    ones = bm.level
+    bm.level = lambda x: np.where(ones(x) == 6, 6, 5 - ones(x))
+    with pytest.raises(RuntimeError, match="not fitness-compatible"):
+        run_ea(bm, 1 / 6, np.random.default_rng(0), initial=np.zeros(6, dtype=np.uint8))
 
 
 def test_run_ea_identical_for_same_seed():

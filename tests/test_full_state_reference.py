@@ -16,8 +16,10 @@ import math
 import numpy as np
 import pytest
 
-from flmlab.benchmarks import make_benchmark, pack
+from flmlab.benchmarks import make_benchmark
 from flmlab.chains import full_state_expected_time
+
+from conftest import pack
 
 T_REL = 1e-13
 V_REL = 1e-12

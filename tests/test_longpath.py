@@ -5,7 +5,6 @@ from flmlab.benchmarks import (
     build_long_k_path,
     long_k_path_length,
     make_benchmark,
-    pack,
     pack_words,
     verify_long_k_path,
 )
@@ -44,6 +43,13 @@ def test_distance_properties_exhaustive(n, k):
     verify_long_k_path(path)
 
 
+def test_verify_rejects_a_repeated_point():
+    path = build_long_k_path(6, 2)
+    path.points[5] = path.points[1].copy()
+    with pytest.raises(AssertionError, match="not distinct"):
+        verify_long_k_path(path)
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         build_long_k_path(5, 2)  # k does not divide n
@@ -63,6 +69,6 @@ def test_long_path_fitness_values():
 
 
 def test_on_path_fitness_distinct_and_increasing():
-    path = build_long_k_path(8, 2)
-    values = [path.index_of[pack(pt)] for pt in path.points]
-    assert values == list(range(len(path)))
+    bm = make_benchmark("longpath", 8, 2)
+    values = bm.fitness(pack_words(np.array(bm.path.points)))
+    assert values.tolist() == list(range(len(bm.path)))
