@@ -5,6 +5,9 @@ current strings live in one ``(lanes, W)`` uint64 array (``W = ceil(n/64)``
 words per string, packed as by ``benchmarks.pack_words``), and each iteration
 mutates, evaluates and selects every lane with a few numpy calls on whole
 arrays.  A lane that reaches the optimum leaves the block; the others go on.
+Those calls cost about the same for one lane as for hundreds, so the engine
+is fast per iteration only while many lanes are live: a block of a few
+lanes, and ``run_ea`` above all, pays them for each iteration of one run.
 
 Standard bit mutation for many iterations of every lane is drawn at once:
 the flipped positions of the flat ``(steps, lanes, n)`` bit cube form a
