@@ -103,7 +103,7 @@ def _leading_ones(x: np.ndarray) -> np.ndarray:
     # bit); a row of full words alone finds no such word and reads 64 at word 0
     first = (x != _FULL).argmax(axis=1)
     word = x[np.arange(len(x)), first]
-    trailing = np.bitwise_count(word & ~(word + _ONE)).astype(np.int64)
+    trailing = np.bitwise_count(word & ~(word + _ONE))
     return np.where(trailing == 64, 64 * x.shape[1], 64 * first + trailing)
 
 
