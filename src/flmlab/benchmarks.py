@@ -93,14 +93,25 @@ def log_binom(m: int, j: np.ndarray) -> np.ndarray:
     return lf[m] - lf[j] - lf[m - j]
 
 
+# numpy reduces along the short word axis row by row, slowly, so the one-word
+# forms below take the word column instead
+
+
 def _ones(x: np.ndarray) -> np.ndarray:
+    if x.shape[1] == 1:
+        return np.bitwise_count(x[:, 0]).astype(np.int64)
     return np.bitwise_count(x).sum(axis=1, dtype=np.int64)
 
 
 def _leading_ones(x: np.ndarray) -> np.ndarray:
+    # the trailing ones of a word w: w & ~(w + 1) keeps the bits below its
+    # lowest zero bit (all 64 of a full word)
+    if x.shape[1] == 1:
+        word = x[:, 0]
+        return np.bitwise_count(word & ~(word + _ONE)).astype(np.int64)
     # 64 per full word before the first word that is not full, plus that
-    # word's trailing ones (w & ~(w + 1) keeps the bits below its lowest zero
-    # bit); a row of full words alone finds no such word and reads 64 at word 0
+    # word's trailing ones; a row of full words alone finds no such word and
+    # reads 64 at word 0
     first = (x != _FULL).argmax(axis=1)
     word = x[np.arange(len(x)), first]
     trailing = np.bitwise_count(word & ~(word + _ONE))
@@ -109,6 +120,9 @@ def _leading_ones(x: np.ndarray) -> np.ndarray:
 
 def _equals(target: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The predicate "the string is ``target``" (one packed row)."""
+    if target.shape[1] == 1:
+        word = target[0, 0]
+        return lambda x: x[:, 0] == word
     return lambda x: (x == target).all(axis=1)
 
 

@@ -207,8 +207,10 @@ def _leadingones_compare(args, p: float, start, summary: None):
             raise ValueError(f"LeadingOnes level must be in [0, {args.n}], got {start}")
         v[:start] = 0.0  # no lower level
         v[start : start + 1] = 1.0  # level L surely (no level when L = n)
+    # the closed form, checked against the sum; from a uniform start it is
+    # stated, and its overflow is the error that bounds reports too
+    lower_upper = _leadingones_bounds(args, p, start)[1] if isinstance(start, str) else []
     exact = bounds.flm_upper_visit(formulas.leadingones_leave_probs(args.n, p), v).value
-    _, lower_upper = _where_stated(_leadingones_bounds, args, p, start)  # the closed form, checked against the sum
     return lower_upper[::-1], exact, dict(enumerate(v.tolist()))  # reports list the upper first
 
 

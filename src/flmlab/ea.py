@@ -5,9 +5,12 @@ current strings live in one ``(lanes, W)`` uint64 array (``W = ceil(n/64)``
 words per string, packed as by ``benchmarks.pack_words``), and each iteration
 mutates, evaluates and selects every lane with a few numpy calls on whole
 arrays.  A lane that reaches the optimum leaves the block; the others go on.
-Those calls cost about the same for one lane as for hundreds, so the engine
-is fast per iteration only while many lanes are live: a block of a few
-lanes, and ``run_ea`` above all, pays them for each iteration of one run.
+An iteration reads no level: it records the lanes whose fitness strictly
+rose, with their offspring, and the levels of those offspring are read and
+booked once per draw of masks.  The calls of an iteration cost about the
+same for one lane as for hundreds, so the engine is fast per iteration only
+while many lanes are live: a block of a few lanes, and ``run_ea`` above all,
+pays them for each iteration of one run.
 
 Standard bit mutation for many iterations of every lane is drawn at once:
 the flipped positions of the flat ``(steps, lanes, n)`` bit cube form a
@@ -111,6 +114,34 @@ class BlockResult:
     iterations: np.ndarray
 
 
+def _book_levels(level, who, when, rows, at, since, visits, leaves, iterations) -> None:
+    """Book the level changes of one draw of masks.
+
+    ``who``, ``when`` and ``rows`` list the fitness rises of the draw in the
+    order they happened: the lane (by index in the block), the iteration and
+    the offspring.  One ``level`` call reads every offspring; a stable sort by
+    lane puts each lane's rises in time order, and a rise to a new level ends
+    the sojourn at the level before it.  ``at`` and ``since`` (the level of
+    each lane and the iteration it entered it) are updated in place.
+    """
+    order = np.argsort(who, kind="stable")
+    who, when, new = who[order], when[order], level(rows)[order]
+    # a lane's first entry takes its level from before the draw, the others
+    # from the entry before them
+    before = np.where(np.diff(who, prepend=-1) != 0, at[who], np.roll(new, 1))
+    if np.any(new < before):
+        raise RuntimeError("level function not fitness-compatible: a level fell as fitness rose")
+    moved = new != before
+    who, when, new, before = who[moved], when[moved], new[moved], before[moved]
+    entered = np.where(np.diff(who, prepend=-1) != 0, since[who], np.roll(when, 1))
+    np.add.at(leaves, before, 1)
+    np.add.at(iterations, before, when - entered)
+    np.add.at(visits, new, 1)
+    last = np.diff(who, append=-1) != 0  # each lane's last move of the draw
+    at[who[last]] = new[last]
+    since[who[last]] = when[last]
+
+
 def run_block(
     benchmark,
     rate: float,
@@ -122,16 +153,17 @@ def run_block(
 
     Each iteration mutates every unfinished lane with rate ``rate`` and
     accepts its offspring iff the fitness is not worse.  A lane stops on
-    reaching the top level, which holds the optimum alone, or after
-    ``max_iterations`` iterations (flagged ``hits = False``).  A lane's level
-    is read only when its fitness strictly rises: in every family equal
-    fitness means equal level.  The buffers grow with ``len(starts)``;
-    ``block_lanes`` keeps them within ``BUFFER_BYTES``.
+    reaching the optimum, or after ``max_iterations`` iterations (flagged
+    ``hits = False``).  An iteration only records the lanes whose fitness
+    strictly rose, with their offspring: in every family equal fitness means
+    equal level, so levels change only there.  The levels of those offspring
+    are read once per draw of masks, in one ``level`` call.  The buffers grow
+    with ``len(starts)``; ``block_lanes`` keeps them within ``BUFFER_BYTES``.
     """
     if not 0.0 < rate < 1.0:
         raise ValueError(f"mutation rate must be in (0, 1), got {rate}")
     n, top = benchmark.n, benchmark.top_level
-    fitness, level = benchmark.fitness, benchmark.level
+    fitness, level, is_optimum = benchmark.fitness, benchmark.level, benchmark.is_optimum
     x = np.array(starts, dtype=np.uint64)
     lanes = len(x)
     runtimes = np.full(lanes, max_iterations, dtype=np.int64)
@@ -139,54 +171,53 @@ def run_block(
     visits, leaves, iterations = np.zeros((3, top + 1), dtype=np.int64)
 
     fx = fitness(x)
-    at = level(x)
+    at = level(x)  # the level of each lane, by index in the block
     np.add.at(visits, at, 1)
     lane = np.flatnonzero(at != top)  # the unfinished lanes, by index in the block
     runtimes[at == top] = 0
     hits[at == top] = True
-    x, fx, at = x[lane], fx[lane], at[lane]
-    since = np.zeros(len(lane), dtype=np.int64)  # the iteration each lane entered its level
+    x, fx = x[lane], fx[lane]
+    since = np.zeros(lanes, dtype=np.int64)  # the iteration each lane entered its level
+    # selection copies each accepted string whole, as one element of this
+    # dtype: row by row, numpy copies a short row of words slowly
+    row = np.dtype((np.void, 8 * x.shape[1]))
+    y = np.empty_like(x)
+    x_rows, y_rows = x.view(row)[:, 0], y.view(row)[:, 0]
 
     t = 0
     while len(lane) and t < max_iterations:
         masks = flip_masks(refill_steps(n, rate, len(lane)), len(lane), n, rate, rng)
-        left, stays, entered = [], [], []  # the level changes of this refill
+        who, when, rows = [], [], []  # the fitness rises of this draw
         for step in range(min(len(masks), max_iterations - t)):  # the cap does not change the stream
             t += 1
-            y = x ^ masks[step]
+            np.bitwise_xor(x, masks[step], out=y)
             fy = fitness(y)
-            np.copyto(x, y, where=(fy >= fx)[:, None])
+            np.copyto(x_rows, y_rows, where=fy >= fx)
             rise = (fy > fx).nonzero()[0]
             if not len(rise):
                 continue
             np.maximum(fx, fy, out=fx)
-            new = level(y[rise])
-            if np.any(new < at[rise]):
-                raise RuntimeError("level function not fitness-compatible: a level fell as fitness rose")
-            moved = new != at[rise]
-            who, new = rise[moved], new[moved]
-            if not len(who):
-                continue
-            left.append(at[who])
-            stays.append(t - since[who])
-            entered.append(new)
-            at[who] = new
-            since[who] = t
-            done = new == top
-            if done.any():
-                runtimes[lane[who[done]]] = t
-                hits[lane[who[done]]] = True
-                keep = at != top
-                x, fx, at, since, lane = x[keep], fx[keep], at[keep], since[keep], lane[keep]
+            risen = y.take(rise, axis=0)
+            who.append(lane[rise])
+            when.append(t)
+            rows.append(risen)
+            done = rise[is_optimum(risen)]
+            if len(done):
+                runtimes[lane[done]] = t
+                hits[lane[done]] = True
+                keep = np.ones(len(lane), dtype=bool)
+                keep[done] = False
+                x, fx, lane = x[keep], fx[keep], lane[keep]
                 masks = masks[:, keep]
                 if not len(lane):
                     break
-        if left:
-            left = np.concatenate(left)
-            np.add.at(leaves, left, 1)
-            np.add.at(iterations, left, np.concatenate(stays))
-            np.add.at(visits, np.concatenate(entered), 1)
-    np.add.at(iterations, at, t - since)  # lanes stopped by the cap
+                y = np.empty_like(x)
+                x_rows, y_rows = x.view(row)[:, 0], y.view(row)[:, 0]
+        if who:
+            counts = [len(w) for w in who]
+            _book_levels(level, np.concatenate(who), np.repeat(when, counts), np.concatenate(rows),
+                         at, since, visits, leaves, iterations)
+    np.add.at(iterations, at[lane], t - since[lane])  # lanes stopped by the cap
     return BlockResult(runtimes, hits, visits, leaves, iterations)
 
 

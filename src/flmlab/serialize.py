@@ -17,6 +17,7 @@ emitted value; the two ``simulate`` schemas have parsers here.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -33,24 +34,30 @@ __all__ = [
 
 
 def format_float(x: float) -> str:
+    if math.isfinite(x):
+        return format(x, ".17g")
     if x != x:
         return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    return format(x, ".17g")
+    return "Infinity" if x > 0 else "-Infinity"
 
 
 def _escape(s: str) -> str:
     return json.dumps(s, ensure_ascii=False)
 
 
+def _write_bool(x: bool) -> str:
+    return "true" if x else "false"
+
+
+# by dtype kind: the writer of the Python scalars ``tolist`` makes of an array
+_SCALAR_WRITERS = {"b": _write_bool, "i": str, "u": str, "f": format_float}
+
+
 def _write(obj: Any, parts: list[str], level: int) -> None:
     if obj is None:
         parts.append("null")
     elif isinstance(obj, (bool, np.bool_)):
-        parts.append("true" if obj else "false")
+        parts.append(_write_bool(obj))
     elif isinstance(obj, str):
         parts.append(_escape(obj))
     elif isinstance(obj, (int, np.integer)):
@@ -70,6 +77,9 @@ def _write(obj: Any, parts: list[str], level: int) -> None:
             _write(value, parts, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append("  " * level + "}")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in _SCALAR_WRITERS:
+        # the element-wise writer's output, without a type dispatch per element
+        parts.append("[" + ", ".join(map(_SCALAR_WRITERS[obj.dtype.kind], obj.tolist())) + "]")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         parts.append("[")
         for i, value in enumerate(obj.tolist() if isinstance(obj, np.ndarray) else obj):

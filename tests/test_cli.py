@@ -368,6 +368,16 @@ def test_bounds_leadingones_overflow_exits_1(capsys):
     assert err == "error: LeadingOnes expected runtime at n=100000, p=0.5 overflows a double\n"
 
 
+def test_compare_leadingones_overflow_is_the_bounds_message(capsys):
+    # p(1-p)^i underflows to 0 from i = 1075, but the closed form's overflow
+    # is reported first, in the line that bounds prints
+    argv = ("--benchmark", "leadingones", "--n", "2000", "--p", "0.5")
+    code, out, err = run_main(capsys, "compare", *argv, "--replicates", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: LeadingOnes expected runtime at n=2000, p=0.5 overflows a double\n"
+    assert run_main(capsys, "bounds", *argv) == (1, "", err)
+
+
 def test_bounds_longpath_overflow_exits_1(capsys):
     # the path length 2^(n/k) is too large to convert to a float
     code, out, err = run_main(capsys, "bounds", "--benchmark", "longpath", "--n", "2400", "--k", "2", "--p", "1/n")

@@ -20,7 +20,8 @@ from flmlab.ea import (
 )
 from flmlab.formulas import leadingones_exact
 
-from conftest import chi2_pvalue, exact_binom_pmf
+from conftest import chi2_pvalue, exact_binom_pmf, pack
+from test_benchmarks import _int_reference
 
 
 def unpack(words: np.ndarray, n: int) -> np.ndarray:
@@ -303,3 +304,141 @@ def test_run_ea_results_pinned():
         triple = (result.runtime, result.hit_optimum, result.level_trace)
         digest.update(f"{name} {seed} {triple!r}\n".encode())
     assert digest.hexdigest() == RUN_RESULTS_DIGEST
+
+
+def _word_ints(words: np.ndarray) -> list[int]:
+    """Packed strings (the last axis holds the words) as Python ints, bit i
+    of an int being position i."""
+    ints = [0] * len(words)
+    for j in range(words.shape[-1]):
+        ints = [v | (w << (64 * j)) for v, w in zip(ints, words[:, j].tolist())]
+    return ints
+
+
+def _replay_lanes(bm, kind, k, starts, draws, max_iterations):
+    """``run_block``'s result rebuilt in plain Python: each lane replayed on
+    its own from the masks the block drew, with the integer callables.
+
+    Draw d serves the lanes unfinished when it was made, in block order, and
+    starts where the draws before it ended.  Also returns counts of the
+    events the replay passed: rises that kept the level, the same on the
+    plateau below the long path (fitness -1 to 0), steps in which at least two
+    lanes finished, and whether the cap fell inside a draw.
+    """
+    fitness, level, is_optimum = _int_reference(kind, bm.n, k, bm.path)
+    top = bm.top_level
+    x = [pack(row) for row in starts]
+    f, at = [fitness(v) for v in x], [level(v) for v in x]
+    since = [0] * len(x)
+    runtimes, hits = [max_iterations] * len(x), [False] * len(x)
+    visits, leaves, iterations = (np.zeros(top + 1, dtype=np.int64) for _ in range(3))
+    events = {"plateau_rises": 0, "off_path_rises": 0, "shared_finishes": 0, "cap_inside_draw": False}
+    for lane, lvl in enumerate(at):
+        visits[lvl] += 1
+        if lvl == top:
+            runtimes[lane], hits[lane] = 0, True
+    t0 = 0
+    finish_steps = []
+    for masks in draws:
+        live = [lane for lane in range(len(x)) if not hits[lane]]
+        assert live and t0 < max_iterations and masks.shape[1] == len(live)
+        steps = min(len(masks), max_iterations - t0)
+        events["cap_inside_draw"] |= steps < len(masks) and t0 + steps == max_iterations
+        for pos, lane in enumerate(live):
+            for step, mask in enumerate(_word_ints(masks[:steps, pos])):
+                t = t0 + step + 1
+                y = x[lane] ^ mask
+                fy = fitness(y)
+                if fy < f[lane]:
+                    continue
+                x[lane] = y
+                if fy == f[lane]:
+                    continue
+                new = level(y)
+                assert new >= at[lane]
+                if new == at[lane]:
+                    events["plateau_rises"] += 1
+                    events["off_path_rises"] += f[lane] == -1
+                else:
+                    leaves[at[lane]] += 1
+                    iterations[at[lane]] += t - since[lane]
+                    visits[new] += 1
+                    at[lane], since[lane] = new, t
+                f[lane] = fy
+                if is_optimum(y):
+                    runtimes[lane], hits[lane] = t, True
+                    finish_steps.append(t)
+                    break
+        t0 += steps
+    for lane in range(len(x)):
+        if not hits[lane]:
+            assert t0 == max_iterations  # only the cap leaves a lane unfinished
+            iterations[at[lane]] += t0 - since[lane]
+    events["shared_finishes"] = int(np.sum(np.bincount(finish_steps) > 1)) if finish_steps else 0
+    result = ea.BlockResult(np.array(runtimes), np.array(hits), visits, leaves, iterations)
+    return result, events
+
+
+def _replay_starts(kind, bm, rng):
+    """Start strings that reach the cases the replay test covers."""
+    n = bm.n
+    if kind == "longpath":
+        # path points, and off-path strings one bit from path point 0 (the
+        # point at distance 1 that is on the path would be point 1)
+        points = [bm.sample_level(int(lvl), rng) for lvl in rng.integers(0, bm.top_level, 10)]
+        near = []
+        for bit in rng.permutation(n):
+            row = np.zeros(n, dtype=np.uint8)
+            row[bit] = 1
+            if bm.fitness(pack_words(row))[0] == -1:
+                near.append(row)
+        return np.array(points + near[:40] + [bm.sample_level(bm.top_level, rng)])
+    if kind == "leadingones":
+        # many lanes one bit below the optimum finish in the same step
+        top = [bm.sample_level(n - 1, rng) for _ in range(60)]
+        return np.array(top + [bm.sample_level(int(lvl), rng) for lvl in rng.integers(n - 12, n, 20)])
+    random = rng.integers(0, 2, size=(30, n), dtype=np.uint8)
+    return np.vstack((random, np.ones((2, n), dtype=np.uint8)))
+
+
+REPLAY_CASES = [
+    # (kind, n, k, max_iterations): W = 1 and W = 3 for every family
+    ("onemax", 40, None, 10**9),
+    ("onemax", 150, None, 700),
+    ("leadingones", 20, None, 10**9),
+    ("leadingones", 150, None, 1700),
+    ("jump", 10, 3, 2500),
+    ("jump", 130, 2, 1200),
+    ("longpath", 12, 3, 600),
+    ("longpath", 130, 65, 1300),
+]
+
+
+def test_block_matches_per_lane_reference(monkeypatch):
+    draws = []
+    inner_masks = ea.flip_masks
+
+    def recording_masks(*args):
+        draws.append(inner_masks(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(ea, "flip_masks", recording_masks)
+    totals = {"jump": 0, "longpath": 0, "shared_finishes": 0, "cap_inside_draw": 0}
+    for seed, (kind, n, k, cap) in enumerate(REPLAY_CASES):
+        bm = make_benchmark(kind, n, k)
+        rng = np.random.default_rng(3000 + seed)
+        starts = _replay_starts(kind, bm, rng)
+        draws.clear()
+        block = run_block(bm, 1 / n, rng, pack_words(starts), max_iterations=cap)
+        expected, events = _replay_lanes(bm, kind, k, starts, draws, cap)
+        for field in ("runtimes", "hits", "visits", "leaves", "iterations"):
+            assert np.array_equal(getattr(block, field), getattr(expected, field)), (kind, n, field)
+        assert block.hits.any(), (kind, n)
+        if kind == "jump":
+            totals["jump"] += events["plateau_rises"]  # rises inside level k
+        if kind == "longpath":
+            totals["longpath"] += events["off_path_rises"]
+        totals["shared_finishes"] += events["shared_finishes"]
+        totals["cap_inside_draw"] += events["cap_inside_draw"]
+        assert cap == 10**9 or not block.hits.all(), (kind, n)
+    assert all(totals.values()), totals

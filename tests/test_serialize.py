@@ -55,6 +55,35 @@ def test_dumps_takes_numpy_scalars_and_arrays():
     assert dumps(np.float64(0.1)) == dumps(0.1) == "0.10000000000000001\n"
 
 
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 0.1, 1 / 3, 5e-324, -1e300]),
+        np.array([0.5, math.nan, -0.0], dtype=np.float32),
+        np.array([0, -7, 2**62, -(2**63)], dtype=np.int64),
+        np.array([3, 255], dtype=np.uint8),
+        np.array([2**64 - 1, 0], dtype=np.uint64),
+        np.array([True, False, True]),
+        np.array([], dtype=float),
+        np.array([], dtype=bool),
+    ],
+    ids=["float64", "float32", "int64", "uint8", "uint64", "bool", "empty-float", "empty-bool"],
+)
+def test_dumps_one_dimensional_array_matches_the_element_wise_writer(array):
+    # a list of numpy scalars and a list of Python scalars both go through
+    # the element-wise writer, one element at a time
+    text = dumps({"a": array})
+    assert text == dumps({"a": list(array)}) == dumps({"a": array.tolist()})
+
+
+def test_dumps_arrays_of_other_shapes_and_kinds_take_the_element_wise_writer():
+    grid = np.arange(6.0).reshape(2, 3)
+    assert dumps(grid) == dumps([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]) == "[[0, 1, 2], [3, 4, 5]]\n"
+    assert dumps(np.array(["a", "b"])) == '["a", "b"]\n'
+    with pytest.raises(TypeError):
+        dumps(np.array([1 + 2j]))
+
+
 def test_emit_csv_cell_rules():
     rows = [
         (np.bool_(True), True, np.int64(7), 7),
