@@ -10,6 +10,16 @@ The callables of a :class:`Benchmark` evaluate many bit strings in one call.
 They take an ``(m, W)`` uint64 array, one string per row packed into
 ``W = ceil(n / 64)`` words, position i at bit i % 64 of word i // 64 and every
 bit from n up clear (see :func:`pack_words`), and return an ``(m,)`` array.
+Each call costs a few numpy calls, whatever m:
+
+- OneMax counts ones; LeadingOnes adds 64 per full word before the first word
+  that is not full to that word's trailing ones.  On one word both read the
+  word column alone.
+- Jump reads ``fitness`` and ``level`` from two (n+1)-entry tables built once
+  per instance from :func:`jump_fitness_of_ones`, indexed by the ones-count.
+- A long k-path binary-searches its sorted points: as integers on one word,
+  as blocks of bytes on more; ``level`` clips the index at 0.
+- ``is_optimum`` compares each row with the optimum.
 """
 
 from __future__ import annotations
@@ -124,6 +134,14 @@ def _equals(target: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         word = target[0, 0]
         return lambda x: x[:, 0] == word
     return lambda x: (x == target).all(axis=1)
+
+
+def _by_ones(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The callable ``table[ones-count]`` over a table of n + 1 entries; on one
+    word the count is one call."""
+    if word_count(len(table) - 1) == 1:
+        return lambda x: table.take(np.bitwise_count(x[:, 0]))
+    return lambda x: table.take(_ones(x))
 
 
 def jump_fitness_of_ones(ones, n: int, k: int):
@@ -293,11 +311,12 @@ def jump_level_weights(n: int, k: int, level: int) -> tuple[np.ndarray, np.ndarr
 def make_jump(n: int, k: int) -> Benchmark:
     if not 1 <= k <= n:
         raise ValueError(f"jump size must be in [1, {n}], got {k}")
-
-    def level(x: np.ndarray) -> np.ndarray:
-        ones = _ones(x)
-        # the optimum on top, the gap's levels equal its (low) fitness
-        return np.where(ones == n, k + 1, np.where(ones > n - k, n - ones, k))
+    count = np.arange(n + 1)
+    # fitness and level as tables over the ones-count, read by one index;
+    # levels: the optimum on top, the gap's levels equal its (low) fitness
+    fitness = jump_fitness_of_ones(count, n, k)
+    level = np.where(count == n, k + 1, np.where(count > n - k, n - count, k))
+    fitness.flags.writeable = level.flags.writeable = False
 
     def sample_level(lvl: int, rng: np.random.Generator) -> np.ndarray:
         counts, weights = jump_level_weights(n, k, lvl)
@@ -308,9 +327,9 @@ def make_jump(n: int, k: int) -> Benchmark:
 
     return Benchmark(
         n=n,
-        fitness=lambda x: jump_fitness_of_ones(_ones(x), n, k),
+        fitness=_by_ones(fitness),
         is_optimum=_all_ones(n),
-        level=level,
+        level=_by_ones(level),
         top_level=k + 1,
         sample_level=sample_level,
     )
@@ -318,16 +337,18 @@ def make_jump(n: int, k: int) -> Benchmark:
 
 def _path_index(path: LongKPath) -> Callable[[np.ndarray], np.ndarray]:
     """The path index of each packed string, -1 off the path: a binary search
-    over the sorted points, each row compared as one block of bytes."""
-    row = np.dtype((np.void, 8 * word_count(path.n)))
+    over the sorted points, compared as integers on one word and each row as
+    one block of bytes on more."""
+    words = word_count(path.n)
+    row = np.dtype(np.uint64) if words == 1 else np.dtype((np.void, 8 * words))
     keys = np.ascontiguousarray(pack_words(np.array(path.points))).view(row)[:, 0]
     order = np.argsort(keys)
     keys = keys[order]
 
     def index(x: np.ndarray) -> np.ndarray:
         query = np.ascontiguousarray(x).view(row)[:, 0]
-        at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-        return np.where(keys[at] == query, order[at], -1)
+        at = keys.searchsorted(query)  # len(keys) above the last key: clipped
+        return np.where(keys.take(at, mode="clip") == query, order.take(at, mode="clip"), -1)
 
     return index
 

@@ -46,6 +46,7 @@ LONGPATH_DENSE_ARRAYS = 4
 # float64 (n+1) x (n+1) arrays alive at once at peak, measured with tracemalloc
 # over `oracle` for OneMax and jump: the matrix and LevelChain's copy of it
 LEVEL_DENSE_ARRAYS = 2
+TRIANGLE_BLOCK_ROWS = 128  # the lower-triangle check's temporary: 128^2 entries at most
 
 StartSpec = Union[str, int]
 
@@ -65,6 +66,17 @@ def _check_dense_bytes(nbytes: int, what: str) -> None:
             f"{what} needs about {nbytes / 2**30:.1f} GiB of dense arrays, "
             f"more than the {available / 2**30:.1f} GiB of physical memory"
         )
+
+
+def _below_diagonal_nonzero(t: np.ndarray) -> bool:
+    """Whether a square matrix has a nonzero (or NaN) entry below its diagonal,
+    checked by blocks of rows: all columns left of a block, then the block's
+    own square, so no temporary grows with the matrix."""
+    for a in range(0, t.shape[0], TRIANGLE_BLOCK_ROWS):
+        b = a + TRIANGLE_BLOCK_ROWS
+        if np.any(t[a:b, :a]) or np.any(np.tril(t[a:b, a:b], -1)):
+            return True
+    return False
 
 
 @dataclass
@@ -94,7 +106,7 @@ class LevelChain:
             raise ValueError("every transition row must sum to 1")
         if not abs(s.sum() - 1.0) <= ROW_SUM_TOL:
             raise ValueError("start distribution must sum to 1")
-        if any(np.any(t[i, :i]) for i in range(1, t.shape[0])):  # row by row: no (n+1)^2 temporary
+        if _below_diagonal_nonzero(t):
             raise ValueError("level process must be non-decreasing (lower triangle not zero)")
         t.flags.writeable = False  # private copies, so the chain is immutable
         s.flags.writeable = False

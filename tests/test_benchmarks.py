@@ -279,26 +279,70 @@ def edge_strings(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.array(rows, dtype=np.uint8)
 
 
+# a jump size k <= 0 stands for n + k (at least 1): the jumps at k = n - 1 and k = n
 @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 100, 128, 130, 200])
-@pytest.mark.parametrize("kind,k", [("onemax", None), ("leadingones", None), ("jump", 1), ("jump", 3)])
+@pytest.mark.parametrize("kind,k", [("onemax", None), ("leadingones", None), ("jump", 1), ("jump", 3), ("jump", -1), ("jump", 0)])
 def test_array_callables_match_int_callables_across_word_edges(kind, n, k, rng):
-    k = None if k is None else min(k, n)
+    if k is not None:
+        k = min(k, n) if k > 0 else max(n + k, 1)
     assert_matches_int_reference(kind, n, k, edge_strings(n, rng))
 
 
-def test_long_path_array_callables_match_int_callables_on_two_words(rng):
-    # n = 68: every point spans two words; on-path points, their Hamming
-    # neighbours (mostly off the path), and random strings
-    n, k = 68, 4
-    bm = make_benchmark("longpath", n, k)
+def path_strings(bm, rng) -> np.ndarray:
+    """The first and last points of a long k-path, 60 random points, one
+    Hamming neighbour of each (mostly off the path), and 20 random strings."""
+    n = bm.n
     path = np.array(bm.path.points)
     picks = path[rng.choice(len(path), size=60, replace=False)]
     neighbours = picks.copy()
     neighbours[np.arange(60), rng.integers(0, n, size=60)] ^= 1
-    strings = np.concatenate([path[:3], path[-3:], picks, neighbours, rng.integers(0, 2, size=(20, n), dtype=np.uint8)])
+    return np.concatenate([path[:3], path[-3:], picks, neighbours, rng.integers(0, 2, size=(20, n), dtype=np.uint8)])
+
+
+def test_long_path_array_callables_match_int_callables_on_two_words(rng):
+    # n = 68: every point spans two words
+    n, k = 68, 4
+    bm = make_benchmark("longpath", n, k)
+    strings = path_strings(bm, rng)
     assert_matches_int_reference("longpath", n, k, strings, bm)
     on_path = bm.fitness(pack_words(strings)) >= 0
     assert 0 < on_path.sum() < len(strings)
+
+
+def test_long_path_array_callables_match_int_callables_on_a_full_word(rng):
+    # n = 64: one word per point, searched as an unsigned integer; points with
+    # bit 63 set sort above all others as integers, below none as bytes
+    n, k = 64, 8
+    bm = make_benchmark("longpath", n, k)
+    strings = path_strings(bm, rng)
+    assert_matches_int_reference("longpath", n, k, strings, bm)
+    on_path = bm.fitness(pack_words(strings)) >= 0
+    assert 0 < on_path.sum() < len(strings)
+    assert 0 < strings[on_path, 63].sum() < on_path.sum()  # top bit set and clear on the path
+
+
+@pytest.mark.parametrize("kind,n,k", [
+    ("onemax", 10, None), ("onemax", 70, None), ("leadingones", 10, None), ("leadingones", 70, None),
+    ("jump", 10, 3), ("jump", 64, 64), ("jump", 70, 1), ("longpath", 8, 2), ("longpath", 64, 8), ("longpath", 68, 4),
+])
+def test_callables_return_int64_values_and_bool_optimum(kind, n, k, rng):
+    bm = make_benchmark(kind, n, k)
+    x = pack_words(rng.integers(0, 2, size=(5, n), dtype=np.uint8))
+    for fn, dtype in ((bm.fitness, np.int64), (bm.level, np.int64), (bm.is_optimum, np.bool_)):
+        values = fn(x)
+        assert values.dtype == dtype and values.shape == (5,)
+
+
+@pytest.mark.parametrize("n", [5, 64, 65, 130])
+def test_jump_tables_are_read_only(n, rng):
+    bm = make_jump(n, 3)
+    x = pack_words(rng.integers(0, 2, size=(8, n), dtype=np.uint8))
+    for fn in (bm.fitness, bm.level):
+        tables = [cell.cell_contents for cell in fn.__closure__ if isinstance(cell.cell_contents, np.ndarray)]
+        assert len(tables) == 1 and tables[0].shape == (n + 1,) and not tables[0].flags.writeable
+        first = fn(x)
+        first[:] = -7  # a result is the caller's own copy
+        assert (fn(x) >= 0).all()
 
 
 def test_pack_words_layout():

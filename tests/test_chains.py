@@ -260,6 +260,18 @@ def test_chain_validation_rejects_bad_inputs():
         LevelChain(np.array([[np.nan, np.nan], [0.0, 1.0]]), np.array([1.0, 0.0]))
 
 
+# (row, column) below the diagonal of a 300-level chain: in the first block of
+# rows and the last, left of a block and inside its own square, next to the
+# diagonal and far from it
+@pytest.mark.parametrize("row,col", [(1, 0), (5, 4), (127, 0), (128, 127), (130, 129), (200, 3), (299, 0), (299, 298)])
+def test_chain_validation_finds_every_decreasing_move(row, col):
+    t = np.eye(300)
+    LevelChain(t, np.eye(300)[0])
+    t[row, row], t[row, col] = 1.0 - 1e-300, 1e-300
+    with pytest.raises(ValueError, match="non-decreasing"):
+        LevelChain(t, np.eye(300)[0])
+
+
 def test_chain_arrays_are_read_only():
     t = np.array([[0.5, 0.5], [0.0, 1.0]])
     start = np.array([1.0, 0.0])

@@ -61,6 +61,11 @@ GOLDEN = [
     ("simulate --benchmark leadingones --n 6 --replicates 40 --seed 3 --threads 2 --format csv --out {out}", 0, "884c4d8a9471ea4b9e855bd4eb930e77a95f5d1e0929eff640b284b4a899814d"),
     ("simulate --benchmark jump --n 6 --k 2 --replicates 40 --seed 4 --format csv", 0, "ef76edfd725fba1ead3823a7d0ae88e2c6681d34b27d6bc9e4d9bb6be173589f"),
     ("simulate --benchmark longpath --n 6 --k 2 --replicates 30 --seed 5 --init level:0", 0, "3ba10caf2019d8af223ce35e4cd24983a954226a5890755d4c8b35cc391b9b6e"),
+    # word and table edges: jump on two words, jump with k = n (every run times
+    # out), a one-word long k-path whose points set bit 63
+    ("simulate --benchmark jump --n 70 --k 1 --replicates 30 --seed 11", 0, "b277c20b8b3156d23de9c95f8f625fae98335f9de5f2e2b67a59efb04588d3b1"),
+    ("simulate --benchmark jump --n 12 --k 12 --max-iterations 200 --replicates 20 --seed 12", 0, "f7183c6cfdb07352a78b5ccb026eac8c82b3c7c05d9a0c2d023352e7a14189f5"),
+    ("simulate --benchmark longpath --n 64 --k 8 --init level:2000 --replicates 20 --seed 13", 0, "d29a8bd82520bcf61a1f41cc7a4c9c658eaa424d9920714d3ddd62ce4fa95725"),
     ("simulate --benchmark onemax --n 8 --replicates 5 --seed 6 --init sideways", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("simulate --benchmark onemax --n 8 --replicates 5 --max-iterations 0", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("simulate --benchmark onemax --n 0 --replicates 5", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
