@@ -2,24 +2,26 @@
 
 Four families: OneMax, LeadingOnes, jump functions with a deceptive gap,
 and long k-paths.  A :class:`Benchmark` bundles the fitness function, an
-optimum predicate and a level function mapping bit strings to integers so
-that higher levels always mean strictly higher fitness (off-path points of
-a long k-path share level 0 with the path start).
+optimum predicate and a level function.  Levels are sets of fitness values:
+``level`` and ``is_optimum`` read fitness values, not strings, and a higher
+level always means strictly higher fitness (off-path points of a long k-path
+share level 0 with the path start).  Callers compose ``level(fitness(x))``.
 
-The callables of a :class:`Benchmark` evaluate many bit strings in one call.
-They take an ``(m, W)`` uint64 array, one string per row packed into
-``W = ceil(n / 64)`` words, position i at bit i % 64 of word i // 64 and every
-bit from n up clear (see :func:`pack_words`), and return an ``(m,)`` array.
-Each call costs a few numpy calls, whatever m:
+``fitness`` evaluates many bit strings in one call.  It takes an ``(m, W)``
+uint64 array, one string per row packed into ``W = ceil(n / 64)`` words,
+position i at bit i % 64 of word i // 64 and every bit from n up clear (see
+:func:`pack_words`), and returns an ``(m,)`` int64 array.  Each call costs a
+few numpy calls, whatever m:
 
 - OneMax counts ones; LeadingOnes adds 64 per full word before the first word
   that is not full to that word's trailing ones.  On one word both read the
-  word column alone.
-- Jump reads ``fitness`` and ``level`` from two (n+1)-entry tables built once
-  per instance from :func:`jump_fitness_of_ones`, indexed by the ones-count.
+  word column alone.  Their ``level`` is the identity.
+- Jump reads ``fitness`` from an (n+1)-entry table over the ones-count and
+  ``level`` from an (n+k+1)-entry table over the fitness, both built once per
+  instance.
 - A long k-path binary-searches its sorted points: as integers on one word,
   as blocks of bytes on more; ``level`` clips the index at 0.
-- ``is_optimum`` compares each row with the optimum.
+- ``is_optimum`` compares each value with the optimum's fitness.
 """
 
 from __future__ import annotations
@@ -128,14 +130,6 @@ def _leading_ones(x: np.ndarray) -> np.ndarray:
     return np.where(trailing == 64, 64 * x.shape[1], 64 * first + trailing)
 
 
-def _equals(target: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The predicate "the string is ``target``" (one packed row)."""
-    if target.shape[1] == 1:
-        word = target[0, 0]
-        return lambda x: x[:, 0] == word
-    return lambda x: (x == target).all(axis=1)
-
-
 def _by_ones(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The callable ``table[ones-count]`` over a table of n + 1 entries; on one
     word the count is one call."""
@@ -225,12 +219,15 @@ def verify_long_k_path(path: LongKPath) -> None:
 class Benchmark:
     """A fitness function with optimum predicate and level partition.
 
-    ``fitness``, ``is_optimum`` and ``level`` map an ``(m, W)`` uint64 array
-    of packed strings (see :func:`pack_words`) to an ``(m,)`` array of int64
-    values, bools and int64 levels; ``sample_level`` draws a uniform member of
-    a level as a uint8 array.  Immutable after construction; safe for
-    concurrent shared reads.  ``top_level`` is the level of the optimum
-    class; levels are integers in [0, top_level].
+    ``fitness`` maps an ``(m, W)`` uint64 array of packed strings (see
+    :func:`pack_words`) to an ``(m,)`` int64 array of fitness values;
+    ``level`` and ``is_optimum`` map fitness values to a new int64 array of
+    levels and to bools, so the level of strings ``x`` is
+    ``level(fitness(x))``.  ``level`` is non-decreasing in the fitness and
+    ``is_optimum`` holds at the largest fitness alone.  ``sample_level`` draws
+    a uniform member of a level as a uint8 array.  Immutable after
+    construction; safe for concurrent shared reads.  ``top_level`` is the
+    level of the optimum class; levels are integers in [0, top_level].
     """
 
     n: int
@@ -249,10 +246,6 @@ def _bits_with_ones(n: int, ones: int, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
-def _all_ones(n: int) -> Callable[[np.ndarray], np.ndarray]:
-    return _equals(pack_words(np.ones(n, dtype=np.uint8)))
-
-
 def make_onemax(n: int) -> Benchmark:
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -265,8 +258,8 @@ def make_onemax(n: int) -> Benchmark:
     return Benchmark(
         n=n,
         fitness=_ones,
-        is_optimum=_all_ones(n),
-        level=_ones,
+        is_optimum=lambda f: f == n,
+        level=np.copy,  # level = fitness, as a new array: callers update levels in place
         top_level=n,
         sample_level=sample_level,
     )
@@ -289,8 +282,8 @@ def make_leadingones(n: int) -> Benchmark:
     return Benchmark(
         n=n,
         fitness=_leading_ones,
-        is_optimum=_all_ones(n),
-        level=_leading_ones,
+        is_optimum=lambda f: f == n,
+        level=np.copy,  # level = fitness, as a new array: callers update levels in place
         top_level=n,
         sample_level=sample_level,
     )
@@ -311,11 +304,12 @@ def jump_level_weights(n: int, k: int, level: int) -> tuple[np.ndarray, np.ndarr
 def make_jump(n: int, k: int) -> Benchmark:
     if not 1 <= k <= n:
         raise ValueError(f"jump size must be in [1, {n}], got {k}")
-    count = np.arange(n + 1)
-    # fitness and level as tables over the ones-count, read by one index;
-    # levels: the optimum on top, the gap's levels equal its (low) fitness
-    fitness = jump_fitness_of_ones(count, n, k)
-    level = np.where(count == n, k + 1, np.where(count > n - k, n - count, k))
+    # fitness as a table over the ones-count, level as one over the fitness,
+    # each read by one index; levels: the optimum (fitness n + k) on top, the
+    # gap's levels equal its fitness 1..k-1, the rest (fitness k..n) is level k
+    fitness = jump_fitness_of_ones(np.arange(n + 1), n, k)
+    value = np.arange(n + k + 1)
+    level = np.where(value == n + k, k + 1, np.minimum(value, k))
     fitness.flags.writeable = level.flags.writeable = False
 
     def sample_level(lvl: int, rng: np.random.Generator) -> np.ndarray:
@@ -328,8 +322,8 @@ def make_jump(n: int, k: int) -> Benchmark:
     return Benchmark(
         n=n,
         fitness=_by_ones(fitness),
-        is_optimum=_all_ones(n),
-        level=_by_ones(level),
+        is_optimum=lambda f: f == n + k,
+        level=level.take,
         top_level=k + 1,
         sample_level=sample_level,
     )
@@ -366,8 +360,8 @@ def make_longpath(n: int, k: int) -> Benchmark:
     return Benchmark(
         n=n,
         fitness=index,  # -1 off path, else the (distinct, increasing) index
-        is_optimum=_equals(pack_words(path.points[-1])),
-        level=lambda x: np.maximum(index(x), 0),  # off-path points share level 0 with the start
+        is_optimum=lambda f: f == top,
+        level=lambda f: np.maximum(f, 0),  # off-path points share level 0 with the start
         top_level=top,
         sample_level=sample_level,
         path=path,

@@ -42,10 +42,12 @@ FULL_STATE_MAX_N = 14
 # float64 arrays of (largest class) x 2^n entries alive at once at peak; peak RSS
 # growth measured 1.1 (OneMax) to 2.1 (long k-path) of them at n = 11..14
 FULL_STATE_BLOCK_ROWS = 3
+# float64 m x m arrays of a long k-path chain alive at once at peak, measured
+# with tracemalloc at 3.0-3.1 (the distance and mass temporaries), plus one
 LONGPATH_DENSE_ARRAYS = 4
 # float64 (n+1) x (n+1) arrays alive at once at peak, measured with tracemalloc
-# over `oracle` for OneMax and jump: the matrix and LevelChain's copy of it
-LEVEL_DENSE_ARRAYS = 2
+# over `oracle` for OneMax and jump: the matrix, which LevelChain takes over
+LEVEL_DENSE_ARRAYS = 1
 TRIANGLE_BLOCK_ROWS = 128  # the lower-triangle check's temporary: 128^2 entries at most
 
 StartSpec = Union[str, int]
@@ -79,6 +81,16 @@ def _below_diagonal_nonzero(t: np.ndarray) -> bool:
     return False
 
 
+def _frozen(a) -> np.ndarray:
+    """``a`` itself if it is a read-only float64 array that owns its data (a
+    builder hands its matrix over), else a read-only float64 copy, so that a
+    caller's writeable array is never frozen."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.owndata and not a.flags.writeable):
+        a = np.array(a, dtype=float)
+        a.flags.writeable = False
+    return a
+
+
 @dataclass
 class LevelChain:
     """Row-stochastic transition matrix over fitness levels plus a start law.
@@ -86,7 +98,8 @@ class LevelChain:
     The level process is non-decreasing: entries below the diagonal must be
     zero.  ``labels`` optionally records what each level index stands for
     (e.g. the ones-count class of a jump chain level).  Immutable after
-    construction; concurrent reads are safe.
+    construction; concurrent reads are safe.  A read-only float64 array that
+    owns its data is kept as it is; anything else is copied.
     """
 
     transition: np.ndarray
@@ -94,8 +107,7 @@ class LevelChain:
     labels: Optional[tuple] = None
 
     def __post_init__(self) -> None:
-        t = np.array(self.transition, dtype=float)
-        s = np.array(self.start, dtype=float)
+        t, s = _frozen(self.transition), _frozen(self.start)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError("transition matrix must be square")
         if s.shape != (t.shape[0],):
@@ -108,8 +120,6 @@ class LevelChain:
             raise ValueError("start distribution must sum to 1")
         if _below_diagonal_nonzero(t):
             raise ValueError("level process must be non-decreasing (lower triangle not zero)")
-        t.flags.writeable = False  # private copies, so the chain is immutable
-        s.flags.writeable = False
         object.__setattr__(self, "transition", t)
         object.__setattr__(self, "start", s)
 
@@ -269,6 +279,7 @@ def jump_level_matrix(n: int, k: int, p: float, start: Union[StartSpec, np.ndarr
         t[i, i + 1 :] = mutation_class_row(n, p, a, lowest[i + 1], log_fact=lf)[ones[i + 1 :]]
         t[i, i] = max(0.0, 1.0 - t[i, i + 1 :].sum())
     t[n, n] = 1.0  # the optimum (n ones) is the top level
+    t.flags.writeable = False  # handed over to the chain, not copied
     return LevelChain(t, _resolve_start(start, n)[ones], labels=tuple(order))
 
 
@@ -303,6 +314,7 @@ def longpath_level_matrix(path, p: float, start: StartSpec = 0) -> LevelChain:
     del mass
     diag = 1.0 - t.sum(axis=1)
     np.fill_diagonal(t, np.maximum(diag, 0.0))
+    t.flags.writeable = False  # handed over to the chain, not copied
     start_vec = np.zeros(m)
     start_vec[int(start)] = 1.0
     return LevelChain(t, start_vec, labels=tuple(range(m)))
@@ -403,6 +415,7 @@ def truncate_chain(chain: LevelChain, top: int) -> LevelChain:
     t[:top, :top] = chain.transition[:top, :top]
     t[:top, top] = chain.transition[:top, top:].sum(axis=1)
     t[top, top] = 1.0
+    t.flags.writeable = False  # handed over to the chain, not copied
     start = np.concatenate([chain.start[:top], [chain.start[top:].sum()]])
     labels = None if chain.labels is None else tuple(chain.labels[:top]) + (chain.labels[top:],)
     return LevelChain(t, start, labels=labels)
@@ -447,9 +460,9 @@ def full_state_expected_time(
     size = 2**n
     # state s is the bit string packed into s (bit i is position i)
     states = np.arange(size, dtype=np.uint64)[:, None]
-    fitness = benchmark.fitness(states).astype(float)
-    optimal = benchmark.is_optimum(states)
-    levels = benchmark.level(states)
+    fitness = benchmark.fitness(states)
+    optimal = benchmark.is_optimum(fitness)
+    levels = benchmark.level(fitness)
     classes, counts = np.unique(fitness[~optimal], return_counts=True)
     need = FULL_STATE_BLOCK_ROWS * 8 * int(counts.max(initial=0)) * size  # the largest class's block
     _check_dense_bytes(need, f"full-state oracle at n={n}")

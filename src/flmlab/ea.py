@@ -6,8 +6,8 @@ words per string, packed as by ``benchmarks.pack_words``), and each iteration
 mutates, evaluates and selects every lane with a few numpy calls on whole
 arrays.  A lane that reaches the optimum leaves the block; the others go on.
 An iteration reads no level: it records the lanes whose fitness strictly
-rose, with their offspring, and the levels of those offspring are read and
-booked once per draw of masks.  The calls of an iteration cost about the
+rose, with their new fitness values, and the levels of those values are read
+and booked once per draw of masks.  The calls of an iteration cost about the
 same for one lane as for hundreds, so the engine is fast per iteration only
 while many lanes are live: a block of a few lanes, and ``run_ea`` above all,
 pays them for each iteration of one run.
@@ -114,18 +114,18 @@ class BlockResult:
     iterations: np.ndarray
 
 
-def _book_levels(level, who, when, rows, at, since, visits, leaves, iterations) -> None:
+def _book_levels(level, who, when, values, at, since, visits, leaves, iterations) -> None:
     """Book the level changes of one draw of masks.
 
-    ``who``, ``when`` and ``rows`` list the fitness rises of the draw in the
+    ``who``, ``when`` and ``values`` list the fitness rises of the draw in the
     order they happened: the lane (by index in the block), the iteration and
-    the offspring.  One ``level`` call reads every offspring; a stable sort by
+    the new fitness.  One ``level`` call reads every value; a stable sort by
     lane puts each lane's rises in time order, and a rise to a new level ends
     the sojourn at the level before it.  ``at`` and ``since`` (the level of
     each lane and the iteration it entered it) are updated in place.
     """
     order = np.argsort(who, kind="stable")
-    who, when, new = who[order], when[order], level(rows)[order]
+    who, when, new = who[order], when[order], level(values)[order]
     # a lane's first entry takes its level from before the draw, the others
     # from the entry before them
     before = np.where(np.diff(who, prepend=-1) != 0, at[who], np.roll(new, 1))
@@ -155,9 +155,9 @@ def run_block(
     accepts its offspring iff the fitness is not worse.  A lane stops on
     reaching the optimum, or after ``max_iterations`` iterations (flagged
     ``hits = False``).  An iteration only records the lanes whose fitness
-    strictly rose, with their offspring: in every family equal fitness means
-    equal level, so levels change only there.  The levels of those offspring
-    are read once per draw of masks, in one ``level`` call.  The buffers grow
+    strictly rose, with their new fitness: levels are sets of fitness values,
+    so levels change only there.  The levels of those values are read once
+    per draw of masks, in one ``level`` call.  The buffers grow
     with ``len(starts)``; ``block_lanes`` keeps them within ``BUFFER_BYTES``.
     """
     if not 0.0 < rate < 1.0:
@@ -171,7 +171,7 @@ def run_block(
     visits, leaves, iterations = np.zeros((3, top + 1), dtype=np.int64)
 
     fx = fitness(x)
-    at = level(x)  # the level of each lane, by index in the block
+    at = level(fx)  # the level of each lane, by index in the block
     np.add.at(visits, at, 1)
     lane = np.flatnonzero(at != top)  # the unfinished lanes, by index in the block
     runtimes[at == top] = 0
@@ -187,7 +187,7 @@ def run_block(
     t = 0
     while len(lane) and t < max_iterations:
         masks = flip_masks(refill_steps(n, rate, len(lane)), len(lane), n, rate, rng)
-        who, when, rows = [], [], []  # the fitness rises of this draw
+        who, when, values = [], [], []  # the fitness rises of this draw
         for step in range(min(len(masks), max_iterations - t)):  # the cap does not change the stream
             t += 1
             np.bitwise_xor(x, masks[step], out=y)
@@ -197,10 +197,10 @@ def run_block(
             if not len(rise):
                 continue
             np.maximum(fx, fy, out=fx)
-            risen = y.take(rise, axis=0)
+            risen = fy.take(rise)
             who.append(lane[rise])
             when.append(t)
-            rows.append(risen)
+            values.append(risen)
             done = rise[is_optimum(risen)]
             if len(done):
                 runtimes[lane[done]] = t
@@ -215,7 +215,7 @@ def run_block(
                 x_rows, y_rows = x.view(row)[:, 0], y.view(row)[:, 0]
         if who:
             counts = [len(w) for w in who]
-            _book_levels(level, np.concatenate(who), np.repeat(when, counts), np.concatenate(rows),
+            _book_levels(level, np.concatenate(who), np.repeat(when, counts), np.concatenate(values),
                          at, since, visits, leaves, iterations)
     np.add.at(iterations, at[lane], t - since[lane])  # lanes stopped by the cap
     return BlockResult(runtimes, hits, visits, leaves, iterations)

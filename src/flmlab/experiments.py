@@ -133,7 +133,10 @@ def _parse_init(init: str, n: int, point: bool = True) -> Union[str, int, np.nda
     if init == "random":
         return init
     if init.startswith("level:"):
-        return int(init.split(":", 1)[1])
+        try:
+            return int(init.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"--init level must be 'level:<int>', got {init!r}") from None
     if point and init.startswith("point:"):
         bits = init.split(":", 1)[1]
         if len(bits) != n or set(bits) - {"0", "1"}:

@@ -79,9 +79,16 @@ def test_jump_fitness_rejects_bad_k():
         make_benchmark("jump", 4, 5)
 
 
+def string_callables(bm):
+    """(fitness, level, is_optimum) of packed strings: ``level`` and
+    ``is_optimum`` read the strings' fitness values."""
+    return bm.fitness, lambda x: bm.level(bm.fitness(x)), lambda x: bm.is_optimum(bm.fitness(x))
+
+
 def test_make_benchmark_level_examples():
-    assert make_benchmark("onemax", 4).level(pack_words(bits("1010")))[0] == 2
-    jump_level = make_benchmark("jump", 4, 2).level
+    _, onemax_level, _ = string_callables(make_benchmark("onemax", 4))
+    assert onemax_level(pack_words(bits("1010")))[0] == 2
+    _, jump_level, _ = string_callables(make_benchmark("jump", 4, 2))
     strings = pack_words(np.array([bits("1110"), bits("1100"), bits("1111")]))
     # gap class of fitness 1, the non-gap region, the optimum on top
     assert jump_level(strings).tolist() == [1, 2, 3]
@@ -115,7 +122,8 @@ def test_level_partition_fitness_compatible_exhaustive(kind, n, k):
     # the worst fitness of any higher level (off-path points excluded)
     bm = make_benchmark(kind, n, k)
     strings = all_words(n)
-    fitness, level = bm.fitness(strings), bm.level(strings)
+    fitness = bm.fitness(strings)
+    level = bm.level(fitness)
     keep = fitness >= 0
     fitness, level = fitness[keep], level[keep]
     present = np.unique(level)
@@ -129,7 +137,8 @@ def test_level_partition_fitness_compatible_exhaustive(kind, n, k):
 def test_only_optimum_on_top_level(n):
     strings = all_words(n)
     for bm in (make_onemax(n), make_leadingones(n), make_jump(n, 3)):
-        assert np.array_equal(bm.is_optimum(strings), bm.level(strings) == bm.top_level)
+        fitness = bm.fitness(strings)
+        assert np.array_equal(bm.is_optimum(fitness), bm.level(fitness) == bm.top_level)
 
 
 @pytest.mark.parametrize("n", list(range(2, 15)))
@@ -141,14 +150,16 @@ def test_jump_unique_maximum_at_all_ones(n):
 
 def test_sample_level_uniform_members(rng):
     bm = make_jump(8, 3)
+    _, jump_level, _ = string_callables(bm)
     for level in range(1, bm.top_level + 1):
         for _ in range(20):
             x = bm.sample_level(level, rng)
-            assert bm.level(pack_words(x))[0] == level
+            assert jump_level(pack_words(x))[0] == level
     lo = make_leadingones(7)
+    _, lo_level, _ = string_callables(lo)
     for level in range(lo.top_level + 1):
         for _ in range(20):
-            assert lo.level(pack_words(lo.sample_level(level, rng)))[0] == level
+            assert lo_level(pack_words(lo.sample_level(level, rng)))[0] == level
 
 
 def test_jump_level_k_sampler_weights_ones_counts_binomially(rng):
@@ -256,8 +267,19 @@ def assert_matches_int_reference(kind, n, k, strings: np.ndarray, bm=None) -> No
     bm = make_benchmark(kind, n, k) if bm is None else bm
     packed = pack_words(strings)
     codes = [pack(x) for x in strings]
-    for array_fn, int_fn in zip((bm.fitness, bm.level, bm.is_optimum), _int_reference(kind, n, k, bm.path)):
+    for array_fn, int_fn in zip(string_callables(bm), _int_reference(kind, n, k, bm.path)):
         assert array_fn(packed).tolist() == [int_fn(code) for code in codes]
+
+
+@pytest.mark.parametrize("kind,n,k", EXHAUSTIVE_CASES)
+def test_level_and_optimum_are_monotone_functions_of_fitness(kind, n, k):
+    # the property the engine books levels by: over the fitness values of all
+    # 2^n strings, a higher value is never on a lower level, and only the
+    # largest value is optimal
+    bm = make_benchmark(kind, n, k)
+    values = np.unique(bm.fitness(all_words(n)))
+    assert np.all(np.diff(bm.level(values)) >= 0)
+    assert np.flatnonzero(bm.is_optimum(values)).tolist() == [len(values) - 1]
 
 
 @pytest.mark.parametrize("kind,n,k", EXHAUSTIVE_CASES)
@@ -328,21 +350,28 @@ def test_long_path_array_callables_match_int_callables_on_a_full_word(rng):
 def test_callables_return_int64_values_and_bool_optimum(kind, n, k, rng):
     bm = make_benchmark(kind, n, k)
     x = pack_words(rng.integers(0, 2, size=(5, n), dtype=np.uint8))
-    for fn, dtype in ((bm.fitness, np.int64), (bm.level, np.int64), (bm.is_optimum, np.bool_)):
-        values = fn(x)
+    fitness = bm.fitness(x)
+    level = bm.level(fitness)
+    for values, dtype in ((fitness, np.int64), (level, np.int64), (bm.is_optimum(fitness), np.bool_)):
         assert values.dtype == dtype and values.shape == (5,)
+    assert not np.shares_memory(level, fitness)  # the engine updates the levels it reads in place
 
 
 @pytest.mark.parametrize("n", [5, 64, 65, 130])
 def test_jump_tables_are_read_only(n, rng):
     bm = make_jump(n, 3)
     x = pack_words(rng.integers(0, 2, size=(8, n), dtype=np.uint8))
-    for fn in (bm.fitness, bm.level):
-        tables = [cell.cell_contents for cell in fn.__closure__ if isinstance(cell.cell_contents, np.ndarray)]
-        assert len(tables) == 1 and tables[0].shape == (n + 1,) and not tables[0].flags.writeable
-        first = fn(x)
+    # fitness: a table over the ones-counts 0..n; level: a table's take over
+    # the fitness values 0..n+3
+    tables = [cell.cell_contents for cell in bm.fitness.__closure__ if isinstance(cell.cell_contents, np.ndarray)]
+    assert len(tables) == 1 and tables[0].shape == (n + 1,)
+    assert bm.level.__self__.shape == (n + 4,)
+    for table in (tables[0], bm.level.__self__):
+        assert not table.flags.writeable
+    for fn, arg in ((bm.fitness, x), (bm.level, bm.fitness(x))):
+        first = fn(arg)
         first[:] = -7  # a result is the caller's own copy
-        assert (fn(x) >= 0).all()
+        assert (fn(arg) >= 0).all()
 
 
 def test_pack_words_layout():
@@ -363,7 +392,8 @@ def test_packed_callables_match_array_functions_exhaustive(kind, n, k):
     bm = make_benchmark(kind, n, k)
     ref_fitness, ref_level, ref_optimum = _array_reference(kind, n, k)
     strings = all_words(n)
-    fitness, level, optimum = bm.fitness(strings), bm.level(strings), bm.is_optimum(strings)
+    fitness = bm.fitness(strings)
+    level, optimum = bm.level(fitness), bm.is_optimum(fitness)
     off_path = 0
     for i, x in enumerate(all_bitstrings(n)):
         assert fitness[i] == ref_fitness(x)

@@ -285,6 +285,35 @@ def test_chain_arrays_are_read_only():
     np.testing.assert_array_equal(visit_probabilities(chain), [1.0, 1.0])
 
 
+def test_chain_takes_over_only_read_only_arrays_that_own_their_data():
+    t = np.array([[0.5, 0.5], [0.0, 1.0]])
+    start = np.array([1.0, 0.0])
+    t.flags.writeable = start.flags.writeable = False
+    chain = LevelChain(t, start)
+    assert chain.transition is t and chain.start is start  # handed over, not copied
+    base = np.array([[0.5, 0.5], [0.0, 1.0]])
+    view = base[:]
+    view.flags.writeable = False  # read-only, but its base stays writeable
+    chain = LevelChain(view, [1.0, 0.0])
+    assert chain.transition is not view and not chain.transition.flags.writeable
+    assert base.flags.writeable
+    base[0, 0] = 0.0
+    assert chain.transition[0, 0] == 0.5
+
+
+@pytest.mark.parametrize("build", [onemax_level_matrix, lambda n, p: jump_level_matrix(n, 3, p)])
+def test_level_chain_build_holds_one_matrix_at_peak(build):
+    n = 1000
+    tracemalloc.start()
+    try:
+        chain = build(n, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chain.m_levels == n + 1
+    assert peak < 1.5 * 8 * (n + 1) ** 2  # the chain keeps its builder's matrix
+
+
 def test_visit_probabilities_hand_chain():
     np.testing.assert_allclose(visit_probabilities(hand_chain()), [1.0, 0.5, 1.0], atol=1e-15)
 

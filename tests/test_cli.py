@@ -551,6 +551,14 @@ def test_bounds_jump_rejects_unknown_init(capsys, init):
     assert_one_line_error(code, out, err)
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare", "oracle", "bounds"])
+@pytest.mark.parametrize("level", ["abc", "", "1.5"])
+def test_init_level_not_an_integer_names_the_flag_and_the_form(capsys, command, level):
+    code, out, err = run_main(capsys, command, "--benchmark", "leadingones", "--n", "3", "--init", f"level:{level}")
+    assert_one_line_error(code, out, err)
+    assert err == f"error: --init level must be 'level:<int>', got 'level:{level}'\n"
+
+
 @pytest.mark.parametrize("family", ["onemax --n 10", "leadingones --n 10", "longpath --n 12 --k 4"])
 def test_bounds_rejects_unknown_init_for_every_family(capsys, family):
     code, out, err = run_main(capsys, "bounds", "--benchmark", *family.split(), "--init", "nonsense")

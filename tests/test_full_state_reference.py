@@ -42,9 +42,10 @@ def dense_reference(benchmark, p: float, starts: list) -> list[tuple[float, np.n
     n = benchmark.n
     size = 2**n
     states = np.arange(size, dtype=np.uint64)[:, None]  # state s is the string packed into s
-    fitness = benchmark.fitness(states).astype(float)
-    optimal = benchmark.is_optimum(states)
-    levels = benchmark.level(states)
+    values = benchmark.fitness(states)
+    fitness = values.astype(float)
+    optimal = benchmark.is_optimum(values)
+    levels = benchmark.level(values)
     codes = np.arange(size, dtype=np.uint32)
     dist = np.bitwise_count(codes[:, None] ^ codes[None, :])
     flips = np.arange(n + 1)
@@ -85,7 +86,8 @@ def dense_reference(benchmark, p: float, starts: list) -> list[tuple[float, np.n
 
 def starts_of(benchmark) -> list:
     """"random", every level that holds a state, and one explicit bit string."""
-    levels = np.unique(benchmark.level(np.arange(2**benchmark.n, dtype=np.uint64)[:, None])).tolist()
+    fitness = benchmark.fitness(np.arange(2**benchmark.n, dtype=np.uint64)[:, None])
+    levels = np.unique(benchmark.level(fitness)).tolist()
     point = np.array([i % 3 == 0 for i in range(benchmark.n)], dtype=np.uint8)
     return ["random", *levels, point]
 
