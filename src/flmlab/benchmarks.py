@@ -152,7 +152,7 @@ class LongKPath:
 
     n: int
     k: int
-    points: list[np.ndarray]
+    points: np.ndarray  # (m, n) uint8, one point per row in path order
 
     def __len__(self) -> int:
         return len(self.points)
@@ -163,7 +163,7 @@ def long_k_path_length(n: int, k: int) -> int:
     return k * 2 ** (n // k) - k + 1
 
 
-def build_long_k_path(n: int, k: int, max_points: int = DEFAULT_PATH_POINT_CAP) -> LongKPath:
+def build_long_k_path(n: int, k: int) -> LongKPath:
     """Construct the long k-path on n bits by the standard recursion.
 
     The dimension-k base path is (0^k, 0^{k-1}1, ..., 1^k).  One recursion
@@ -177,10 +177,9 @@ def build_long_k_path(n: int, k: int, max_points: int = DEFAULT_PATH_POINT_CAP) 
         raise ValueError(f"n must be >= k, got n={n}, k={k}")
     if n % k != 0:
         raise ValueError(f"k must divide n, got n={n}, k={k}")
-    if long_k_path_length(n, k) > max_points:
-        raise ValueError(
-            f"path would have {long_k_path_length(n, k)} points, exceeding the cap {max_points}"
-        )
+    length = long_k_path_length(n, k)
+    if length > DEFAULT_PATH_POINT_CAP:
+        raise ValueError(f"path would have {length} points, exceeding the cap {DEFAULT_PATH_POINT_CAP}")
 
     suffixes = np.tri(k + 1, k, -1, dtype=np.uint8)[:, ::-1]  # row j: k - j zeros, then j ones
     points = suffixes  # dimension-k base path
@@ -191,12 +190,12 @@ def build_long_k_path(n: int, k: int, max_points: int = DEFAULT_PATH_POINT_CAP) 
             np.hstack((suffixes[1:k], np.repeat(points[-1:], k - 1, axis=0))),  # the bridges
             np.hstack((np.ones((m, k), dtype=np.uint8), points[::-1])),
         ))
-    return LongKPath(n=n, k=k, points=list(points))
+    return LongKPath(n=n, k=k, points=points)
 
 
 def verify_long_k_path(path: LongKPath) -> None:
     """Exhaustively check the defining distance properties; raise on failure."""
-    pts = np.array(path.points, dtype=np.int16)
+    pts = path.points.astype(np.int16)
     m = len(pts)
     if m != long_k_path_length(path.n, path.k):
         raise AssertionError(f"path has {m} points, expected {long_k_path_length(path.n, path.k)}")
@@ -259,7 +258,7 @@ def make_onemax(n: int) -> Benchmark:
         n=n,
         fitness=_ones,
         is_optimum=lambda f: f == n,
-        level=np.copy,  # level = fitness, as a new array: callers update levels in place
+        level=np.copy,  # level = fitness, as a new array (see Benchmark)
         top_level=n,
         sample_level=sample_level,
     )
@@ -283,7 +282,7 @@ def make_leadingones(n: int) -> Benchmark:
         n=n,
         fitness=_leading_ones,
         is_optimum=lambda f: f == n,
-        level=np.copy,  # level = fitness, as a new array: callers update levels in place
+        level=np.copy,  # level = fitness, as a new array (see Benchmark)
         top_level=n,
         sample_level=sample_level,
     )
@@ -335,7 +334,7 @@ def _path_index(path: LongKPath) -> Callable[[np.ndarray], np.ndarray]:
     one block of bytes on more."""
     words = word_count(path.n)
     row = np.dtype(np.uint64) if words == 1 else np.dtype((np.void, 8 * words))
-    keys = np.ascontiguousarray(pack_words(np.array(path.points))).view(row)[:, 0]
+    keys = np.ascontiguousarray(pack_words(path.points)).view(row)[:, 0]
     order = np.argsort(keys)
     keys = keys[order]
 

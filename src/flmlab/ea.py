@@ -4,13 +4,15 @@ A block holds ``lanes`` runs of one benchmark at one mutation rate.  Their
 current strings live in one ``(lanes, W)`` uint64 array (``W = ceil(n/64)``
 words per string, packed as by ``benchmarks.pack_words``), and each iteration
 mutates, evaluates and selects every lane with a few numpy calls on whole
-arrays.  A lane that reaches the optimum leaves the block; the others go on.
-An iteration reads no level: it records the lanes whose fitness strictly
-rose, with their new fitness values, and the levels of those values are read
-and booked once per draw of masks.  The calls of an iteration cost about the
-same for one lane as for hundreds, so the engine is fast per iteration only
-while many lanes are live: a block of a few lanes, and ``run_ea`` above all,
-pays them for each iteration of one run.
+arrays.  A lane that reaches the optimum rides out its draw of masks and
+leaves the block before the next draw; the others go on.  An iteration reads
+no level: it records each strict fitness rise as (iteration, fitness before,
+fitness after), and once per draw one ``level`` call reads those values and
+books each rise that changes the level as one event.  No lane's level or
+entry time is kept.  The calls of an iteration cost about the same for one
+lane as for hundreds, so the engine is fast per iteration only while many
+lanes are live: a block of a few lanes, and ``run_ea`` above all, pays them
+for each iteration of one run.
 
 Standard bit mutation for many iterations of every lane is drawn at once:
 the flipped positions of the flat ``(steps, lanes, n)`` bit cube form a
@@ -114,32 +116,26 @@ class BlockResult:
     iterations: np.ndarray
 
 
-def _book_levels(level, who, when, values, at, since, visits, leaves, iterations) -> None:
-    """Book the level changes of one draw of masks.
+def _book_levels(level, when, before, after, visits, leaves, iterations) -> None:
+    """Book the fitness rises of one draw of masks.
 
-    ``who``, ``when`` and ``values`` list the fitness rises of the draw in the
-    order they happened: the lane (by index in the block), the iteration and
-    the new fitness.  One ``level`` call reads every value; a stable sort by
-    lane puts each lane's rises in time order, and a rise to a new level ends
-    the sojourn at the level before it.  ``at`` and ``since`` (the level of
-    each lane and the iteration it entered it) are updated in place.
+    Rise i took a lane from fitness ``before[i]`` to ``after[i]`` in iteration
+    ``when[i]``; one ``level`` call reads both.  A rise that changes the level
+    counts a leave at the old level and a visit at the new one, and adds its
+    iteration to the old level's sojourn total and subtracts it from the new
+    one's: a level's total is the sum of its leave times less the sum of its
+    entry times, until ``run_block`` adds each lane's final time at its last
+    level.
     """
-    order = np.argsort(who, kind="stable")
-    who, when, new = who[order], when[order], level(values)[order]
-    # a lane's first entry takes its level from before the draw, the others
-    # from the entry before them
-    before = np.where(np.diff(who, prepend=-1) != 0, at[who], np.roll(new, 1))
-    if np.any(new < before):
+    old, new = np.split(level(np.concatenate((before, after))), 2)
+    if np.any(new < old):
         raise RuntimeError("level function not fitness-compatible: a level fell as fitness rose")
-    moved = new != before
-    who, when, new, before = who[moved], when[moved], new[moved], before[moved]
-    entered = np.where(np.diff(who, prepend=-1) != 0, since[who], np.roll(when, 1))
-    np.add.at(leaves, before, 1)
-    np.add.at(iterations, before, when - entered)
+    moved = new != old
+    when, old, new = when[moved], old[moved], new[moved]
+    np.add.at(leaves, old, 1)
     np.add.at(visits, new, 1)
-    last = np.diff(who, append=-1) != 0  # each lane's last move of the draw
-    at[who[last]] = new[last]
-    since[who[last]] = when[last]
+    np.add.at(iterations, old, when)
+    np.subtract.at(iterations, new, when)
 
 
 def run_block(
@@ -151,14 +147,18 @@ def run_block(
 ) -> BlockResult:
     """Run the (1+1) EA from each packed start string, all in lockstep.
 
-    Each iteration mutates every unfinished lane with rate ``rate`` and
-    accepts its offspring iff the fitness is not worse.  A lane stops on
-    reaching the optimum, or after ``max_iterations`` iterations (flagged
-    ``hits = False``).  An iteration only records the lanes whose fitness
-    strictly rose, with their new fitness: levels are sets of fitness values,
-    so levels change only there.  The levels of those values are read once
-    per draw of masks, in one ``level`` call.  The buffers grow
-    with ``len(starts)``; ``block_lanes`` keeps them within ``BUFFER_BYTES``.
+    Each iteration mutates every lane with rate ``rate`` and accepts its
+    offspring iff the fitness is not worse.  A lane stops on reaching the
+    optimum, or after ``max_iterations`` iterations (flagged ``hits =
+    False``).  A lane that reaches the optimum stays in the arrays until its
+    draw of masks ends: its fitness cannot rise again, and the other lanes
+    keep their own mask columns, so the random stream is that of a block
+    that drops each lane as it finishes.  Each draw is made for the
+    unfinished lanes only.  An iteration only records the fitness rises, as
+    (iteration, fitness before, fitness after): levels are sets of fitness
+    values, so levels change only there.  ``_book_levels`` books them once
+    per draw of masks.  The buffers grow with ``len(starts)``;
+    ``block_lanes`` keeps them within ``BUFFER_BYTES``.
     """
     if not 0.0 < rate < 1.0:
         raise ValueError(f"mutation rate must be in (0, 1), got {rate}")
@@ -166,28 +166,28 @@ def run_block(
     fitness, level, is_optimum = benchmark.fitness, benchmark.level, benchmark.is_optimum
     x = np.array(starts, dtype=np.uint64)
     lanes = len(x)
-    runtimes = np.full(lanes, max_iterations, dtype=np.int64)
-    hits = np.zeros(lanes, dtype=bool)
     visits, leaves, iterations = np.zeros((3, top + 1), dtype=np.int64)
-
     fx = fitness(x)
-    at = level(fx)  # the level of each lane, by index in the block
-    np.add.at(visits, at, 1)
-    lane = np.flatnonzero(at != top)  # the unfinished lanes, by index in the block
-    runtimes[at == top] = 0
-    hits[at == top] = True
-    x, fx = x[lane], fx[lane]
-    since = np.zeros(lanes, dtype=np.int64)  # the iteration each lane entered its level
+    start = level(fx)
+    np.add.at(visits, start, 1)
+    hits = start == top
+    runtimes = np.full(lanes, max_iterations, dtype=np.int64)
+    runtimes[hits] = 0
+    lane = np.arange(lanes)  # the lanes in the arrays, by index in the block
     # selection copies each accepted string whole, as one element of this
     # dtype: row by row, numpy copies a short row of words slowly
     row = np.dtype((np.void, 8 * x.shape[1]))
-    y = np.empty_like(x)
-    x_rows, y_rows = x.view(row)[:, 0], y.view(row)[:, 0]
 
     t = 0
-    while len(lane) and t < max_iterations:
+    while t < max_iterations:
+        live = ~hits[lane]  # the lanes that finished in the last draw leave here
+        x, fx, lane = x[live], fx[live], lane[live]
+        if not len(lane):
+            break
+        y = np.empty_like(x)
+        x_rows, y_rows = x.view(row)[:, 0], y.view(row)[:, 0]
         masks = flip_masks(refill_steps(n, rate, len(lane)), len(lane), n, rate, rng)
-        who, when, values = [], [], []  # the fitness rises of this draw
+        when, before, after = [], [], []  # the fitness rises of this draw
         for step in range(min(len(masks), max_iterations - t)):  # the cap does not change the stream
             t += 1
             np.bitwise_xor(x, masks[step], out=y)
@@ -196,28 +196,25 @@ def run_block(
             rise = (fy > fx).nonzero()[0]
             if not len(rise):
                 continue
-            np.maximum(fx, fy, out=fx)
             risen = fy.take(rise)
-            who.append(lane[rise])
             when.append(t)
-            values.append(risen)
-            done = rise[is_optimum(risen)]
+            before.append(fx.take(rise))
+            after.append(risen)
+            np.maximum(fx, fy, out=fx)
+            done = lane.take(rise[is_optimum(risen)])
             if len(done):
-                runtimes[lane[done]] = t
-                hits[lane[done]] = True
-                keep = np.ones(len(lane), dtype=bool)
-                keep[done] = False
-                x, fx, lane = x[keep], fx[keep], lane[keep]
-                masks = masks[:, keep]
-                if not len(lane):
+                runtimes[done] = t
+                hits[done] = True
+                if hits[lane].all():
                     break
-                y = np.empty_like(x)
-                x_rows, y_rows = x.view(row)[:, 0], y.view(row)[:, 0]
-        if who:
-            counts = [len(w) for w in who]
-            _book_levels(level, np.concatenate(who), np.repeat(when, counts), np.concatenate(values),
-                         at, since, visits, leaves, iterations)
-    np.add.at(iterations, at[lane], t - since[lane])  # lanes stopped by the cap
+        if when:
+            when = np.repeat(when, [len(a) for a in after])
+            _book_levels(level, when, np.concatenate(before), np.concatenate(after), visits, leaves, iterations)
+    # each lane's final time, at its last level: its runtime, or the cap
+    iterations[top] += runtimes[hits].sum()
+    capped = ~hits[lane]
+    if capped.any():
+        np.add.at(iterations, level(fx[capped]), max_iterations)
     return BlockResult(runtimes, hits, visits, leaves, iterations)
 
 

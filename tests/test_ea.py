@@ -256,19 +256,33 @@ def test_iteration_cap_truncates_runs():
 
 
 def test_block_counts_account_for_every_iteration():
-    # hit lanes, lanes stopped by the cap and lanes starting at the optimum
-    bm = make_leadingones(70)
-    rng = np.random.default_rng(5)
-    starts = uniform_random_words(300, 70, rng)
-    starts[:3] = pack_words(np.ones(70, dtype=np.uint8))
-    starts[3:100] = pack_words(bm.sample_level(65, rng))
-    block = run_block(bm, 1 / 70, rng, starts, max_iterations=1500)
-    assert 0 < block.hits.sum() < 300 and block.runtimes[:3].tolist() == [0, 0, 0]
-    assert block.iterations.sum() == block.runtimes.sum()
-    assert block.visits[70] == block.hits.sum() and block.leaves[70] == 0
-    # each run leaves every level it visits except its last one
-    assert block.leaves.sum() == block.visits.sum() - 300
-    assert np.all(block.runtimes[~block.hits] == 1500)
+    # hit lanes, lanes stopped by the cap and lanes starting at the optimum,
+    # in every family: Jump rises inside level k and the long path rises off
+    # the path onto its start, and neither changes the level
+    cases = [
+        # (kind, n, k, level of the lanes started near the optimum, cap)
+        ("leadingones", 70, None, 65, 1500),
+        ("onemax", 70, None, 62, 500),
+        ("jump", 12, 3, 3, 1500),
+        ("longpath", 12, 3, 30, 600),
+    ]
+    for kind, n, k, near, cap in cases:
+        bm = make_benchmark(kind, n, k)
+        top = bm.top_level
+        rng = np.random.default_rng(5)
+        starts = uniform_random_words(300, n, rng)
+        starts[:3] = pack_words(bm.sample_level(top, rng))
+        starts[3:100] = pack_words(bm.sample_level(near, rng))
+        block = run_block(bm, 1 / n, rng, starts, max_iterations=cap)
+        assert 0 < block.hits.sum() < 300 and block.runtimes[:3].tolist() == [0, 0, 0], kind
+        assert block.iterations.sum() == block.runtimes.sum(), kind
+        assert block.visits[top] == block.hits.sum() and block.leaves[top] == 0, kind
+        assert block.iterations[top] == 0, kind
+        # each run visits a level at most once, and leaves every level it
+        # visits except its last one
+        assert block.visits.max() <= 300, kind
+        assert block.leaves.sum() == block.visits.sum() - 300, kind
+        assert np.all(block.runtimes[~block.hits] == cap), kind
 
 
 def _pinned_runs():
@@ -323,7 +337,8 @@ def _replay_lanes(bm, kind, k, starts, draws, max_iterations):
     starts where the draws before it ended.  Also returns counts of the
     events the replay passed: rises that kept the level, the same on the
     plateau below the long path (fitness -1 to 0), steps in which at least two
-    lanes finished, and whether the cap fell inside a draw.
+    lanes finished, whether the cap fell inside a draw, and whether it fell
+    inside a draw in which a lane finished before it while another ran on.
     """
     fitness, level, is_optimum = _int_reference(kind, bm.n, k, bm.path)
     top = bm.top_level
@@ -332,7 +347,8 @@ def _replay_lanes(bm, kind, k, starts, draws, max_iterations):
     since = [0] * len(x)
     runtimes, hits = [max_iterations] * len(x), [False] * len(x)
     visits, leaves, iterations = (np.zeros(top + 1, dtype=np.int64) for _ in range(3))
-    events = {"plateau_rises": 0, "off_path_rises": 0, "shared_finishes": 0, "cap_inside_draw": False}
+    events = {"plateau_rises": 0, "off_path_rises": 0, "shared_finishes": 0, "cap_inside_draw": False,
+              "rode_out_to_cap": False}
     for lane, lvl in enumerate(at):
         visits[lvl] += 1
         if lvl == top:
@@ -343,7 +359,8 @@ def _replay_lanes(bm, kind, k, starts, draws, max_iterations):
         live = [lane for lane in range(len(x)) if not hits[lane]]
         assert live and t0 < max_iterations and masks.shape[1] == len(live)
         steps = min(len(masks), max_iterations - t0)
-        events["cap_inside_draw"] |= steps < len(masks) and t0 + steps == max_iterations
+        cap_inside = steps < len(masks) and t0 + steps == max_iterations
+        events["cap_inside_draw"] |= cap_inside
         for pos, lane in enumerate(live):
             for step, mask in enumerate(_word_ints(masks[:steps, pos])):
                 t = t0 + step + 1
@@ -370,6 +387,8 @@ def _replay_lanes(bm, kind, k, starts, draws, max_iterations):
                     finish_steps.append(t)
                     break
         t0 += steps
+        early = any(hits[lane] and runtimes[lane] < t0 for lane in live)
+        events["rode_out_to_cap"] |= cap_inside and early and not all(hits[lane] for lane in live)
     for lane in range(len(x)):
         if not hits[lane]:
             assert t0 == max_iterations  # only the cap leaves a lane unfinished
@@ -379,9 +398,15 @@ def _replay_lanes(bm, kind, k, starts, draws, max_iterations):
     return result, events
 
 
-def _replay_starts(kind, bm, rng):
+def _replay_starts(kind, bm, rng, lanes=None):
     """Start strings that reach the cases the replay test covers."""
     n = bm.n
+    if lanes:
+        # few lanes, so a draw serves thousands of steps: the first lane, one
+        # level below the optimum, finishes early in the first draw and rides
+        # it out while the others, at level 0, run on to the cap
+        rest = [bm.sample_level(0, rng) for _ in range(lanes - 1)]
+        return np.array([bm.sample_level(bm.top_level - 1, rng)] + rest)
     if kind == "longpath":
         # path points, and off-path strings one bit from path point 0 (the
         # point at distance 1 that is on the path would be point 1)
@@ -411,6 +436,8 @@ REPLAY_CASES = [
     ("jump", 130, 2, 1200),
     ("longpath", 12, 3, 600),
     ("longpath", 130, 65, 1300),
+    # (kind, n, k, max_iterations, lanes): a block of a few lanes
+    ("leadingones", 60, None, 800, 3),
 ]
 
 
@@ -423,11 +450,11 @@ def test_block_matches_per_lane_reference(monkeypatch):
         return draws[-1]
 
     monkeypatch.setattr(ea, "flip_masks", recording_masks)
-    totals = {"jump": 0, "longpath": 0, "shared_finishes": 0, "cap_inside_draw": 0}
-    for seed, (kind, n, k, cap) in enumerate(REPLAY_CASES):
+    totals = {"jump": 0, "longpath": 0, "shared_finishes": 0, "cap_inside_draw": 0, "rode_out_to_cap": 0}
+    for seed, (kind, n, k, cap, *lanes) in enumerate(REPLAY_CASES):
         bm = make_benchmark(kind, n, k)
         rng = np.random.default_rng(3000 + seed)
-        starts = _replay_starts(kind, bm, rng)
+        starts = _replay_starts(kind, bm, rng, *lanes)
         draws.clear()
         block = run_block(bm, 1 / n, rng, pack_words(starts), max_iterations=cap)
         expected, events = _replay_lanes(bm, kind, k, starts, draws, cap)
@@ -440,5 +467,7 @@ def test_block_matches_per_lane_reference(monkeypatch):
             totals["longpath"] += events["off_path_rises"]
         totals["shared_finishes"] += events["shared_finishes"]
         totals["cap_inside_draw"] += events["cap_inside_draw"]
+        totals["rode_out_to_cap"] += events["rode_out_to_cap"]
+        assert not lanes or events["rode_out_to_cap"], (kind, n)
         assert cap == 10**9 or not block.hits.all(), (kind, n)
     assert all(totals.values()), totals

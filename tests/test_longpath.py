@@ -58,8 +58,8 @@ def test_invalid_parameters_rejected():
     for n in (0, -3):
         with pytest.raises(ValueError):
             build_long_k_path(n, 3)  # k divides n, but n < k
-    with pytest.raises(ValueError):
-        build_long_k_path(40, 2, max_points=1000)  # memory cap
+    with pytest.raises(ValueError, match="2097151 points, exceeding the cap 1000000"):
+        build_long_k_path(40, 2)  # memory cap
 
 
 def test_long_path_fitness_values():
