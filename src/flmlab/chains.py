@@ -50,8 +50,6 @@ LONGPATH_DENSE_ARRAYS = 4
 LEVEL_DENSE_ARRAYS = 1
 TRIANGLE_BLOCK_ROWS = 128  # the lower-triangle check's temporary: 128^2 entries at most
 
-StartSpec = Union[str, int]
-
 
 def _physical_memory() -> int:
     """Bytes of physical memory of this machine."""
@@ -231,7 +229,7 @@ def _binomial_start(n: int) -> np.ndarray:
     return start / start.sum()
 
 
-def _resolve_start(start: Union[StartSpec, np.ndarray], n: int) -> np.ndarray:
+def _resolve_start(start: Union[str, int, np.ndarray], n: int) -> np.ndarray:
     if isinstance(start, np.ndarray):
         return start  # a law over the ones-count classes 0..n
     if isinstance(start, str):
@@ -251,7 +249,7 @@ def jump_fitness_order(n: int, k: int) -> list[int]:
     return np.argsort(jump_fitness_of_ones(np.arange(n + 1), n, k)).tolist()  # distinct values
 
 
-def jump_level_matrix(n: int, k: int, p: float, start: Union[StartSpec, np.ndarray] = "random") -> LevelChain:
+def jump_level_matrix(n: int, k: int, p: float, start: Union[str, int, np.ndarray] = "random") -> LevelChain:
     """Exact chain over ones-count classes of a jump function, ordered by
     fitness.  The coarse gap/non-gap partition is not Markov inside the
     non-gap region, so each ones-count keeps its own (sub-)level; transition
@@ -283,13 +281,13 @@ def jump_level_matrix(n: int, k: int, p: float, start: Union[StartSpec, np.ndarr
     return LevelChain(t, _resolve_start(start, n)[ones], labels=tuple(order))
 
 
-def onemax_level_matrix(n: int, p: float, start: StartSpec = "random") -> LevelChain:
+def onemax_level_matrix(n: int, p: float, start: Union[str, int, np.ndarray] = "random") -> LevelChain:
     """Exact level chain of the elitist process on OneMax (level = ones-count):
     Jump_1 is OneMax shifted by one, so this is the jump chain with k = 1."""
     return jump_level_matrix(n, 1, p, start)
 
 
-def longpath_level_matrix(path, p: float, start: StartSpec = 0) -> LevelChain:
+def longpath_level_matrix(path, p: float, start: int = 0) -> LevelChain:
     """Exact chain over long k-path positions.
 
     With an on-path start the parent never leaves the path, so the path
@@ -298,8 +296,6 @@ def longpath_level_matrix(path, p: float, start: StartSpec = 0) -> LevelChain:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"mutation rate must be in (0, 1), got {p}")
-    if isinstance(start, str):
-        raise ValueError("longpath chains start on a fixed path position")
     m = len(path.points)
     if not 0 <= int(start) <= m - 1:
         raise ValueError(f"start position must be in [0, {m - 1}], got {start}")

@@ -24,8 +24,8 @@ import numpy as np
 from . import benchmarks, bounds, chains, formulas, serialize
 from .experiments import (
     ExperimentConfig,
-    _parse_init,
     compare_report,
+    parse_start,
     resolve_mutation_rate,
     run_experiment,
 )
@@ -48,7 +48,8 @@ def _add_common(parser: argparse.ArgumentParser, benchmark: bool = True) -> None
         parser.add_argument("--k", type=int, default=None)
         parser.add_argument("--p", default="1/n", help="mutation rate: real, fraction, or c/n")
         parser.add_argument(
-            "--init", default="random", help="random, level:<int>, point:<bits> (simulate, bounds) or arbitrary (bounds)"
+            "--init", default="random",
+            help="random, level:<L> (benchmark level L), point:<bits> (simulate, bounds) or arbitrary (bounds)",
         )
 
 
@@ -136,13 +137,20 @@ def _require_k(args) -> int:
     return args.k
 
 
-def _where_stated(family_bounds: Callable, args, p: float, start):
+def _where_stated(family_bounds: Callable, args, p: float):
     """A family's ``bounds`` entry, or no fields and no bounds where it
     raises: where its bounds are not stated."""
     try:
-        return family_bounds(args, p, start)
+        return family_bounds(args, p)
     except ValueError:
         return {}, []
+
+
+def _full_state_start(benchmark: benchmarks.Benchmark, start):
+    """The full-state oracle's start: a long k-path level is its one path point."""
+    if start.form == "level" and benchmark.path is not None:
+        return benchmark.sample_level(start.level, None)  # the point simulate starts from: no draw
+    return "random" if start.form == "random" else start.level
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +158,18 @@ def _where_stated(family_bounds: Callable, args, p: float, start):
 # ---------------------------------------------------------------------------
 
 
-def _onemax_chain(args, p: float, start) -> chains.LevelChain:
-    return chains.onemax_level_matrix(args.n, p, start=start)
+def _onemax_chain(args, p: float) -> chains.LevelChain:
+    return chains.onemax_level_matrix(args.n, p, start=args.start.level if args.start.form == "level" else "random")
 
 
-def _onemax_bounds(args, p: float, start):
+def _onemax_bounds(args, p: float):
     k = 0 if args.from_level is None else args.from_level
     l = args.n if args.to_level is None else args.to_level
     om = formulas.onemax_bounds(args.n, k, l)  # validates n, from and to
     if not _rate_is_one_over_n(p, args.n):
         raise ValueError(f"onemax bounds are stated for rate 1/n only, got p={p!r}")
-    if isinstance(start, int) and not 0 <= start <= args.n:
-        raise ValueError(f"OneMax level must be in [0, {args.n}], got {start}")
+    if args.start.form == "level" and not 0 <= args.start.level <= args.n:
+        raise ValueError(f"OneMax level must be in [0, {args.n}], got {args.start.level}")
     fields = {
         "from": k,
         "to": l,
@@ -179,7 +187,7 @@ def _onemax_bounds(args, p: float, start):
     ]
 
 
-def _onemax_compare(args, p: float, start, summary: chains.ChainSummary):
+def _onemax_compare(args, p: float, summary: chains.ChainSummary):
     # the calculators validate the leave probabilities before any division
     upper = bounds.flm_upper_classic(summary.leave_probs)
     lower = bounds.flm_lower_visit(summary.leave_probs, summary.visit_probs[:-1])
@@ -187,9 +195,9 @@ def _onemax_compare(args, p: float, start, summary: chains.ChainSummary):
     return [upper, lower], summary.expected_time, visit_lower
 
 
-def _leadingones_bounds(args, p: float, start):
+def _leadingones_bounds(args, p: float):
     # the closed form is stated for a uniform start
-    if isinstance(start, np.ndarray) or start != "random":
+    if args.start.form != "random":
         raise ValueError(f"leadingones bounds are stated for --init random only, got {args.init!r}")
     exact = formulas.leadingones_exact(args.n, p)
     return {"exact_expected_runtime": exact}, [
@@ -198,39 +206,40 @@ def _leadingones_bounds(args, p: float, start):
     ]
 
 
-def _leadingones_compare(args, p: float, start, summary: None):
+def _leadingones_compare(args, p: float, summary: None):
     # the bits behind the first zero stay uniform, so a run visits every level
     # above its start with probability 1/2 (from random: every level below n)
     v = np.full(args.n, 0.5)
-    if isinstance(start, int):
-        if not 0 <= start <= args.n:
-            raise ValueError(f"LeadingOnes level must be in [0, {args.n}], got {start}")
-        v[:start] = 0.0  # no lower level
-        v[start : start + 1] = 1.0  # level L surely (no level when L = n)
+    if args.start.form == "level":
+        level = args.start.level
+        if not 0 <= level <= args.n:
+            raise ValueError(f"LeadingOnes level must be in [0, {args.n}], got {level}")
+        v[:level] = 0.0  # no lower level
+        v[level : level + 1] = 1.0  # level L surely (no level when L = n)
     # the closed form, checked against the sum; from a uniform start it is
     # stated, and its overflow is the error that bounds reports too
-    lower_upper = _leadingones_bounds(args, p, start)[1] if isinstance(start, str) else []
+    lower_upper = _leadingones_bounds(args, p)[1] if args.start.form == "random" else []
     exact = bounds.flm_upper_visit(formulas.leadingones_leave_probs(args.n, p), v).value
     return lower_upper[::-1], exact, dict(enumerate(v.tolist()))  # reports list the upper first
 
 
-def _jump_chain(args, p: float, start) -> chains.LevelChain:
-    k = _require_k(args)
-    if isinstance(start, int):  # benchmark level L: the law sample_level(L) draws from
-        ones, weights = benchmarks.jump_level_weights(args.n, k, start)
+def _jump_chain(args, p: float) -> chains.LevelChain:
+    k, start = _require_k(args), "random"
+    if args.start.form == "level":  # the law over ones-counts that sample_level(L) draws from
+        ones, weights = benchmarks.jump_level_weights(args.n, k, args.start.level)
         start = np.zeros(args.n + 1)
         start[ones] = weights
         start /= start.sum()
     return chains.jump_level_matrix(args.n, k, p, start=start)
 
 
-def _jump_bounds(args, p: float, start):
-    k = _require_k(args)
-    init = start if isinstance(start, str) else "arbitrary"  # the bound that covers any fixed start
+def _jump_bounds(args, p: float):
+    k, start = _require_k(args), args.start
+    init = "random" if start.form == "random" else "arbitrary"  # the bound that covers any fixed start
     jb = formulas.jump_bounds(args.n, k, init=init)  # validates n and k
     if not _rate_is_one_over_n(p, args.n):
         raise ValueError(f"jump bounds are stated for rate 1/n only, got p={p!r}")
-    if (isinstance(start, int) and not 1 <= start <= k) or (isinstance(start, np.ndarray) and start.all()):
+    if (start.form == "level" and not 1 <= start.level <= k) or (start.form == "point" and start.point.all()):
         raise ValueError(f"jump bounds are stated for a start below the optimum (level 1..{k}), got {args.init!r}")
     fields = {
         "k": k,
@@ -243,23 +252,23 @@ def _jump_bounds(args, p: float, start):
     return fields, [bounds.BoundResult(jb.lower_bound, "lower", f"jump-skip-{init}")]
 
 
-def _jump_compare(args, p: float, start, summary: chains.ChainSummary):
-    fields, bound_list = _where_stated(_jump_bounds, args, p, start)
+def _jump_compare(args, p: float, summary: chains.ChainSummary):
+    fields, bound_list = _where_stated(_jump_bounds, args, p)
     # the skip bound's complement, on the canonical non-gap level
     visit_lower = {args.k: 1.0 - float(fields[f"skip_bound_{fields['init']}"])} if fields else {}
     return bound_list, summary.expected_time, visit_lower
 
 
-def _longpath_chain(args, p: float, start) -> chains.LevelChain:
+def _longpath_chain(args, p: float) -> chains.LevelChain:
     path = benchmarks.build_long_k_path(args.n, _require_k(args))
-    # known defect: simulate starts from a uniform random string, not path position 0
-    return chains.longpath_level_matrix(path, p, start=0 if isinstance(start, str) else start)
+    # "random" as position 0 is a known defect (ROADMAP item 1, LONGPATH_INIT): the engine starts it uniformly
+    return chains.longpath_level_matrix(path, p, start=0 if args.start.form == "random" else args.start.level)
 
 
-def _longpath_bounds(args, p: float, start):
+def _longpath_bounds(args, p: float):
     k = _require_k(args)
     # stated for a run from path position 0, where the chain also starts "random"
-    if isinstance(start, np.ndarray) or start not in ("random", 0):
+    if (args.start.form, args.start.level) not in (("random", None), ("level", 0)):
         raise ValueError(f"longpath bounds are stated for --init random or level:0 only, got {args.init!r}")
     main_bound = formulas.longpath_lower_bound(args.n, k, p)  # validates k and p in (0, 1/2]
     fields = {
@@ -275,8 +284,8 @@ def _longpath_bounds(args, p: float, start):
     return fields, [bounds.BoundResult(main_bound, "lower", "longpath-visit-lower")]
 
 
-def _longpath_compare(args, p: float, start, summary: chains.ChainSummary):
-    _, bound_list = _where_stated(_longpath_bounds, args, p, start)
+def _longpath_compare(args, p: float, summary: chains.ChainSummary):
+    _, bound_list = _where_stated(_longpath_bounds, args, p)
     if not bound_list:
         return [], summary.expected_time, {}
     v_low = formulas.longpath_level_visit_lower(args.n, args.k, p)
@@ -286,8 +295,8 @@ def _longpath_compare(args, p: float, start, summary: chains.ChainSummary):
 
 @dataclass(frozen=True)
 class _Family:
-    """Everything the CLI knows about one benchmark family; each entry takes
-    the start its command resolved from --init ("arbitrary" and points: bounds only).
+    """Everything the CLI knows about one benchmark family; each entry reads
+    ``args.start``, its command's parsed --init ("arbitrary" and points: bounds only).
 
     ``chain`` builds the exact level chain; a full-state-only family has none.
     ``bounds`` returns the family's fields of the ``bounds`` document and its
@@ -321,8 +330,8 @@ def _bound_entry(b: bounds.BoundResult) -> dict:
 
 def _cmd_bounds(args) -> int:
     p = resolve_mutation_rate(args.p, args.n)
-    start = args.init if args.init == "arbitrary" else _parse_init(args.init, args.n)
-    fields, results = _FAMILIES[args.benchmark].bounds(args, p, start)
+    args.start = parse_start(args.init, args.n, ("random", "level:<int>", "point:<bits>", "arbitrary"))
+    fields, results = _FAMILIES[args.benchmark].bounds(args, p)
     doc = {"benchmark": args.benchmark, "n": args.n, **fields}
     doc["bounds"] = [_bound_entry(b) for b in results]
     _emit(args, doc, ("theorem", "kind", "value"), ((b.theorem, b.kind, b.value) for b in results))
@@ -332,15 +341,13 @@ def _cmd_bounds(args) -> int:
 def _cmd_oracle(args) -> int:
     p = resolve_mutation_rate(args.p, args.n)
     family = _FAMILIES[args.benchmark]
-    start = _parse_init(args.init, args.n, point=False)
+    args.start = parse_start(args.init, args.n, ("random", "level:<int>"))
     if args.full_state or family.chain is None:
         benchmark = benchmarks.make_benchmark(args.benchmark, args.n, args.k)
-        if benchmark.path is not None and isinstance(start, int):  # the path point simulate starts from
-            start = benchmark.sample_level(start, None)  # a path level has one point: no draw
-        summary = chains.full_state_expected_time(benchmark, p, start=start)
+        summary = chains.full_state_expected_time(benchmark, p, start=_full_state_start(benchmark, args.start))
         oracle = "full-state"
     else:
-        summary = chains.summarize(family.chain(args, p, start))
+        summary = chains.summarize(family.chain(args, p))
         oracle = "level-chain"
     leave, visit, expected = summary.leave_probs, summary.visit_probs, summary.expected_time
     doc = {"levels": len(visit), "p": leave, "v": visit, "expected_T": expected, "oracle": oracle}
@@ -396,16 +403,16 @@ def _cmd_simulate(args) -> int:
 def _compare_inputs(args, p: float):
     """Bounds, exact oracle value and proven visit lower bounds for compare."""
     family = _FAMILIES[args.benchmark]
-    start = _parse_init(args.init, args.n, point=False)
-    summary = None if family.chain is None else chains.summarize(family.chain(args, p, start))
-    return family.compare(args, p, start, summary)
+    summary = None if family.chain is None else chains.summarize(family.chain(args, p))
+    return family.compare(args, p, summary)
 
 
 def _cmd_compare(args) -> int:
     config = _experiment_config(args)  # Monte Carlo flags checked before the exact chain is built
     p = resolve_mutation_rate(args.p, args.n)
+    args.start = parse_start(args.init, args.n, ("random", "level:<int>"))
     bound_list, exact, visit_lower = _compare_inputs(args, p)  # every input check before the first replicate
-    stats = run_experiment(config)
+    stats = run_experiment(config, args.start)
     report = compare_report(stats, bound_list, exact=exact, visit_lower=visit_lower)
     doc = {
         "benchmark": args.benchmark,

@@ -5,15 +5,15 @@ alone), each block in lockstep through ``ea.run_block``.  Block b draws its
 start strings and then its mutations from
 ``SeedSequence(entropy=master_seed, spawn_key=(b,))`` — numpy's published
 entropy-mixing hash — and blocks run one after another in index order, so
-the same seed yields bit-identical statistics.  The module also owns the
-``--init`` grammar shared by the Monte Carlo runs and the exact oracles.
+the same seed yields bit-identical statistics.  :func:`parse_start` reads an
+``--init`` value, once per command, into the :class:`Start` every route reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +27,8 @@ __all__ = [
     "RunStatistics",
     "Report",
     "ReportRow",
+    "Start",
+    "parse_start",
     "resolve_mutation_rate",
     "replicate_rng",
     "run_experiment",
@@ -127,40 +129,45 @@ def replicate_rng(master_seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _parse_init(init: str, n: int, point: bool = True) -> Union[str, int, np.ndarray]:
-    """Parse an ``--init`` value: "random", "level:<int>" (returned as the
-    int) or, where ``point`` allows it, "point:<bits>" (an n-bit array)."""
-    if init == "random":
-        return init
-    if init.startswith("level:"):
+class Start(NamedTuple):
+    """A parsed ``--init``: its form and, for "level" or "point", the level or the n bits."""
+
+    form: str
+    level: Optional[int] = None
+    point: Optional[np.ndarray] = None
+
+
+def parse_start(init: str, n: int, forms: Sequence[str] = ("random", "level:<int>", "point:<bits>")) -> Start:
+    """Parse an ``--init`` value in one of the syntaxes ``forms`` lists, out of
+    "random", "level:<int>", "point:<bits>" (n characters of 0/1) and "arbitrary"."""
+    form, colon, value = init.partition(":")
+    if form + colon not in [f.split("<")[0] for f in forms]:
+        raise ValueError(f"init must be {', '.join(map(repr, forms[:-1]))} or {forms[-1]!r}, got {init!r}")
+    if form == "level":
         try:
-            return int(init.split(":", 1)[1])
+            return Start(form, level=int(value))
         except ValueError:
             raise ValueError(f"--init level must be 'level:<int>', got {init!r}") from None
-    if point and init.startswith("point:"):
-        bits = init.split(":", 1)[1]
-        if len(bits) != n or set(bits) - {"0", "1"}:
-            raise ValueError(f"init point must be {n} characters of 0/1")
-        return np.array([int(c) for c in bits], dtype=np.uint8)
-    forms = "'random', 'level:<int>' or 'point:<bits>'" if point else "'random' or 'level:<int>'"
-    raise ValueError(f"init must be {forms}, got {init!r}")
+    if form == "point" and (len(value) != n or set(value) - {"0", "1"}):
+        raise ValueError(f"init point must be {n} characters of 0/1")
+    return Start(form, point=np.array([int(c) for c in value], dtype=np.uint8) if form == "point" else None)
 
 
-def _block_starts(benchmark: Benchmark, start, lanes: int, rng: np.random.Generator) -> np.ndarray:
-    """The packed start strings of one block for a parsed ``--init``."""
-    if isinstance(start, str):
+def _block_starts(benchmark: Benchmark, start: Start, lanes: int, rng: np.random.Generator) -> np.ndarray:
+    """The packed start strings of one block: the engine's reading of a ``Start``."""
+    if start.form == "random":
         return uniform_random_words(lanes, benchmark.n, rng)
-    if isinstance(start, int):
-        return pack_words(np.array([benchmark.sample_level(start, rng) for _ in range(lanes)]))
-    return np.repeat(pack_words(start), lanes, axis=0)
+    if start.form == "level":
+        return pack_words(np.array([benchmark.sample_level(start.level, rng) for _ in range(lanes)]))
+    return np.repeat(pack_words(start.point), lanes, axis=0)
 
 
-def run_experiment(config: ExperimentConfig) -> RunStatistics:
-    """Execute the configured replicates block by block and merge them."""
-    # the rate before the benchmark, so a bad n is reported as such
+def run_experiment(config: ExperimentConfig, start: Optional[Start] = None) -> RunStatistics:
+    """Run the configured replicates block by block and merge them; ``start``, if given, is ``config.init`` parsed."""
+    # the rate first, so a bad n is reported as such, then --init, so a bad one builds no benchmark
     rate = resolve_mutation_rate(config.mutation_rate, config.n)
+    start = parse_start(config.init, config.n) if start is None else start
     benchmark = make_benchmark(config.benchmark, config.n, config.k)
-    start = _parse_init(config.init, config.n)
     lanes = block_lanes(config.n)
     blocks = []
     for block, first in enumerate(range(0, config.replicates, lanes)):

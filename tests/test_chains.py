@@ -462,7 +462,14 @@ def test_jump_chain_matches_double_loop_reference():
                 if position[b] > i:
                     t[i, position[b]] = row[b]
             t[i, i] = max(0.0, 1.0 - t[i, i + 1 :].sum())
-        class_start = chains_module._resolve_start(start, n)
+        # the start law over ones-counts, built apart from the code under test
+        if start == "random":
+            j = np.arange(n + 1)
+            class_start = np.exp(gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1) - n * math.log(2.0))
+            class_start /= class_start.sum()
+        else:
+            class_start = np.zeros(n + 1)
+            class_start[start] = 1.0
         start_vec = np.zeros(n + 1)
         for a in range(n + 1):
             start_vec[position[a]] = class_start[a]

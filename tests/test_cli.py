@@ -387,6 +387,38 @@ def test_bounds_longpath_overflow_exits_1(capsys):
     assert err == "error: long k-path length k*2^(n/k) at n=2400, k=2 overflows a double\n"
 
 
+@pytest.mark.parametrize(
+    "init,code,message",
+    [("random", 0, None), ("level:0", 0, None), ("level:5", 1, "stated for")],
+)
+def test_bounds_longpath_builds_no_path(capsys, init, code, message):
+    # the (60, 2) path would have 2^31 - 1 points, over the point cap: bounds
+    # decides from the flags alone
+    got, out, err = run_main(capsys, "bounds", "--benchmark", "longpath", "--n", "60", "--k", "2", "--init", init)
+    assert got == code
+    if message is None:
+        assert json.loads(out)["bounds"][0]["theorem"] == "longpath-visit-lower"
+    else:
+        assert out == "" and message in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["simulate --replicates 5", "compare --replicates 5", "oracle", "oracle --full-state", "bounds"],
+)
+def test_init_is_parsed_before_any_path_is_built(monkeypatch, capsys, command):
+    import flmlab.benchmarks as benchmarks_module
+
+    def no_path(n, k):
+        raise AssertionError("a long k-path was built before --init was parsed")
+
+    monkeypatch.setattr(benchmarks_module, "build_long_k_path", no_path)
+    code, out, err = run_main(capsys, *command.split(), "--benchmark", "longpath", "--n", "54", "--k", "3", "--init", "bogus")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: init must be 'random'") and len(err.strip().splitlines()) == 1
+
+
 def test_oracle_without_k_exits_1(capsys):
     for benchmark in ("jump", "longpath"):
         code, _, err = run_main(capsys, "oracle", "--benchmark", benchmark, "--n", "10")
