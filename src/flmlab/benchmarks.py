@@ -292,6 +292,8 @@ def jump_level_weights(n: int, k: int, level: int) -> tuple[np.ndarray, np.ndarr
     """Ones-counts of Jump_k level ``level`` and weights proportional to the
     law of a uniform string of the level over them: at level k, C(n, a) over
     0..n-k shifted by its peak (no weight overflows); one count elsewhere."""
+    if not 1 <= k <= n:
+        raise ValueError(f"jump size must be in [1, {n}], got {k}")
     if not 1 <= level <= k + 1:
         raise ValueError(f"jump level must be in [1, {k + 1}]")
     if level != k:

@@ -150,15 +150,41 @@ class ChainSummary:
 # under -745.14 (so the entry is exactly 0) if the term is not that far below it.
 BAND_NATS = 40.0
 TERM_FLOOR = -(745.2 + BAND_NATS)
+# parents per kernel call in the chain builders: the OneMax n = 1000 build
+# peaks at 9.3 MiB with blocks of 32 (14.0 MiB with 128; the matrix is 7.6 MiB)
+ROW_BLOCK = 32
+SUM_TERMS = 2**16  # log-terms exponentiated at once
 
 
-def mutation_class_row(n: int, p: float, k: int, lowest: int = 0, *,
-                       log_fact: Optional[np.ndarray] = None) -> np.ndarray:
+def _log_binomial_window(lf: np.ndarray, m: np.ndarray, mode: np.ndarray, log_odds: float,
+                         width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start a of a window of ``width`` indices j around each row's mode, and
+    log C(m, j) + j log_odds over it, -inf past m."""
+    a = np.clip(mode - width // 2, 0, np.maximum(m + 1 - width, 0))
+    j = a[:, None] + np.arange(width)
+    jj = np.minimum(j, m[:, None])
+    terms = (lf[m][:, None] - lf[jj] - lf[m[:, None] - jj]) + jj * log_odds
+    terms[j > m[:, None]] = -np.inf
+    return a, terms
+
+
+def _terms_at(window: tuple[np.ndarray, np.ndarray], first: np.ndarray, last: np.ndarray,
+              j: np.ndarray) -> np.ndarray:
+    """Each row's window read at the indices j[i], -inf outside [first_i, last_i]."""
+    a, terms = window
+    got = np.take_along_axis(terms, np.clip(j - a[:, None], 0, terms.shape[1] - 1), axis=1)
+    return np.where((first[:, None] <= j) & (j <= last[:, None]), got, -np.inf)
+
+
+def mutation_class_row(n: int, p: float, k: int, lowest: Union[int, np.ndarray] = 0, *,
+                       log_fact: Optional[np.ndarray] = None, count: Optional[int] = None) -> np.ndarray:
     """Distribution of the offspring ones-count under standard bit mutation
-    of a parent with ``k`` ones, as a length-(n+1) vector.  Only the entries
-    for ones-counts ``>= lowest`` are computed; those below are left at 0,
-    so ``lowest=0`` gives the whole row.  ``log_fact`` is a
-    ``log_factorials(n)`` table, which the rows of one chain share.
+    of a parent with ``k`` ones, as a length-(n+1) vector; with ``count=c``,
+    the ``(c, n+1)`` rows of the parents k .. k+c-1, one kernel call for the
+    block.  Only the entries for ones-counts ``>= lowest`` (a scalar, or one
+    value per row) are computed; those below are left at 0, so ``lowest=0``
+    gives the whole row.  ``log_fact`` is a ``log_factorials(n)`` table, which
+    the rows of one chain share.
 
     Moving from k to l = k + e ones flips d one-bits down and d + e zero-bits
     up; the log-terms, grouped by destination, are concave in d.  The ridge
@@ -170,58 +196,86 @@ def mutation_class_row(n: int, p: float, k: int, lowest: int = 0, *,
     of its column's ridge term, that edge moves out by h, so by concavity every
     dropped term lies more than ``BAND_NATS`` below its peak.  Each column is
     shifted by its peak, exponentiated and summed in increasing down-count
-    order, as the full sum, and matches it within 1e-14 relative.
+    order, as the full sum, and matches it within 1e-14 relative.  The up-
+    and down-flip log-terms are computed in a window around their mode, 64
+    wide and doubled until its edges lie below the floor, so a row costs its
+    rectangle, not O(n); each entry is the same double in any block.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"ones-count must be in [0, {n}], got {k}")
+    c = 1 if count is None else count
+    if not 0 <= k <= n or not 1 <= c <= n + 1 - k:
+        raise ValueError(f"ones-count must be in [0, {n}], got {k if c == 1 else f'{k}..{k + c - 1}'}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"mutation rate must be in (0, 1), got {p}")
     lf = log_factorials(n) if log_fact is None else log_fact
     log_odds = math.log(p) - math.log1p(-p)
-    log_up = (lf[n - k] - lf[: n - k + 1] - lf[n - k :: -1]) + np.arange(n - k + 1) * log_odds
-    log_down = (lf[k] - lf[: k + 1] - lf[k::-1]) + np.arange(k + 1) * log_odds
     base = n * math.log1p(-p)
-    u = np.flatnonzero(log_up >= TERM_FLOOR - (log_down.max() + base))
-    d = np.flatnonzero(log_down >= TERM_FLOOR - (log_up.max() + base))
-    u0, u1, d0, d1 = u[0], u[-1], d[0], d[-1]
-    e0, e1 = max(lowest - k, u0 - d1), u1 - d0  # net gains l - k of the computed columns
-    row = np.zeros(n + 1)
-    if e0 > e1:
-        return row
-    d1 = min(d1, u1 - e0)  # a higher down-count reaches no computed column
-    cols = np.arange(e1 - e0 + 1)
-    e = cols + float(e0)
-    # the ridge equation as a d^2 - b d + c = 0, rewritten for m = n - k - e; b + root > 0
-    r2 = math.exp(2.0 * log_odds)
-    a, b, c = r2 - 1.0, (1.0 - r2) * e + (r2 * n + 2.0), (r2 * k * (n - k) - 1.0) - (r2 * k + 1.0) * e
-    ridge = 2.0 * c / (b + np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)))
-    ridge = np.minimum(np.maximum(ridge, np.maximum(d0, u0 - e)), np.minimum(d1, u1 - e))
-    # minus the log-term's second derivative in d there, with trigamma(x + 1) ~ 1/(x + 1/2)
-    x, y = ridge + 0.5, ridge + e + 0.5
-    curvature = (k + 1) / ((k + 1 - x) * x) + (n - k + 1) / ((n - k + 1 - y) * y)
-    h = int(math.sqrt(2.0 * BAND_NATS / curvature.min())) + 1
-    # t[i, j] = (log_down[d] + log_up[d + e]) + base, the full sum's order, at
-    # d = d0 + lo + i and e = e0 + j, with log_up -inf off the rectangle
-    j0 = d0 + e0
-    lu = np.full(d1 + e1 + 1 - j0, -np.inf)
-    first = max(u0, j0)  # the window ends at d1 + e1 >= u1
-    lu[first - j0 : u1 - j0 + 1] = log_up[first : u1 + 1]
-    ld, last = log_down[d0 : d1 + 1], d1 - d0
-    center = np.ceil(ridge).astype(np.intp) - d0
-    top = ld[center] + lu[center + cols] - BAND_NATS
-    lo, hi = max(center.min() - h, 0), min(center.max() + h, last)
-    while lo > 0 and not np.all(ld[lo] + lu[lo + cols] < top):
-        lo = max(lo - h, 0)
-    while hi < last and not np.all(ld[hi] + lu[hi + cols] < top):
-        hi = min(hi + h, last)
-    t = ld[lo : hi + 1, None] + sliding_window_view(lu[lo:], len(cols))[: hi + 1 - lo] + base
-    peak = t.max(axis=0)
-    t -= peak
-    np.exp(t, out=t)
-    # numpy adds the rows of a wider array one after another: each column is
-    # summed in increasing down-count, so increasing up-count, as the full sum
-    row[k + e0 : k + e1 + 1] = np.exp(peak) * t.sum(axis=0)
-    return row
+    ks = np.arange(k, k + c)
+    m = np.concatenate([n - ks, ks])  # zero-bits that can flip up, then one-bits that can flip down
+    width = 64
+    while True:
+        a, w = _log_binomial_window(lf, m, ((m + 1) * p).astype(np.intp), log_odds, width)
+        floor = TERM_FLOOR - (np.roll(w.max(axis=1), c) + base)  # set by the other side's peak
+        if np.all(((a == 0) | (w[:, 0] < floor)) & ((a + width > m) | (w[:, -1] < floor))):
+            break
+        width = min(2 * width, n + 1)  # n + 1 covers every row
+    # the first and last index of each window at or above its floor
+    above = w >= floor[:, None]
+    first, last = a + np.argmax(above, axis=1), a + width - 1 - np.argmax(above[:, ::-1], axis=1)
+    u0, d0, u1, d1 = first[:c], first[c:], last[:c], last[c:]
+    e0, e1 = np.maximum(np.asarray(lowest) - ks, u0 - d1), u1 - d0  # net gains l - k of the computed columns
+    rows = np.zeros((c, n + 1))
+    live = np.flatnonzero(e0 <= e1)
+    if live.size:
+        ks, u0, u1, d0, d1, e0, e1 = (x[live] for x in (ks, u0, u1, d0, d1, e0, e1))
+        up, down = (a[:c][live], w[:c][live]), (a[c:][live], w[c:][live])
+        d1 = np.minimum(d1, u1 - e0)  # a higher down-count reaches no computed column
+        ncols = e1 - e0 + 1
+        gain = e0[:, None] + np.minimum(np.arange(ncols.max()), ncols[:, None] - 1)  # a short row repeats its last
+        e, kk = gain.astype(float), ks[:, None]
+        # the ridge equation as a d^2 - b d + c = 0, rewritten for m = n - k - e; b + root > 0
+        r2 = math.exp(2.0 * log_odds)
+        qa, qb, qc = r2 - 1.0, (1.0 - r2) * e + (r2 * n + 2.0), (r2 * kk * (n - kk) - 1.0) - (r2 * kk + 1.0) * e
+        ridge = 2.0 * qc / (qb + np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)))
+        ridge = np.minimum(np.maximum(ridge, np.maximum(d0[:, None], u0[:, None] - e)), np.minimum(d1[:, None], u1[:, None] - e))
+        # minus the log-term's second derivative in d there, with trigamma(x + 1) ~ 1/(x + 1/2)
+        x, y = ridge + 0.5, ridge + e + 0.5
+        curvature = (kk + 1) / ((kk + 1 - x) * x) + (n - kk + 1) / ((n - kk + 1 - y) * y)
+        h = np.sqrt(2.0 * BAND_NATS / curvature.min(axis=1)).astype(np.intp) + 1
+
+        def term(d):  # log_down[d] + log_up[d + e], the full sum's order
+            return _terms_at(down, d0, d1, d) + _terms_at(up, u0, u1, d + gain)
+
+        center = np.ceil(ridge).astype(np.intp)
+        top = term(center) - BAND_NATS
+        lo, hi = np.maximum(center.min(axis=1) - h, d0), np.minimum(center.max(axis=1) + h, d1)
+        while np.any(move := (lo > d0) & ~np.all(term(lo[:, None]) < top, axis=1)):
+            lo = np.where(move, np.maximum(lo - h, d0), lo)
+        while np.any(move := (hi < d1) & ~np.all(term(hi[:, None]) < top, axis=1)):
+            hi = np.where(move, np.minimum(hi + h, d1), hi)
+        # t[i, j, col] = (log_down[d] + log_up[d + e]) + base at d = lo + j and
+        # e = e0 + col, with -inf off the band and the rectangle
+        span, wide = int((hi - lo).max()) + 1, int(ncols.max())
+        ld = _terms_at(down, d0, hi, lo[:, None] + np.arange(span))
+        lu = _terms_at(up, u0, u1, lo[:, None] + e0[:, None] + np.arange(span + wide - 1))
+        sums = np.empty((live.size, wide))
+        step = max(1, SUM_TERMS // (span * wide))
+        buf = np.empty(step * span * wide)  # one buffer for every chunk of the block
+        for s in range(0, live.size, step):
+            r = min(step, live.size - s)
+            sp, wd = int((hi - lo)[s : s + r].max()) + 1, int(ncols[s : s + r].max())  # this chunk's own
+            t = buf[: r * sp * wd].reshape(r, sp, wd)
+            np.add(ld[s : s + r, :sp, None], sliding_window_view(lu[s : s + r, : sp + wd - 1], wd, axis=1), out=t)
+            t += base
+            peak = t.max(axis=1)
+            peak[peak == -np.inf] = 0.0  # the padding of a short row
+            t -= peak[:, None, :]
+            np.exp(t, out=t)
+            # numpy adds the rows of each block one after another: each column
+            # is summed in increasing down-count, so increasing up-count, as the full sum
+            sums[s : s + r, :wd] = np.exp(peak) * t.sum(axis=1)
+        i, col = np.nonzero(np.arange(wide) < ncols[:, None])
+        rows[live[i], ks[i] + e0[i] + col] = sums[i, col]
+    return rows if count is not None else rows[0]
 
 
 def _binomial_start(n: int) -> np.ndarray:
@@ -270,12 +324,17 @@ def jump_level_matrix(n: int, k: int, p: float, start: Union[str, int, np.ndarra
     order = jump_fitness_order(n, k)  # ones-count of each level
     ones = np.array(order)
     lowest = np.minimum.accumulate(ones[::-1])[::-1]  # lowest ones-count at or above each level
+    level = np.argsort(ones)  # level of each ones-count
     lf = log_factorials(n)
     t = np.zeros((n + 1, n + 1))
-    for i, a in enumerate(order[:-1]):
-        # fitness values are distinct, so exactly the higher levels are accepted
-        t[i, i + 1 :] = mutation_class_row(n, p, a, lowest[i + 1], log_fact=lf)[ones[i + 1 :]]
-        t[i, i] = max(0.0, 1.0 - t[i, i + 1 :].sum())
+    for first, stop in ((n - k + 1, n), (0, n - k + 1)):  # the gap's parents, then the rest
+        for a in range(first, stop, ROW_BLOCK):  # blocks of ascending ones-counts
+            levels = level[a : min(a + ROW_BLOCK, stop)]
+            block = mutation_class_row(n, p, a, lowest[levels + 1], log_fact=lf, count=len(levels))
+            for i, row in zip(levels.tolist(), block):
+                # fitness values are distinct, so exactly the higher levels are accepted
+                t[i, i + 1 :] = row[ones[i + 1 :]]
+                t[i, i] = max(0.0, 1.0 - t[i, i + 1 :].sum())
     t[n, n] = 1.0  # the optimum (n ones) is the top level
     t.flags.writeable = False  # handed over to the chain, not copied
     return LevelChain(t, _resolve_start(start, n)[ones], labels=tuple(order))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds
 from .benchmarks import log_factorials, long_k_path_length
-from .chains import mutation_class_row
+from .chains import ROW_BLOCK, mutation_class_row
 
 __all__ = [
     "OneMaxBounds",
@@ -99,7 +99,14 @@ def onemax_leave_probs(n: int, p: float) -> np.ndarray:
     """Exact OneMax level leaving probabilities p_i = p_{i, >= i+1} for
     i in [0, n-1], from the ones-count mutation masses."""
     lf = log_factorials(n)
-    return np.array([float(mutation_class_row(n, p, i, i + 1, log_fact=lf)[i + 1 :].sum()) for i in range(n)])
+    probs = np.empty(n)
+    for a in range(0, n, ROW_BLOCK):
+        count = min(ROW_BLOCK, n - a)
+        block = mutation_class_row(n, p, a, np.arange(a + 1, a + count + 1), log_fact=lf, count=count)
+        for i, row in enumerate(block, a):
+            probs[i] = row[i + 1 :].sum()
+        del block, row  # freed before the next block is built
+    return probs
 
 
 @dataclass

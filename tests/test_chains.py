@@ -8,7 +8,7 @@ import pytest
 from scipy.special import gammaln
 
 import flmlab.chains as chains_module
-from flmlab.benchmarks import build_long_k_path, make_benchmark
+from flmlab.benchmarks import build_long_k_path, log_factorials, make_benchmark
 from flmlab.chains import (
     LevelChain,
     expected_hitting_time,
@@ -99,6 +99,29 @@ def test_partial_mutation_rows_bit_identical(n, p):
             assert row.shape == (n + 1,)
             assert np.array_equal(row[lowest:], full[lowest:]), (k, lowest)
             assert not row[:lowest].any(), (k, lowest)
+
+
+BLOCK_GRID = [(n, p) for n in (1, 2, 3, 57, 600) for p in (1 / n, 10 / n, 0.3, 0.5, 0.9) if p < 1.0]
+
+
+@pytest.mark.parametrize("n,p", BLOCK_GRID)
+def test_row_blocks_equal_stacked_single_rows(n, p):
+    lf = log_factorials(n)
+    for per_row in (False, True):  # lowest 0, or k + 1 for each parent k
+        singles = np.array([mutation_class_row(n, p, k, k + 1 if per_row else 0, log_fact=lf) for k in range(n + 1)])
+        # blocks of 32 parents, then one block over every parent 0..n
+        for k, count in [*((k, min(32, n + 1 - k)) for k in range(0, n + 1, 32)), (0, n + 1)]:
+            lowest = np.arange(k + 1, k + count + 1) if per_row else 0
+            block = mutation_class_row(n, p, k, lowest, log_fact=lf, count=count)
+            assert block.shape == (count, n + 1)
+            assert np.array_equal(block, singles[k : k + count]), (per_row, k, count)
+
+
+def test_row_block_rejects_parents_past_n():
+    with pytest.raises(ValueError, match="ones-count"):
+        mutation_class_row(4, 0.1, 3, count=3)
+    with pytest.raises(ValueError, match="ones-count"):
+        mutation_class_row(4, 0.1, 0, count=0)
 
 
 def assert_rows_close(row, reference):
@@ -211,6 +234,28 @@ def reference_onemax_level_matrix(n, p, start):
         s = np.zeros(n + 1)
         s[start] = 1.0
     return t, s, tuple(range(n + 1))
+
+
+def reference_jump_level_matrix(n, k, p):
+    """Reference: the jump chain built one mutation row per level, the levels
+    in increasing fitness, accepted mass upward and the rest in the self-loop."""
+    fitness = [k + a if a <= n - k or a == n else n - a for a in range(n + 1)]
+    ones = sorted(range(n + 1), key=fitness.__getitem__)
+    t = np.zeros((n + 1, n + 1))
+    for i, a in enumerate(ones[:-1]):
+        row = mutation_class_row(n, p, a)
+        t[i, i + 1 :] = row[ones[i + 1 :]]
+        t[i, i] = max(0.0, 1.0 - t[i, i + 1 :].sum())
+    t[n, n] = 1.0
+    return t, tuple(ones)
+
+
+@pytest.mark.parametrize("n,k,p", [(400, 3, 1 / 400), (600, 5, 10 / 600)])
+def test_jump_matrix_matches_per_row_reference(n, k, p):
+    t, labels = reference_jump_level_matrix(n, k, p)
+    chain = jump_level_matrix(n, k, p)
+    assert chain.labels == labels
+    assert np.array_equal(chain.transition, t)
 
 
 ONEMAX_GRID = [(n, p) for n in [*range(1, 60), 100, 200] for p in (1 / n, 10 / n, 0.3) if p < 1.0]

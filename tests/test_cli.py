@@ -565,6 +565,13 @@ def test_bounds_jump_checks_n_and_k_before_the_rate(capsys):
     assert "jump size" in err
 
 
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_jump_level_start_checks_the_jump_size_first(capsys, command):
+    code, out, err = run_main(capsys, command, "--benchmark", "jump", "--n", "3", "--k", "5", "--init", "level:5")
+    assert_one_line_error(code, out, err)
+    assert err == "error: jump size must be in [1, 3], got 5\n"
+
+
 @pytest.mark.parametrize(
     "init,bound",
     [("random", "random"), ("arbitrary", "arbitrary"), ("level:3", "arbitrary"), ("point:0011001100", "arbitrary")],

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,38 @@ def test_jump_skip_bound_random_dominates_exact():
     exact = skip_probability(chain, min(block), max(block))
     jb = jump_bounds(n, k)
     assert exact <= jb.skip_bound_random
+
+
+JUMP_SKIP_CASES = [(30, 3), (60, 3), (100, 3), (400, 3), (60, 4), (100, 5)]
+
+
+@pytest.mark.parametrize("n,k", JUMP_SKIP_CASES)
+def test_jump_exact_skip_probability_is_about_two_to_the_minus_n(n, k):
+    # the paper's O(2^-n): the exact chance that a run from a uniform start
+    # never has a parent in the non-gap region (1.877 to 2.016 times 2^-n)
+    chain = jump_level_matrix(n, k, 1 / n)
+    exact = skip_probability(chain, chain.labels.index(0), chain.labels.index(n - k))
+    assert 1.85 <= exact * 2.0**n <= 2.05
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n, k in JUMP_SKIP_CASES if n >= 60])
+def test_jump_skip_bound_random_constant(n, k):
+    # from n = 60 the term 2e n^(1 - ceil(n/4)) is negligible and the stated
+    # bound is (6e + 1) 2^-n, about 9 times the exact probability
+    assert jump_bounds(n, k).skip_bound_random * 2.0**n == pytest.approx(6 * math.e + 1, rel=1e-6)
+    assert 6 * math.e + 1 == pytest.approx(17.3097, abs=5e-5)
+
+
+def test_onemax_leave_probs_hold_a_row_block_at_peak():
+    # rows are built 32 parents at a time: the full (n+1)^2 table would take 69 MiB
+    tracemalloc.start()
+    try:
+        probs = onemax_leave_probs(3000, 1 / 3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert probs.shape == (3000,)
+    assert peak < 4 * 2**20
 
 
 def test_jump_bounds_reject_bad_parameters():
