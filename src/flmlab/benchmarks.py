@@ -14,8 +14,8 @@ position i at bit i % 64 of word i // 64 and every bit from n up clear (see
 few numpy calls, whatever m:
 
 - OneMax counts ones; LeadingOnes adds 64 per full word before the first word
-  that is not full to that word's trailing ones.  On one word both read the
-  word column alone.  Their ``level`` is the identity.
+  that is not full to that word's trailing ones.  On up to four words both
+  read one word column at a time.  Their ``level`` is the identity.
 - Jump reads ``fitness`` from an (n+1)-entry table over the ones-count and
   ``level`` from an (n+k+1)-entry table over the fitness, both built once per
   instance.
@@ -105,29 +105,41 @@ def log_binom(m: int, j: np.ndarray) -> np.ndarray:
     return lf[m] - lf[j] - lf[m - j]
 
 
-# numpy reduces along the short word axis row by row, slowly, so the one-word
-# forms below take the word column instead
+# numpy reduces along the short word axis row by row, slowly, so on up to
+# WORD_COLUMNS words the forms below read one word column at a time
+WORD_COLUMNS = 4
+
+
+def _trailing_ones(word: np.ndarray) -> np.ndarray:
+    # w & ~(w + 1) keeps the bits below the lowest zero bit of w (all 64 of a full word)
+    return np.bitwise_count(word & ~(word + _ONE))
 
 
 def _ones(x: np.ndarray) -> np.ndarray:
-    if x.shape[1] == 1:
-        return np.bitwise_count(x[:, 0]).astype(np.int64)
-    return np.bitwise_count(x).sum(axis=1, dtype=np.int64)
+    counts = np.bitwise_count(x)
+    if x.shape[1] > WORD_COLUMNS:
+        return counts.sum(axis=1, dtype=np.int64)
+    ones = counts[:, 0].astype(np.int64)  # widened first: bitwise_count's uint8 holds no 256
+    for j in range(1, x.shape[1]):
+        ones += counts[:, j]
+    return ones
 
 
 def _leading_ones(x: np.ndarray) -> np.ndarray:
-    # the trailing ones of a word w: w & ~(w + 1) keeps the bits below its
-    # lowest zero bit (all 64 of a full word)
-    if x.shape[1] == 1:
-        word = x[:, 0]
-        return np.bitwise_count(word & ~(word + _ONE)).astype(np.int64)
-    # 64 per full word before the first word that is not full, plus that
-    # word's trailing ones; a row of full words alone finds no such word and
-    # reads 64 at word 0
-    first = (x != _FULL).argmax(axis=1)
-    word = x[np.arange(len(x)), first]
-    trailing = np.bitwise_count(word & ~(word + _ONE))
-    return np.where(trailing == 64, 64 * x.shape[1], 64 * first + trailing)
+    if x.shape[1] > WORD_COLUMNS:
+        # 64 per full word before the first word that is not full, plus that
+        # word's trailing ones; a row of full words alone finds no such word
+        # and reads 64 at word 0
+        first = (x != _FULL).argmax(axis=1)
+        trailing = _trailing_ones(x[np.arange(len(x)), first])
+        return np.where(trailing == 64, 64 * x.shape[1], 64 * first + trailing)
+    # from the last word back: the leading ones after word j count only if
+    # word j is full
+    trailing = _trailing_ones(x).astype(np.int64)
+    ones = trailing[:, -1]
+    for j in range(x.shape[1] - 2, -1, -1):
+        ones = trailing[:, j] + (trailing[:, j] == 64) * ones
+    return ones
 
 
 def _by_ones(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

@@ -39,12 +39,20 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-12
 FULL_STATE_MAX_N = 14
-# float64 arrays of (largest class) x 2^n entries alive at once at peak; peak RSS
-# growth measured 1.1 (OneMax) to 2.1 (long k-path) of them at n = 11..14
-FULL_STATE_BLOCK_ROWS = 3
+# entries of the float64 or uint32 temporaries built at once by the full-state
+# oracle and the long k-path chain
+BLOCK_ENTRIES = 2**16
+# float64 (largest class)^2 arrays alive at once at peak: I - T_cc, the copy
+# LAPACK's solve takes of it (RSS sees it, tracemalloc does not), and room for
+# one block and the class's uint8 distances to its higher states, which take
+# under 8 bytes per member pair while the class holds 2^n / 8 states or more,
+# as the largest class of OneMax, LeadingOnes and jump does at n <= 14; RSS
+# growth measured 2.2 (n = 14) to 2.8 (n = 13) of them
+FULL_STATE_CLASS_ARRAYS = 3
 # float64 m x m arrays of a long k-path chain alive at once at peak, measured
-# with tracemalloc at 3.0-3.1 (the distance and mass temporaries), plus one
-LONGPATH_DENSE_ARRAYS = 4
+# with tracemalloc over `oracle` at 1.03 (m = 3070) to 1.43 (m = 766): the
+# matrix, which LevelChain takes over, and the temporaries of one row block
+LONGPATH_DENSE_ARRAYS = 2
 # float64 (n+1) x (n+1) arrays alive at once at peak, measured with tracemalloc
 # over `oracle` for OneMax and jump: the matrix, which LevelChain takes over
 LEVEL_DENSE_ARRAYS = 1
@@ -361,12 +369,12 @@ def longpath_level_matrix(path, p: float, start: int = 0) -> LevelChain:
     _check_dense_bytes(LONGPATH_DENSE_ARRAYS * 8 * m * m, f"long k-path chain over {m} positions")
     pts = np.array(path.points, dtype=float)
     ones = pts.sum(axis=1)
-    # Hamming distances of 0/1 points; every value is an integer, so exact
-    dist = ones[:, None] + ones[None, :] - 2.0 * (pts @ pts.T)
-    mass = np.exp(dist * math.log(p) + (path.n - dist) * math.log1p(-p))
-    del dist
-    t = np.triu(mass, k=1)
-    del mass
+    t = np.empty((m, m))
+    step = max(1, BLOCK_ENTRIES // m)
+    for r in range(0, m, step):
+        # Hamming distances of 0/1 points; every value is an integer, so exact
+        dist = ones[r : r + step, None] + ones[None, :] - 2.0 * (pts[r : r + step] @ pts.T)
+        t[r : r + step] = np.triu(np.exp(dist * math.log(p) + (path.n - dist) * math.log1p(-p)), 1 + r)
     diag = 1.0 - t.sum(axis=1)
     np.fill_diagonal(t, np.maximum(diag, 0.0))
     t.flags.writeable = False  # handed over to the chain, not copied
@@ -519,7 +527,7 @@ def full_state_expected_time(
     optimal = benchmark.is_optimum(fitness)
     levels = benchmark.level(fitness)
     classes, counts = np.unique(fitness[~optimal], return_counts=True)
-    need = FULL_STATE_BLOCK_ROWS * 8 * int(counts.max(initial=0)) * size  # the largest class's block
+    need = FULL_STATE_CLASS_ARRAYS * 8 * int(counts.max(initial=0)) ** 2  # the largest class's arrays
     _check_dense_bytes(need, f"full-state oracle at n={n}")
 
     if isinstance(start, str):
@@ -547,16 +555,38 @@ def full_state_expected_time(
         if not np.any(inflow[members]):
             continue
         higher = np.flatnonzero((fitness >= value) & ~in_class)  # accepted moves out of the class
-        out = mass[np.bitwise_count(codes[members, None] ^ codes[higher])]
-        a = mass[np.bitwise_count(codes[members, None] ^ codes[members])]
+        # the class's Hamming distances to its higher states, kept as bytes, and
+        # its own rows of T, filled a block of rows at a time; no transition
+        # mass to the higher states is held beyond one block
+        c, h = len(members), len(higher)
+        dist = np.empty((c, h), dtype=np.uint8)
+        a = np.empty((c, c))
+        leave = np.empty(c)  # accepted mass of leaving each state
+        step = max(1, BLOCK_ENTRIES // max(c, h))
+        # every distance indexes `mass`, so mode="clip" only skips the bounds
+        # check; take runs about twice as fast as fancy indexing here
+        for r in range(0, c, step):
+            rows = codes[members[r : r + step], None]
+            np.bitwise_count(rows ^ codes[higher], out=dist[r : r + step])
+            leave[r : r + step] = mass.take(dist[r : r + step], mode="clip").sum(axis=1)
+            mass.take(np.bitwise_count(rows ^ codes[members]), out=a[r : r + step], mode="clip")
         diag = np.diag_indices_from(a)
         a[diag] = 0.0
-        leave = a.sum(axis=1) + out.sum(axis=1)  # accepted mass of leaving each state
+        leave += a.sum(axis=1)
         np.negative(a, out=a)
         a[diag] = leave  # a = I - T_cc
         g[members] = np.linalg.solve(a.T, inflow[members])
         del a
-        flow = g[members] @ out
+        # g_c times the class's rows of T, by blocks of columns: a multiple of 8
+        # wide, the last one taking the rest, so that OpenBLAS's gemv sums each
+        # entry as it does in one product over all columns (it sums a tail of
+        # fewer than 4 columns in another order)
+        flow = np.empty(h)
+        step = max(8, BLOCK_ENTRIES // c // 8 * 8)
+        cuts = [0, *range(step, h - step, step), h]
+        for s, e in zip(cuts, cuts[1:]):
+            flow[s:e] = g[members] @ mass.take(dist[:, s:e], mode="clip")
+        del dist
         inflow[higher] += flow
         up = levels[higher] > levels[members[0]]  # a class lies within one level
         visit += np.bincount(levels[higher[up]], weights=flow[up], minlength=top + 1)

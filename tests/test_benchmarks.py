@@ -291,7 +291,8 @@ def edge_strings(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random strings, all-ones, all-zeros, and strings whose first words are
     full and whose leading ones end just before, at and after a word edge."""
     rows = [np.ones(n), np.zeros(n)]
-    for ones in sorted({0, 1, 63, 64, 65, 127, 128, 129, n - 1, n} & set(range(n + 1))):
+    edges = {64 * w + d for w in range(1, 6) for d in (-1, 0, 1)}
+    for ones in sorted(({0, 1, n - 1, n} | edges) & set(range(n + 1))):
         x = rng.integers(0, 2, size=n)
         x[:ones] = 1
         if ones < n:
@@ -301,8 +302,9 @@ def edge_strings(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.array(rows, dtype=np.uint8)
 
 
-# a jump size k <= 0 stands for n + k (at least 1): the jumps at k = n - 1 and k = n
-@pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 100, 128, 130, 200])
+# a jump size k <= 0 stands for n + k (at least 1): the jumps at k = n - 1 and k = n;
+# one to five words, each count of words full (n = 256: 256 ones overflow a uint8)
+@pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 100, 128, 130, 192, 200, 256, 257, 320])
 @pytest.mark.parametrize("kind,k", [("onemax", None), ("leadingones", None), ("jump", 1), ("jump", 3), ("jump", -1), ("jump", 0)])
 def test_array_callables_match_int_callables_across_word_edges(kind, n, k, rng):
     if k is not None:

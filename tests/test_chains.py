@@ -582,7 +582,7 @@ def test_full_state_rejects_large_dimension():
 
 def test_full_state_refuses_more_than_physical_memory_before_allocating(monkeypatch):
     # one byte below the guard's need for the largest OneMax class, C(12, 6) states
-    need = chains_module.FULL_STATE_BLOCK_ROWS * 8 * math.comb(12, 6) * 2**12
+    need = chains_module.FULL_STATE_CLASS_ARRAYS * 8 * math.comb(12, 6) ** 2
     monkeypatch.setattr(chains_module, "_physical_memory", lambda: need - 1)
     benchmark = make_benchmark("onemax", 12)
     tracemalloc.start()
@@ -593,6 +593,38 @@ def test_full_state_refuses_more_than_physical_memory_before_allocating(monkeypa
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # no block of class rows was built
+
+
+# the largest class: C(12, 6) ones-count states; 2^10 strings starting with a zero
+@pytest.mark.parametrize("kind,n,k,largest", [
+    ("onemax", 12, None, math.comb(12, 6)),
+    ("leadingones", 11, None, 2**10),
+    ("jump", 12, 3, math.comb(12, 6)),
+])
+def test_full_state_holds_about_one_class_matrix_at_peak(kind, n, k, largest):
+    benchmark = make_benchmark(kind, n, k)
+    tracemalloc.start()
+    try:
+        full_state_expected_time(benchmark, 1 / n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # I - T_cc of the largest class, its uint8 distances to the higher states
+    # and one block; no (class x higher states) float64 matrix
+    assert peak <= 1.6 * 8 * largest**2
+
+
+def test_longpath_chain_build_holds_one_matrix_at_peak():
+    path = build_long_k_path(30, 3)
+    m = len(path)
+    tracemalloc.start()
+    try:
+        chain = longpath_level_matrix(path, 1 / 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chain.m_levels == m
+    assert peak <= 1.2 * 8 * m * m  # the matrix and one block of rows, no m x m temporaries
 
 
 def test_longpath_chain_refuses_more_than_physical_memory_before_allocating(monkeypatch):
@@ -658,14 +690,15 @@ def test_longpath_chain_against_full_state():
 
 
 def test_longpath_chain_matches_distance_tensor_reference():
-    for n, k in [(6, 2), (12, 3), (15, 5)]:
+    # (24, 3) has 766 positions, so the chain is built in several row blocks
+    for n, k in [(6, 2), (12, 3), (15, 5), (24, 3)]:
         path = build_long_k_path(n, k)
-        p = 1 / n
         pts = np.array(path.points, dtype=np.int16)
         dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
-        t = np.triu(np.exp(dist * math.log(p) + (n - dist) * math.log1p(-p)), k=1)
-        np.fill_diagonal(t, np.maximum(1.0 - t.sum(axis=1), 0.0))
-        assert np.array_equal(longpath_level_matrix(path, p).transition, t)
+        for p in (1 / n, 0.1, 0.5, 0.9):
+            t = np.triu(np.exp(dist * math.log(p) + (n - dist) * math.log1p(-p)), k=1)
+            np.fill_diagonal(t, np.maximum(1.0 - t.sum(axis=1), 0.0))
+            assert np.array_equal(longpath_level_matrix(path, p).transition, t), (n, k, p)
 
 
 def test_summary_bundles_consistent_values():
