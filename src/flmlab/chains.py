@@ -164,16 +164,12 @@ ROW_BLOCK = 32
 SUM_TERMS = 2**16  # log-terms exponentiated at once
 
 
-def _log_binomial_window(lf: np.ndarray, m: np.ndarray, mode: np.ndarray, log_odds: float,
-                         width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start a of a window of ``width`` indices j around each row's mode, and
-    log C(m, j) + j log_odds over it, -inf past m."""
-    a = np.clip(mode - width // 2, 0, np.maximum(m + 1 - width, 0))
-    j = a[:, None] + np.arange(width)
+def _log_binomial_terms(lf: np.ndarray, m: np.ndarray, j: np.ndarray, log_odds: float) -> np.ndarray:
+    """log C(m_i, j) + j log_odds at the indices j[i] of each row i, -inf past m_i."""
     jj = np.minimum(j, m[:, None])
     terms = (lf[m][:, None] - lf[jj] - lf[m[:, None] - jj]) + jj * log_odds
     terms[j > m[:, None]] = -np.inf
-    return a, terms
+    return terms
 
 
 def _terms_at(window: tuple[np.ndarray, np.ndarray], first: np.ndarray, last: np.ndarray,
@@ -205,9 +201,11 @@ def mutation_class_row(n: int, p: float, k: int, lowest: Union[int, np.ndarray] 
     dropped term lies more than ``BAND_NATS`` below its peak.  Each column is
     shifted by its peak, exponentiated and summed in increasing down-count
     order, as the full sum, and matches it within 1e-14 relative.  The up-
-    and down-flip log-terms are computed in a window around their mode, 64
-    wide and doubled until its edges lie below the floor, so a row costs its
-    rectangle, not O(n); each entry is the same double in any block.
+    and down-flip log-terms are computed in a window around their mode, the
+    narrowest of 64, 128, ... wide whose edges lie below the floor in every
+    row of the block (found from the edge terms alone, then built once), so
+    a row costs its rectangle, not O(n); each entry is the same double in
+    any block.
     """
     c = 1 if count is None else count
     if not 0 <= k <= n or not 1 <= c <= n + 1 - k:
@@ -219,13 +217,24 @@ def mutation_class_row(n: int, p: float, k: int, lowest: Union[int, np.ndarray] 
     base = n * math.log1p(-p)
     ks = np.arange(k, k + c)
     m = np.concatenate([n - ks, ks])  # zero-bits that can flip up, then one-bits that can flip down
-    width = 64
-    while True:
-        a, w = _log_binomial_window(lf, m, ((m + 1) * p).astype(np.intp), log_odds, width)
-        floor = TERM_FLOOR - (np.roll(w.max(axis=1), c) + base)  # set by the other side's peak
-        if np.all(((a == 0) | (w[:, 0] < floor)) & ((a + width > m) | (w[:, -1] < floor))):
-            break
-        width = min(2 * width, n + 1)  # n + 1 covers every row
+    # each row's terms are unimodal with their peak at the binomial mode, and
+    # only its neighbours come within rounding of it
+    mode = ((m + 1) * p).astype(np.intp)
+    peak = _log_binomial_terms(lf, m, np.clip(mode[:, None] + np.arange(-2, 3), 0, m[:, None]), log_odds).max(axis=1)
+    floor = TERM_FLOOR - (np.roll(peak, c) + base)  # set by the other side's peak
+    # the window is the narrowest of 64, 128, ... (and n + 1, which covers
+    # every row) whose edge terms lie below the floor in every row: only the
+    # edges of each width are computed, all at once, and the window once
+    widths = [64]
+    while widths[-1] <= n:
+        widths.append(min(2 * widths[-1], n + 1))
+    widths = np.array(widths)
+    starts = np.clip(mode[:, None] - widths // 2, 0, np.maximum(m[:, None] + 1 - widths, 0))
+    left, right = np.split(_log_binomial_terms(lf, m, np.hstack((starts, starts + widths - 1)), log_odds), 2, axis=1)
+    fits = ((starts == 0) | (left < floor[:, None])) & ((starts + widths > m[:, None]) | (right < floor[:, None]))
+    pick = int(np.argmax(fits.all(axis=0)))  # the last width always fits
+    a, width = starts[:, pick], int(widths[pick])
+    w = _log_binomial_terms(lf, m, a[:, None] + np.arange(width), log_odds)
     # the first and last index of each window at or above its floor
     above = w >= floor[:, None]
     first, last = a + np.argmax(above, axis=1), a + width - 1 - np.argmax(above[:, ::-1], axis=1)

@@ -12,6 +12,7 @@ in a comparison report.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -53,7 +54,10 @@ def _add_common(parser: argparse.ArgumentParser, benchmark: bool = True) -> None
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged,
+    so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="flmlab",
         description="Fitness-level runtime bounds, exact chain oracles and Monte Carlo validation for the (1+1) EA.",

@@ -32,8 +32,8 @@ import numpy as np
 
 from .benchmarks import pack_words, word_count
 
-__all__ = ["BlockResult", "RunResult", "block_lanes", "flip_masks", "refill_steps", "run_block", "run_ea",
-           "uniform_random_words"]
+__all__ = ["BlockResult", "RunResult", "block_lanes", "flip_masks", "geometric_gaps", "refill_steps", "run_block",
+           "run_ea", "uniform_random_words"]
 
 DEFAULT_MAX_ITERATIONS = 10**9
 BUFFER_BYTES = 1 << 18  # the size bound of each engine buffer
@@ -60,22 +60,47 @@ def _gap_chunk(expected: float) -> int:
     return int(min(BUFFER_BYTES // 64, expected + 4.0 * math.sqrt(expected) + 16.0))
 
 
+def geometric_gaps(p: float, size: int, cap: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` draws of ``rng.geometric(p)``, each capped at ``cap``, as int64:
+    the same values, and the same generator state afterwards.
+
+    For p < 1/3 numpy draws a geometric by inversion, ``ceil(E / -log1p(-p))``
+    with E standard exponential; the same doubles are computed here from one
+    ``standard_exponential`` call, at a fraction of the cost per draw.  From
+    1/3 on numpy searches instead, so those draws come from ``geometric``.
+    """
+    if p >= 1.0 / 3.0:
+        gaps = rng.geometric(p, size=size)
+        return np.minimum(gaps, cap, out=gaps)
+    scale = -math.log1p(-p)  # libm's log1p, as numpy's sampler calls it
+    gaps = rng.standard_exponential(size)
+    if scale > 1e-300:
+        gaps /= scale
+    else:  # a quotient may overflow to inf, as in numpy's sampler, and the cap takes it
+        with np.errstate(over="ignore"):
+            gaps /= scale
+    np.ceil(gaps, out=gaps)
+    np.minimum(gaps, cap, out=gaps)  # below 2^63, so the cast is exact
+    return gaps.astype(np.int64)
+
+
 def flip_masks(steps: int, lanes: int, n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Standard bit mutation masks for ``steps`` iterations of ``lanes`` runs
     on n bits: a ``(steps, lanes, W)`` uint64 array, bit set = bit flipped.
 
     The flipped positions of the flat ``(steps, lanes, n)`` bit cube are a
     Bernoulli(p) process: positions are cumulative ``Generator.geometric(p)``
-    gaps, drawn in chunks until they pass the cube's end.  Positions are
-    distinct and every bit flips independently with probability p.
+    gaps (``geometric_gaps``), drawn in chunks until they pass the cube's end.
+    Positions are distinct and every bit flips independently with
+    probability p.
     """
     words = word_count(n)
     masks = np.zeros(steps * lanes * words, dtype=np.uint64)
     total = steps * lanes * n
     last = -1  # the last flipped position drawn
     while last < total - 1:
-        flips = rng.geometric(p, size=_gap_chunk((total - 1 - last) * p))
-        np.minimum(flips, total + 1, out=flips)  # a gap past the end leads past the end
+        # a gap past the end leads past the end
+        flips = geometric_gaps(p, _gap_chunk((total - 1 - last) * p), total + 1, rng)
         np.cumsum(flips, out=flips)
         flips += last
         last = int(flips[-1])

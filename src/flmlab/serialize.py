@@ -49,6 +49,15 @@ def _write_bool(x: bool) -> str:
     return "true" if x else "false"
 
 
+def _join_floats(a: np.ndarray) -> str:
+    """``format_float`` of each element of a float array no wider than a
+    double, joined: each distinct bit pattern is formatted once, so -0.0 and
+    every NaN payload keep their own text."""
+    bits, where = np.unique(a.astype(np.float64, copy=False).view(np.uint64), return_inverse=True)
+    texts = np.array([format_float(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return ", ".join(texts[where].tolist())
+
+
 # by dtype kind: the writer of the Python scalars ``tolist`` makes of an array
 _SCALAR_WRITERS = {"b": _write_bool, "i": str, "u": str, "f": format_float}
 
@@ -79,7 +88,10 @@ def _write(obj: Any, parts: list[str], level: int) -> None:
         parts.append("  " * level + "}")
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in _SCALAR_WRITERS:
         # the element-wise writer's output, without a type dispatch per element
-        parts.append("[" + ", ".join(map(_SCALAR_WRITERS[obj.dtype.kind], obj.tolist())) + "]")
+        if obj.dtype.kind == "f" and obj.dtype.itemsize <= 8:
+            parts.append("[" + _join_floats(obj) + "]")
+        else:
+            parts.append("[" + ", ".join(map(_SCALAR_WRITERS[obj.dtype.kind], obj.tolist())) + "]")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         parts.append("[")
         for i, value in enumerate(obj.tolist() if isinstance(obj, np.ndarray) else obj):

@@ -117,6 +117,27 @@ def test_row_blocks_equal_stacked_single_rows(n, p):
             assert np.array_equal(block, singles[k : k + count]), (per_row, k, count)
 
 
+@pytest.mark.parametrize("per_row", [False, True])
+def test_row_block_at_full_window_width_equals_stacked_single_rows(monkeypatch, per_row):
+    # at p = 0.5 and n = 2000 the mode's terms reach below the floor only
+    # about 900 indices away, so the block's windows span all n + 1 indices
+    n, p, k = 2000, 0.5, 576
+    lf = log_factorials(n)
+    widths = []
+    terms = chains_module._log_binomial_terms
+
+    def recorded(lf, m, j, log_odds):
+        widths.append(j.shape[1])
+        return terms(lf, m, j, log_odds)
+
+    monkeypatch.setattr(chains_module, "_log_binomial_terms", recorded)
+    lowest = np.arange(k + 1, k + 33) if per_row else 0
+    block = mutation_class_row(n, p, k, lowest, log_fact=lf, count=32)
+    assert max(widths) == n + 1
+    singles = [mutation_class_row(n, p, k + i, k + i + 1 if per_row else 0, log_fact=lf) for i in range(32)]
+    assert np.array_equal(block, np.array(singles))
+
+
 def test_row_block_rejects_parents_past_n():
     with pytest.raises(ValueError, match="ones-count"):
         mutation_class_row(4, 0.1, 3, count=3)

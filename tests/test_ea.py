@@ -13,6 +13,7 @@ from flmlab.ea import (
     _gap_chunk,
     block_lanes,
     flip_masks,
+    geometric_gaps,
     refill_steps,
     run_block,
     run_ea,
@@ -95,6 +96,42 @@ def test_flip_masks_stream_pinned(n, p):
     digest = hashlib.sha256(flip_masks(100, 20, n, p, rng).astype("<u8").tobytes())
     digest.update(str(int(rng.integers(0, 2**63))).encode())
     assert digest.hexdigest() == FLIP_MASK_DIGESTS[(n, p)]
+
+
+@pytest.mark.parametrize(
+    "p", [5e-324, 1e-305, 1e-12, 1e-6, 1 / 100, 1 / 12, 0.3, np.nextafter(1 / 3, 0), 1 / 3, 0.5, 0.9]
+)
+@pytest.mark.parametrize("seed", [0, 1, 2021, 2**40 + 7])
+def test_geometric_gaps_are_generator_geometric_draw_for_draw(p, seed):
+    # below 1/3 the gaps are scaled exponentials, numpy's own inversion (whose
+    # quotients overflow to inf at the smallest p); the cap is the only change
+    # from Generator.geometric, and the stream goes on from the same state
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    for size, cap in [(1, 2**62), (1000, 2**62), (5000, 40)]:
+        gaps = geometric_gaps(p, size, cap, ours)
+        assert gaps.dtype == np.int64
+        assert np.array_equal(gaps, np.minimum(numpys.geometric(p, size), cap)), (size, cap)
+        assert ours.bit_generator.state == numpys.bit_generator.state
+    assert ours.integers(0, 2**63) == numpys.integers(0, 2**63)
+
+
+class _Recorder:
+    """A generator that records which of its samplers are called."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("p,sampler", [(np.nextafter(1 / 3, 0), "standard_exponential"), (1 / 3, "geometric"),
+                                       (0.5, "geometric"), (0.9, "geometric")])
+def test_geometric_gaps_search_through_geometric_from_one_third(p, sampler):
+    rng = _Recorder(5)
+    geometric_gaps(p, 100, 2**62, rng)
+    assert rng.calls == [sampler]
 
 
 def test_engine_buffers_fit_the_budget_at_a_million_bits():

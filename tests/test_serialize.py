@@ -76,6 +76,28 @@ def test_dumps_one_dimensional_array_matches_the_element_wise_writer(array):
     assert text == dumps({"a": list(array)}) == dumps({"a": array.tolist()})
 
 
+def _nan_with_payload(payload: int) -> float:
+    return float(np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(np.float64)[0])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dumps_float_array_formats_each_bit_pattern_as_format_float_does(seed):
+    # each distinct bit pattern is formatted once: -0.0 and 0.0, and NaNs
+    # with other payloads or sign, stay apart, and repeats reuse their text
+    specials = [0.0, -0.0, math.nan, -math.nan, _nan_with_payload(1), _nan_with_payload(12345), math.inf,
+                -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 1 / 3, -1e300, 0.1]
+    rng = np.random.default_rng(seed)
+    array = np.concatenate([specials, rng.choice(specials, 500), rng.random(200), np.zeros(300)])
+    rng.shuffle(array)
+    bits = array.view(np.uint64)
+    assert len(np.unique(bits)) > len(np.unique(array[~np.isnan(array)])) + 1  # distinct NaNs and signed zeros
+    expected = "[" + ", ".join(format_float(x) for x in array.tolist()) + "]\n"
+    assert dumps(array) == expected
+    with np.errstate(over="ignore"):  # -1e300 becomes -inf
+        single = array.astype(np.float32)
+    assert dumps(single) == "[" + ", ".join(map(format_float, single.tolist())) + "]\n"
+
+
 def test_dumps_arrays_of_other_shapes_and_kinds_take_the_element_wise_writer():
     grid = np.arange(6.0).reshape(2, 3)
     assert dumps(grid) == dumps([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]) == "[[0, 1, 2], [3, 4, 5]]\n"
