@@ -42,13 +42,14 @@ FULL_STATE_MAX_N = 14
 # entries of the float64 or uint32 temporaries built at once by the full-state
 # oracle and the long k-path chain
 BLOCK_ENTRIES = 2**16
-# float64 (largest class)^2 arrays alive at once at peak: I - T_cc, the copy
-# LAPACK's solve takes of it (RSS sees it, tracemalloc does not), and room for
-# one block and the class's uint8 distances to its higher states, which take
-# under 8 bytes per member pair while the class holds 2^n / 8 states or more,
-# as the largest class of OneMax, LeadingOnes and jump does at n <= 14; RSS
-# growth measured 2.2 (n = 14) to 2.8 (n = 13) of them
-FULL_STATE_CLASS_ARRAYS = 3
+# float64 (largest class)^2 arrays alive at once at peak: I - T_cc, factored
+# in place, and room for one block and the class's uint8 distances to its
+# higher states, which take under 8 bytes per member pair while the class
+# holds 2^n / 8 states or more, as the largest class of OneMax, LeadingOnes
+# and jump does at n <= 14; RSS growth over n = 12-14 measured 1.14
+# (LeadingOnes n = 14) to 1.72 (jump n = 12, k = 3) of them, one BLAS thread
+FULL_STATE_CLASS_ARRAYS = 2
+CHOLESKY_BLOCK = 64  # columns of I - T_cc factored at once
 # float64 m x m arrays of a long k-path chain alive at once at peak, measured
 # with tracemalloc over `oracle` at 1.03 (m = 3070) to 1.43 (m = 766): the
 # matrix, which LevelChain takes over, and the temporaries of one row block
@@ -505,6 +506,30 @@ def summarize(chain: LevelChain) -> ChainSummary:
 # ---------------------------------------------------------------------------
 
 
+def _solve_spd_in_place(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a x = b`` for symmetric positive definite ``a`` by a blocked,
+    left-looking Cholesky ``a = L L^T`` that overwrites the lower triangle of
+    ``a`` with L, CHOLESKY_BLOCK columns at a time: each block of columns takes
+    the updates of the blocks left of it, its diagonal block is factored, and
+    that factor's inverse is applied to the panel below it and in the forward
+    and back substitutions.  Raises LinAlgError where a block is not positive
+    definite."""
+    cuts = [*range(0, len(a), CHOLESKY_BLOCK), len(a)]
+    blocks = list(zip(cuts, cuts[1:]))
+    inverses = []
+    for s, e in blocks:
+        a[s:, s:e] -= a[s:, :s] @ a[s:e, :s].T
+        a[s:e, s:e] = np.linalg.cholesky(a[s:e, s:e])
+        inverses.append(np.linalg.inv(a[s:e, s:e]))
+        a[e:, s:e] = a[e:, s:e] @ inverses[-1].T
+    x = np.array(b, dtype=float)
+    for (s, e), inverse in zip(blocks, inverses):  # L y = b
+        x[s:e] = inverse @ (x[s:e] - a[s:e, :s] @ x[:s])
+    for (s, e), inverse in zip(blocks[::-1], inverses[::-1]):  # L^T x = y
+        x[s:e] = inverse.T @ (x[s:e] - a[e:, s:e].T @ x[e:])
+    return x
+
+
 def full_state_expected_time(
     benchmark,
     p: float,
@@ -518,6 +543,12 @@ def full_state_expected_time(
     state s (Kemeny & Snell): class c solves ``(I - T_cc)^T g_c = inflow_c``,
     its start mass plus the expected moves into it from lower classes.  Only
     the rows of one class are built; a class nothing enters keeps g = 0.
+    ``I - T_cc`` is symmetric, since a move within a class is always accepted
+    and its mass depends only on the Hamming distance, and positive definite,
+    since every row is strictly diagonally dominant: each non-optimal state
+    sends ``p^d (1-p)^(n-d) > 0`` to the optimum.  So each class is solved by a
+    Cholesky factorization in place, with no copy of the matrix; a class the
+    run cannot leave at this rate in doubles raises ValueError.
     Every output is a sum of g: ``E[T] = sum_s g_s``; ``v_L`` is the start
     mass of level L plus the moves into L from lower levels; ``p_L = v_L /
     sum_{s in L} g_s`` below the top is the leave rate a run shows at L (0 for
@@ -584,8 +615,15 @@ def full_state_expected_time(
         leave += a.sum(axis=1)
         np.negative(a, out=a)
         a[diag] = leave  # a = I - T_cc
-        g[members] = np.linalg.solve(a.T, inflow[members])
+        try:  # masses so small that a class cannot be left in doubles give inf, NaN or no factor
+            with np.errstate(all="ignore"):
+                g[members] = _solve_spd_in_place(a, inflow[members])
+        except np.linalg.LinAlgError:
+            g[members] = np.nan
         del a
+        if not np.all(np.isfinite(g[members])):
+            raise ValueError(f"absorbing non-top fitness class reachable: {value}, "
+                             f"which a run cannot leave at p = {p}")
         # g_c times the class's rows of T, by blocks of columns: a multiple of 8
         # wide, the last one taking the rest, so that OpenBLAS's gemv sums each
         # entry as it does in one product over all columns (it sums a tail of

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -633,6 +636,37 @@ def test_full_state_holds_about_one_class_matrix_at_peak(kind, n, k, largest):
     # I - T_cc of the largest class, its uint8 distances to the higher states
     # and one block; no (class x higher states) float64 matrix
     assert peak <= 1.6 * 8 * largest**2
+
+
+RSS_GROWTH_SCRIPT = r"""
+import contextlib, io
+from flmlab.cli import main
+
+
+def status(key):  # kB
+    return next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith(key + ":"))
+
+
+rss = status("VmRSS")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["oracle", "--full-state", "--benchmark", "leadingones", "--n", "12"])
+print(code, 1024 * (status("VmHWM") - rss))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the resident set size from /proc")
+def test_full_state_rss_holds_no_copy_of_the_class_matrix():
+    # tracemalloc does not see buffers LAPACK allocates itself, such as a
+    # solve's copy of I - T_cc; RSS does: the peak RSS of the child's own
+    # address space (VmHWM; ru_maxrss would start at this process's peak)
+    # over its RSS after import.  Class 0 of LeadingOnes n = 12 holds the
+    # 2^11 strings starting with a zero
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", RSS_GROWTH_SCRIPT], env=env,
+                            capture_output=True, text=True, check=True)
+    code, growth = map(int, result.stdout.split())
+    assert code == 0
+    assert growth < 1.5 * 8 * (2**11) ** 2
 
 
 def test_longpath_chain_build_holds_one_matrix_at_peak():

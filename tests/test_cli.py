@@ -494,6 +494,21 @@ def test_compare_leadingones_unrepresentable_rates_one_stderr_line(n):
     assert_one_line_error(result.returncode, result.stdout, result.stderr)
 
 
+@pytest.mark.parametrize("argv", [
+    "--benchmark leadingones --n 6 --p 1e-320",
+    "--benchmark onemax --n 6 --p 1e-320",
+    "--benchmark longpath --n 4 --k 2 --p 1e-320",
+    "--benchmark jump --n 6 --k 2 --p 1e-200",
+])
+def test_oracle_full_state_class_it_cannot_leave_exits_1(argv):
+    # subnormal flip masses (an expected time beyond doubles) or zero masses
+    # out of jump's gap class: one message naming the class, no NaN, no warning
+    result = run_cli_process("oracle", "--full-state", *argv.split())
+    assert_one_line_error(result.returncode, result.stdout, result.stderr)
+    assert "absorbing non-top fitness class reachable" in result.stderr
+    assert "Warning" not in result.stderr
+
+
 def test_simulate_jump_level_k_beyond_float_binomials():
     # C(1100, 550) overflows a double; the level-k start is drawn from
     # log-binomial weights, with no warning on stderr

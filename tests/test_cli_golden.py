@@ -40,19 +40,19 @@ GOLDEN = [
     ("oracle --benchmark onemax --n 10", 0, "ed7f364ce50c93f2f43801e6c678efb85c6feef9f6a2e81f1b80e46f0fcb42ad"),
     ("oracle --benchmark onemax --n 10 --p 2/n --format csv", 0, "34e4647c520adb2de8f1c733c6dee59d3db41b7127a3addf2f0bfa8a4806a0ed"),
     ("oracle --benchmark onemax --n 10 --init level:3", 0, "7833f96d171ac572e8343e4621229afe80017b9f7192e5e2d398746ac9344ead"),
-    ("oracle --benchmark onemax --n 8 --full-state", 0, "90e9441c5a2d037a4c43e26633ac34ddc666ccbd9fe38d570ef15dc7c003fe44"),
-    ("oracle --benchmark onemax --n 8 --full-state --init level:2 --format csv", 0, "b3d91b33e493ab504bf12d5da670c630f9960445ab4431bfb37d8b3b543ce8f3"),
+    ("oracle --benchmark onemax --n 8 --full-state", 0, "d7acc61948b6667e4c4db3c75ef8909a5662fc08435c707fe9ce1d42a001515f"),
+    ("oracle --benchmark onemax --n 8 --full-state --init level:2 --format csv", 0, "ee17362ee0b2d6a89c78d4d7d5b16b90142a7a07c4772204bba19c3d8cf18b40"),
     ("oracle --benchmark onemax --n 8 --init point:00110011", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("oracle --benchmark onemax --n 8 --init bogus", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("oracle --benchmark leadingones --n 6", 0, "52b83a55bb9517861b32de04f09bbea97b93d86d338f5b7a5d32a4a53cd6d3a4"),
-    ("oracle --benchmark leadingones --n 6 --p 1/3 --init level:2 --format csv --out {out}", 0, "6ea89a71a65cc213013e1184c6e67a0078a8f32e9e95b54c40e7a356aaf39281"),
+    ("oracle --benchmark leadingones --n 6", 0, "1ac78c8d71b1e36d210e9d8353f0a7646030c76365d57e6e8cd313c3b2a584ba"),
+    ("oracle --benchmark leadingones --n 6 --p 1/3 --init level:2 --format csv --out {out}", 0, "8eedba955a069142323dec24e2fc7b365cf00537597ce3a9d4cfaf641c2e8e90"),
     ("oracle --benchmark leadingones --n 20", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("oracle --benchmark jump --n 10 --k 3", 0, "286714451fa98d7009fbf3bacb24fbeac8323c29a0df32529cb5f99085786bba"),
     ("oracle --benchmark jump --n 10 --k 3 --init level:4 --format csv", 0, "a1a13bd091c1fc3a64272aed8562edac441e22b750cf057693dfab1dc8dd62ca"),
-    ("oracle --benchmark jump --n 8 --k 3 --full-state", 0, "a237d8d598cdcb0978cc41548a07e99ac6c45aee6db94cc4994b309ba3f2085c"),
+    ("oracle --benchmark jump --n 8 --k 3 --full-state", 0, "0d6636f9f8de08efed5c64bf4a5d8176983f89b639290920c139ccbf98efbe32"),
     ("oracle --benchmark longpath --n 8 --k 2", 0, "ce680447a92e72c2907ab49cce60a73a3f4acc168f1bcf1694a530512b3aa82e"),
     ("oracle --benchmark longpath --n 8 --k 2 --init level:3 --format csv", 0, "03d92bad134821d4ded31e87249d8acfdd77ced2289f2fa333e225fd1bc0bc4d"),
-    ("oracle --benchmark longpath --n 6 --k 2 --full-state", 0, "f848def9ce505f9504798c3f5b0d2a06818260d2dd7d2dd69f402e4fd88662a9"),
+    ("oracle --benchmark longpath --n 6 --k 2 --full-state", 0, "95810e96c565326305f655f1f9ddc821f18cbac7d96b4203815ae55030490d87"),
     # simulate: every family and init form, JSON, CSV on stdout and to files
     ("simulate --benchmark onemax --n 8 --replicates 30 --seed 1", 0, "f52843809ea05fb93fcf4942d31a7f120f9c3285cf9810fd75845ce739514a5c"),
     ("simulate --benchmark onemax --n 8 --replicates 30 --seed 2 --init point:00110011 --format csv", 0, "5a7c7ef24f0f8c39a6db4447495332ff7d2528d1d2dc1eb8c2bb9b17e9cf04b0"),
