@@ -37,8 +37,8 @@ __all__ = [
     "LongKPath",
     "pack_words",
     "word_count",
-    "log_factorials",
-    "log_binom",
+    "binomial_pmfs",
+    "binomial_law",
     "jump_fitness_of_ones",
     "build_long_k_path",
     "verify_long_k_path",
@@ -55,13 +55,17 @@ DEFAULT_PATH_POINT_CAP = 10**6
 _ONE = np.uint64(1)
 _FULL = ~np.uint64(0)  # a word of 64 ones
 
-# Cephes' lgam, the kernel of scipy.special.gammaln, at x = j + 1: log of the
-# exact product j! for j <= 12 (at x = 13 its Stirling branch gives the same
-# double), and the coefficients of its Stirling-series correction below x = 1000
-_LOG_SMALL_FACTORIALS = np.array([math.log(math.factorial(j)) for j in range(13)])
-_LOG_SMALL_FACTORIALS.flags.writeable = False
-_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+# Loader's stirlerr(j) = log(j!) - log(sqrt(2 pi j) (j/e)^j) at j = 0..15 (0 at
+# j = 0); above 15 it is the Stirling series
+_STIRLERR = np.array((0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+                      0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+                      0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+                      0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+                      0.006408994188004207, 0.0059513701127588475, 0.005554733551962801))
+# pmf values from one anchor on: the anchor and 31 exact ratios
+PMF_SEGMENT = 32
+# log b(j; m, p) <= -m KL(j/m || p), and a double is 0 below e^-744.45
+PMF_KL_CUT = 745.0
 
 
 def word_count(n: int) -> int:
@@ -79,30 +83,124 @@ def pack_words(x: np.ndarray) -> np.ndarray:
     return out.view("<u8").astype(np.uint64, copy=False)
 
 
-def log_factorials(m: int) -> np.ndarray:
-    """log(j!) for j = 0..m, as ``scipy.special.gammaln(j + 1)`` computes it.
+def _stirlerr(j: np.ndarray) -> np.ndarray:
+    """log(j!) - log(sqrt(2 pi j) (j/e)^j) at the integers j >= 0 (0 at 0)."""
+    big = np.maximum(j, 16.0)
+    jj = big * big
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / jj) / jj) / jj) / jj) / big
+    return np.where(j < 16, _STIRLERR[np.minimum(j, 15).astype(np.intp)], series)
 
-    A port of Cephes' lgam at the integers x = j + 1, in its operation order:
-    the log of the exact product below x = 13, Stirling's series with a
-    polynomial correction above.  It equals gammaln bit for bit except where
-    numpy's vectorised log differs from libm's by one ulp (first at j = 9169
-    with numpy 2.4 on x86-64; within 3 ulps up to j = 4e5).
+
+def _bd0(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """x log(x/mu) + mu - x for x, mu > 0, by Loader's series where x lies
+    within a tenth of x + mu of mu (|v| < 0.1 below, so nine terms reach
+    below 2^-53 of the sum)."""
+    d, s = x - mu, x + mu
+    v = d / s
+    w = v * v
+    poly = 1 / 19
+    for odd in range(17, 1, -2):
+        poly = 1 / odd + w * poly
+    near = d * v + 2.0 * x * v * (w * poly)
+    # log1p(d/mu), not log(x/mu): d is exact while mu/2 <= x <= 2 mu, so x/mu's rounding stays out
+    return np.where(np.abs(d) < 0.1 * s, near, x * np.log1p(d / mu) - d)
+
+
+def _pmf_ends(m: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """b(0; m, p) = (1-p)^m and b(m; m, p) = p^m by pow, within about two
+    ulps: 1 - p is a double q plus its exact rounding error (1 - q) - p."""
+    q = 1.0 - p
+    return np.power(q, m) * np.exp(m * math.log1p(((1.0 - q) - p) / q)), np.power(p, m)
+
+
+def _pmf_at(j: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
+    """b(j; m, p) at integers 0 <= j <= m by Loader's method: a few ulps near
+    the mode, and a few ulps of |log b| relative in the tails."""
+    q = 1.0 - p
+    out = np.empty(j.shape)
+    mid = (0 < j) & (j < m)
+    first, last = _pmf_ends(m[~mid], p)
+    out[~mid] = np.where(j[~mid] == 0, first, last)
+    x, mm = j[mid], m[mid]
+    s_m, s_x, s_rest = np.split(_stirlerr(np.concatenate((mm, x, mm - x))), 3)
+    d_x, d_rest = np.split(_bd0(np.concatenate((x, mm - x)), np.concatenate((mm * p, mm * q))), 2)
+    lc = s_m - s_x - s_rest - d_x - d_rest
+    lf = math.log(2.0 * math.pi) + np.log(x) + np.log1p(-x / mm)
+    out[mid] = np.exp(lc - 0.5 * lf)
+    return out
+
+
+def _kl_edges(m: np.ndarray, p: float) -> np.ndarray:
+    """A ``(2, len(m))`` array of integers lo and hi, on either side of the
+    mode, with m KL(j/m || p) > PMF_KL_CUT for every j outside [lo, hi], so
+    b(j; m, p) rounds to 0 there.  On each side of the mode that function is
+    convex, so Newton's method lands beyond its root after one step and stays
+    beyond it, closing in."""
+    q = 1.0 - p
+    side = np.array([[-1.0], [1.0]])
+    edges = np.where(side > 0, m, 0.0)
+    cut = -m * np.array([[math.log1p(-p)], [math.log(p)]]) > PMF_KL_CUT  # m KL at j = 0, j = m
+    if np.any(cut):
+        mc, sc = np.broadcast_to(m, cut.shape)[cut], np.broadcast_to(side, cut.shape)[cut]
+        log_mp, log_mq = np.log(mc * p), np.log(mc * q)
+        x = np.clip(mc * p + sc * (np.sqrt(2.0 * PMF_KL_CUT * mc * p * q) + 1.0), 0.5, mc - 0.5)
+        for _ in range(3):  # x <- x - (m KL(x) - cut) / m KL'(x)
+            up, down = np.log(x) - log_mp, np.log(mc - x) - log_mq
+            x = np.clip((PMF_KL_CUT - mc * down) / (up - down), 0.5, mc - 0.5)
+        edges[cut] = np.clip(np.where(sc > 0, np.ceil(x) + 1.0, np.floor(x) - 1.0), 0.0, mc)
+    return edges
+
+
+def binomial_pmfs(m: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The binomial laws b(.; m_i, p) at once, as ``(offset, table)`` with
+    ``table[i, t] = b(offset_i + t; m_i, p)``: exactly 0 for indices outside
+    [0, m_i] and where the pmf is below the smallest double.
+
+    Each pmf is computed outward from its mode over the interval of
+    ``_kl_edges``: by Loader's method (``_pmf_at``) at every PMF_SEGMENT-th
+    index, and by the exact ratios ``b(j+1)/b(j) = (m-j)/(j+1) p/(1-p)``
+    from there on.  Outward the values fall, so none is scaled up from an
+    underflowed anchor; past the interval they are 0, not the smallest
+    subnormal that a ratio above 1/2 keeps rounding back to.  Each entry
+    depends only on (m_i, p), not on the other laws of the call.
     """
-    x = np.arange(14.0, m + 2)
-    q = (x - 0.5) * np.log(x) - x + 0.91893853320467274178  # log(sqrt(2 pi))
-    p = 1.0 / (x * x)
-    a0, a1, a2, a3, a4 = _LGAM_A
-    lo, hi = slice(0, 1000 - 14), slice(1000 - 14, None)  # x below 1000 and from 1000 on
-    q[lo] += ((((a0 * p[lo] + a1) * p[lo] + a2) * p[lo] + a3) * p[lo] + a4) / x[lo]
-    q[hi] += ((7.9365079365079365079365e-4 * p[hi] - 2.7777777777777777777778e-3) * p[hi]
-              + 0.0833333333333333333333) / x[hi]
-    return np.concatenate((_LOG_SMALL_FACTORIALS[: m + 1], q))
+    m = np.asarray(m, dtype=float)
+    rho, seg = p / (1.0 - p), PMF_SEGMENT
+    mode = np.minimum(np.floor((m + 1.0) * p), m)
+    lo, hi = _kl_edges(m, p)
+    up, down = np.maximum(hi, mode) - mode + 1.0, mode - np.minimum(lo, mode)  # from the mode up, below it
+    nr, nl = (int(math.ceil(x.max(initial=0.0) / seg)) for x in (up, down))
+    # grids of shape (seg, laws, segments): step i of segment t goes up from
+    # j = mode + seg t, or down from j = mode - 1 - seg t
+    step = np.arange(seg)[:, None, None]
+    jr = mode[:, None] + seg * np.arange(nr) + step
+    jl = mode[:, None] - 1.0 - seg * np.arange(nl) - step
+    factor = np.concatenate((np.maximum(m[:, None] + 1.0 - jr, 0.0) / np.maximum(jr, 1.0) * rho,  # b(j)/b(j-1)
+                             np.maximum(jl + 1.0, 0.0) / (m[:, None] - jl) / rho), axis=2)  # b(j)/b(j+1)
+    length = np.hstack((np.repeat(up[:, None], nr, axis=1), np.repeat(down[:, None], nl, axis=1)))
+    inside = seg * np.hstack((np.arange(nr), np.arange(nl))) + step < length
+    factor *= inside
+    anchor = inside[0]
+    at = np.concatenate((jr[0], jl[0]), axis=1)[anchor]
+    factor[0][anchor] = _pmf_at(at, np.broadcast_to(m[:, None], anchor.shape)[anchor], p)
+    np.multiply.accumulate(factor, axis=0, out=factor)
+    values = factor.transpose(1, 2, 0)
+    right = values[:, :nr].reshape(len(m), seg * nr)
+    left = values[:, nr:].reshape(len(m), seg * nl)
+    offset, table = mode - seg * nl, np.hstack((left[:, ::-1], right))
+    # the end points inside the interval also where they are no anchor: a
+    # row's entry of a single flip pattern is one of them times another
+    for at, j, value in zip((lo == 0, hi == m), (0.0 * m, m), _pmf_ends(m, p)):
+        table[at, (j - offset)[at].astype(np.intp)] = value[at]
+    return offset, table
 
 
-def log_binom(m: int, j: np.ndarray) -> np.ndarray:
-    """log C(m, j) for integers j in [0, m]."""
-    lf = log_factorials(m)
-    return lf[m] - lf[j] - lf[m - j]
+def binomial_law(m: int, p: float) -> np.ndarray:
+    """b(j; m, p) for j = 0..m (0 where below the smallest double)."""
+    offset, table = binomial_pmfs(np.array([m]), p)
+    j = int(offset[0]) + np.arange(table.shape[1])
+    keep = (0 <= j) & (j <= m)
+    return np.bincount(j[keep], table[0, keep], minlength=m + 1)
 
 
 # numpy reduces along the short word axis row by row, slowly, so on up to
@@ -303,15 +401,21 @@ def make_leadingones(n: int) -> Benchmark:
 def jump_level_weights(n: int, k: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Ones-counts of Jump_k level ``level`` and weights proportional to the
     law of a uniform string of the level over them: at level k, C(n, a) over
-    0..n-k shifted by its peak (no weight overflows); one count elsewhere."""
+    0..n-k relative to its peak, by exact ratios outward from it (no weight
+    overflows, and the peak's is 1); one count elsewhere."""
     if not 1 <= k <= n:
         raise ValueError(f"jump size must be in [1, {n}], got {k}")
     if not 1 <= level <= k + 1:
         raise ValueError(f"jump level must be in [1, {k + 1}]")
     if level != k:
         return np.array([n if level == k + 1 else n - level]), np.ones(1)
-    log_w = log_binom(n, np.arange(n - k + 1))
-    return np.arange(n - k + 1), np.exp(log_w - log_w.max())
+    ones = np.arange(n - k + 1)
+    peak = min(n - k, n // 2)
+    below, above = ones[:peak], ones[peak + 1 :]
+    weights = np.ones(n - k + 1)
+    weights[:peak] = np.cumprod(((below + 1) / (n - below))[::-1])[::-1]  # C(n, a) / C(n, a + 1)
+    weights[peak + 1 :] = np.cumprod((n + 1 - above) / above)  # C(n, a) / C(n, a - 1)
+    return ones, weights
 
 
 def make_jump(n: int, k: int) -> Benchmark:

@@ -1,9 +1,9 @@
 """Exact Markov-chain analysis over fitness levels.
 
 Ground-truth oracles for level leaving probabilities, visit probabilities,
-skip probabilities and expected hitting times.  Transition masses are
-assembled in log space throughout (individual terms underflow doubles long
-before the assembled probabilities do) and exponentiated at the end.
+skip probabilities and expected hitting times.  Transition masses between
+ones-count classes are sums of products of two binomial pmfs, computed in
+linear space from Loader's method (:func:`flmlab.benchmarks.binomial_pmfs`).
 
 The brute-force companion :func:`full_state_expected_time` solves the full
 2^n-state chain of the elitist accept-if-not-worse process and is the
@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .benchmarks import jump_fitness_of_ones, log_binom, log_factorials, pack_words
+from .benchmarks import binomial_law, binomial_pmfs, jump_fitness_of_ones, pack_words
 
 __all__ = [
     "LevelChain",
@@ -154,151 +153,78 @@ class ChainSummary:
 # ---------------------------------------------------------------------------
 
 
-# A dropped term lies more than BAND_NATS below its destination's peak, a
-# weight below e^-40 (4.2e-18) of it, or below TERM_FLOOR, where that peak is
-# under -745.14 (so the entry is exactly 0) if the term is not that far below it.
-BAND_NATS = 40.0
-TERM_FLOOR = -(745.2 + BAND_NATS)
-# parents per kernel call in the chain builders: the OneMax n = 1000 build
-# peaks at 9.3 MiB with blocks of 32 (14.0 MiB with 128; the matrix is 7.6 MiB)
-ROW_BLOCK = 32
-SUM_TERMS = 2**16  # log-terms exponentiated at once
+# bytes of rows per kernel call in the chain builders: a small chain takes few
+# calls, each of which pays a fixed ~60 numpy calls for its pmfs (OneMax
+# n = 1000 builds 15% faster than in blocks of 32 parents), and a large one
+# keeps its temporaries bounded
+ROW_BYTES = 2**20
+# the pmfs are correlated scaled by 2^511 each, so that every product above
+# 2^-2044 is a normal double: products that round to a subnormal cost about
+# 15 times as much, and products of two pmf tails are mostly that small
+PMF_SCALE = 2.0**511
+# np.correlate sums the full overlaps of a window this short or shorter in a
+# loop of its own, every other column by BLAS's dot, which may fuse its
+# multiply-adds; so a shorter window is padded with zeros past this length
+SMALL_CORRELATE = 11
 
 
-def _log_binomial_terms(lf: np.ndarray, m: np.ndarray, j: np.ndarray, log_odds: float) -> np.ndarray:
-    """log C(m_i, j) + j log_odds at the indices j[i] of each row i, -inf past m_i."""
-    jj = np.minimum(j, m[:, None])
-    terms = (lf[m][:, None] - lf[jj] - lf[m[:, None] - jj]) + jj * log_odds
-    terms[j > m[:, None]] = -np.inf
-    return terms
-
-
-def _terms_at(window: tuple[np.ndarray, np.ndarray], first: np.ndarray, last: np.ndarray,
-              j: np.ndarray) -> np.ndarray:
-    """Each row's window read at the indices j[i], -inf outside [first_i, last_i]."""
-    a, terms = window
-    got = np.take_along_axis(terms, np.clip(j - a[:, None], 0, terms.shape[1] - 1), axis=1)
-    return np.where((first[:, None] <= j) & (j <= last[:, None]), got, -np.inf)
+def row_block(n: int) -> int:
+    """Parents per kernel call when building the rows of an n-bit chain."""
+    return max(1, ROW_BYTES // (8 * (n + 1)))
 
 
 def mutation_class_row(n: int, p: float, k: int, lowest: Union[int, np.ndarray] = 0, *,
-                       log_fact: Optional[np.ndarray] = None, count: Optional[int] = None) -> np.ndarray:
+                       count: Optional[int] = None) -> np.ndarray:
     """Distribution of the offspring ones-count under standard bit mutation
     of a parent with ``k`` ones, as a length-(n+1) vector; with ``count=c``,
     the ``(c, n+1)`` rows of the parents k .. k+c-1, one kernel call for the
     block.  Only the entries for ones-counts ``>= lowest`` (a scalar, or one
     value per row) are computed; those below are left at 0, so ``lowest=0``
-    gives the whole row.  ``log_fact`` is a ``log_factorials(n)`` table, which
-    the rows of one chain share.
+    gives the whole row.
 
-    Moving from k to l = k + e ones flips d one-bits down and d + e zero-bits
-    up; the log-terms, grouped by destination, are concave in d.  The ridge
-    (term ratio 1) solves (r^2-1) d^2 - (r^2 (k+m) + e + 2) d + (r^2 k m - e - 1)
-    = 0, r = p/(1-p), m = n-k-e, and the curvature there sets a half-width h.
-    The row sums the band of down-counts from h below its lowest ridge to h
-    above its highest, inside the rectangle of terms above ``TERM_FLOOR``.  The
-    band is checked at its edges: while an edge term lies within ``BAND_NATS``
-    of its column's ridge term, that edge moves out by h, so by concavity every
-    dropped term lies more than ``BAND_NATS`` below its peak.  Each column is
-    shifted by its peak, exponentiated and summed in increasing down-count
-    order, as the full sum, and matches it within 1e-14 relative.  The up-
-    and down-flip log-terms are computed in a window around their mode, the
-    narrowest of 64, 128, ... wide whose edges lie below the floor in every
-    row of the block (found from the edge terms alone, then built once), so
-    a row costs its rectangle, not O(n); each entry is the same double in
-    any block.
+    The offspring has k + u - d ones, where the up-flips u ~ Bin(n-k, p) and
+    the down-flips d ~ Bin(k, p) are independent, so
+    ``P(k -> k+e) = sum_d b(d; k, p) b(d+e; n-k, p)``: one ``np.correlate``
+    of the two pmfs (``binomial_pmfs``) over the windows where they are
+    nonzero doubles, scaled by PMF_SCALE.  Every term is positive, so each
+    entry is the exact sum within the pmfs' error and the sum's rounding.  A
+    row needing only ``e >= e_min = lowest - k`` first drops the down-flips
+    above ``u_hi - e_min`` and the up-flips below ``d_lo + e_min``, which
+    reach no such column.  Every column is then one BLAS dot over the same
+    terms in the same order (windows shorter than SMALL_CORRELATE + 1 are
+    padded with zeros), so its entries equal the whole row's bit for bit,
+    and a row is the same double in any block.
     """
     c = 1 if count is None else count
     if not 0 <= k <= n or not 1 <= c <= n + 1 - k:
         raise ValueError(f"ones-count must be in [0, {n}], got {k if c == 1 else f'{k}..{k + c - 1}'}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"mutation rate must be in (0, 1), got {p}")
-    lf = log_factorials(n) if log_fact is None else log_fact
-    log_odds = math.log(p) - math.log1p(-p)
-    base = n * math.log1p(-p)
     ks = np.arange(k, k + c)
-    m = np.concatenate([n - ks, ks])  # zero-bits that can flip up, then one-bits that can flip down
-    # each row's terms are unimodal with their peak at the binomial mode, and
-    # only its neighbours come within rounding of it
-    mode = ((m + 1) * p).astype(np.intp)
-    peak = _log_binomial_terms(lf, m, np.clip(mode[:, None] + np.arange(-2, 3), 0, m[:, None]), log_odds).max(axis=1)
-    floor = TERM_FLOOR - (np.roll(peak, c) + base)  # set by the other side's peak
-    # the window is the narrowest of 64, 128, ... (and n + 1, which covers
-    # every row) whose edge terms lie below the floor in every row: only the
-    # edges of each width are computed, all at once, and the window once
-    widths = [64]
-    while widths[-1] <= n:
-        widths.append(min(2 * widths[-1], n + 1))
-    widths = np.array(widths)
-    starts = np.clip(mode[:, None] - widths // 2, 0, np.maximum(m[:, None] + 1 - widths, 0))
-    left, right = np.split(_log_binomial_terms(lf, m, np.hstack((starts, starts + widths - 1)), log_odds), 2, axis=1)
-    fits = ((starts == 0) | (left < floor[:, None])) & ((starts + widths > m[:, None]) | (right < floor[:, None]))
-    pick = int(np.argmax(fits.all(axis=0)))  # the last width always fits
-    a, width = starts[:, pick], int(widths[pick])
-    w = _log_binomial_terms(lf, m, a[:, None] + np.arange(width), log_odds)
-    # the first and last index of each window at or above its floor
-    above = w >= floor[:, None]
-    first, last = a + np.argmax(above, axis=1), a + width - 1 - np.argmax(above[:, ::-1], axis=1)
-    u0, d0, u1, d1 = first[:c], first[c:], last[:c], last[c:]
-    e0, e1 = np.maximum(np.asarray(lowest) - ks, u0 - d1), u1 - d0  # net gains l - k of the computed columns
+    offset, table = binomial_pmfs(np.concatenate([n - ks, ks]), p)  # up-flip laws, then down-flip laws
+    nonzero = table > 0.0
+    table *= PMF_SCALE
+    first = offset + np.argmax(nonzero, axis=1)
+    last = offset + table.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    e_min = np.broadcast_to(np.asarray(lowest) - ks, (c,))
+    u_lo = np.maximum(first[:c], first[c:] + e_min)
+    d_hi = np.minimum(last[c:], last[:c] - e_min)
     rows = np.zeros((c, n + 1))
-    live = np.flatnonzero(e0 <= e1)
-    if live.size:
-        ks, u0, u1, d0, d1, e0, e1 = (x[live] for x in (ks, u0, u1, d0, d1, e0, e1))
-        up, down = (a[:c][live], w[:c][live]), (a[c:][live], w[c:][live])
-        d1 = np.minimum(d1, u1 - e0)  # a higher down-count reaches no computed column
-        ncols = e1 - e0 + 1
-        gain = e0[:, None] + np.minimum(np.arange(ncols.max()), ncols[:, None] - 1)  # a short row repeats its last
-        e, kk = gain.astype(float), ks[:, None]
-        # the ridge equation as a d^2 - b d + c = 0, rewritten for m = n - k - e; b + root > 0
-        r2 = math.exp(2.0 * log_odds)
-        qa, qb, qc = r2 - 1.0, (1.0 - r2) * e + (r2 * n + 2.0), (r2 * kk * (n - kk) - 1.0) - (r2 * kk + 1.0) * e
-        ridge = 2.0 * qc / (qb + np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)))
-        ridge = np.minimum(np.maximum(ridge, np.maximum(d0[:, None], u0[:, None] - e)), np.minimum(d1[:, None], u1[:, None] - e))
-        # minus the log-term's second derivative in d there, with trigamma(x + 1) ~ 1/(x + 1/2)
-        x, y = ridge + 0.5, ridge + e + 0.5
-        curvature = (kk + 1) / ((kk + 1 - x) * x) + (n - kk + 1) / ((n - kk + 1 - y) * y)
-        h = np.sqrt(2.0 * BAND_NATS / curvature.min(axis=1)).astype(np.intp) + 1
-
-        def term(d):  # log_down[d] + log_up[d + e], the full sum's order
-            return _terms_at(down, d0, d1, d) + _terms_at(up, u0, u1, d + gain)
-
-        center = np.ceil(ridge).astype(np.intp)
-        top = term(center) - BAND_NATS
-        lo, hi = np.maximum(center.min(axis=1) - h, d0), np.minimum(center.max(axis=1) + h, d1)
-        while np.any(move := (lo > d0) & ~np.all(term(lo[:, None]) < top, axis=1)):
-            lo = np.where(move, np.maximum(lo - h, d0), lo)
-        while np.any(move := (hi < d1) & ~np.all(term(hi[:, None]) < top, axis=1)):
-            hi = np.where(move, np.minimum(hi + h, d1), hi)
-        # t[i, j, col] = (log_down[d] + log_up[d + e]) + base at d = lo + j and
-        # e = e0 + col, with -inf off the band and the rectangle
-        span, wide = int((hi - lo).max()) + 1, int(ncols.max())
-        ld = _terms_at(down, d0, hi, lo[:, None] + np.arange(span))
-        lu = _terms_at(up, u0, u1, lo[:, None] + e0[:, None] + np.arange(span + wide - 1))
-        sums = np.empty((live.size, wide))
-        step = max(1, SUM_TERMS // (span * wide))
-        buf = np.empty(step * span * wide)  # one buffer for every chunk of the block
-        for s in range(0, live.size, step):
-            r = min(step, live.size - s)
-            sp, wd = int((hi - lo)[s : s + r].max()) + 1, int(ncols[s : s + r].max())  # this chunk's own
-            t = buf[: r * sp * wd].reshape(r, sp, wd)
-            np.add(ld[s : s + r, :sp, None], sliding_window_view(lu[s : s + r, : sp + wd - 1], wd, axis=1), out=t)
-            t += base
-            peak = t.max(axis=1)
-            peak[peak == -np.inf] = 0.0  # the padding of a short row
-            t -= peak[:, None, :]
-            np.exp(t, out=t)
-            # numpy adds the rows of each block one after another: each column
-            # is summed in increasing down-count, so increasing up-count, as the full sum
-            sums[s : s + r, :wd] = np.exp(peak) * t.sum(axis=1)
-        i, col = np.nonzero(np.arange(wide) < ncols[:, None])
-        rows[live[i], ks[i] + e0[i] + col] = sums[i, col]
+    for r, (kr, e, u0, u1, d0, d1, ou, od) in enumerate(zip(
+            *(x.astype(np.intp).tolist() for x in (ks, e_min, u_lo, last[:c], first[c:], d_hi, offset[:c], offset[c:])))):
+        if u0 > u1 or d0 > d1:
+            continue  # no column >= lowest has mass
+        up, down = table[r, u0 - ou : u1 - ou + 1], table[c + r, d0 - od : d1 - od + 1]
+        if up.size > SMALL_CORRELATE and down.size > SMALL_CORRELATE:
+            gains = np.correlate(up, down, "full")
+        else:  # zeros after the last up-flip and the last down-flip, and their columns dropped
+            pad_up, pad_down = max(0, SMALL_CORRELATE + 1 - up.size), max(0, SMALL_CORRELATE + 1 - down.size)
+            gains = np.correlate(np.concatenate((up, np.zeros(pad_up))), np.concatenate((down, np.zeros(pad_down))), "full")
+            gains = gains[pad_down : gains.size - pad_up]
+        skip = max(0, e - (u0 - d1))  # gains[i] is the mass of e = u0 - d1 + i
+        rows[r, kr + u0 - d1 + skip : kr + u1 - d0 + 1] = gains[skip:]
+    rows *= 1.0 / PMF_SCALE**2
     return rows if count is not None else rows[0]
-
-
-def _binomial_start(n: int) -> np.ndarray:
-    start = np.exp(log_binom(n, np.arange(n + 1)) - n * math.log(2.0))
-    return start / start.sum()
 
 
 def _resolve_start(start: Union[str, int, np.ndarray], n: int) -> np.ndarray:
@@ -307,7 +233,7 @@ def _resolve_start(start: Union[str, int, np.ndarray], n: int) -> np.ndarray:
     if isinstance(start, str):
         if start != "random":
             raise ValueError(f"unknown start mode {start!r}")
-        return _binomial_start(n)
+        return binomial_law(n, 0.5)  # a uniform string's ones-count
     if not 0 <= int(start) <= n:
         raise ValueError(f"start class must be in [0, {n}], got {start}")
     point = np.zeros(n + 1)
@@ -343,12 +269,11 @@ def jump_level_matrix(n: int, k: int, p: float, start: Union[str, int, np.ndarra
     ones = np.array(order)
     lowest = np.minimum.accumulate(ones[::-1])[::-1]  # lowest ones-count at or above each level
     level = np.argsort(ones)  # level of each ones-count
-    lf = log_factorials(n)
     t = np.zeros((n + 1, n + 1))
     for first, stop in ((n - k + 1, n), (0, n - k + 1)):  # the gap's parents, then the rest
-        for a in range(first, stop, ROW_BLOCK):  # blocks of ascending ones-counts
-            levels = level[a : min(a + ROW_BLOCK, stop)]
-            block = mutation_class_row(n, p, a, lowest[levels + 1], log_fact=lf, count=len(levels))
+        for a in range(first, stop, row_block(n)):  # blocks of ascending ones-counts
+            levels = level[a : min(a + row_block(n), stop)]
+            block = mutation_class_row(n, p, a, lowest[levels + 1], count=len(levels))
             for i, row in zip(levels.tolist(), block):
                 # fitness values are distinct, so exactly the higher levels are accepted
                 t[i, i + 1 :] = row[ones[i + 1 :]]

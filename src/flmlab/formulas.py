@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .benchmarks import log_factorials, long_k_path_length
-from .chains import ROW_BLOCK, mutation_class_row
+from .benchmarks import long_k_path_length
+from .chains import mutation_class_row, row_block
 
 __all__ = [
     "OneMaxBounds",
@@ -98,11 +98,10 @@ def onemax_skip_bound(n: int, i: int) -> float:
 def onemax_leave_probs(n: int, p: float) -> np.ndarray:
     """Exact OneMax level leaving probabilities p_i = p_{i, >= i+1} for
     i in [0, n-1], from the ones-count mutation masses."""
-    lf = log_factorials(n)
     probs = np.empty(n)
-    for a in range(0, n, ROW_BLOCK):
-        count = min(ROW_BLOCK, n - a)
-        block = mutation_class_row(n, p, a, np.arange(a + 1, a + count + 1), log_fact=lf, count=count)
+    for a in range(0, n, row_block(n)):
+        count = min(row_block(n), n - a)
+        block = mutation_class_row(n, p, a, np.arange(a + 1, a + count + 1), count=count)
         for i, row in enumerate(block, a):
             probs[i] = row[i + 1 :].sum()
         del block, row  # freed before the next block is built

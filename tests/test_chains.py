@@ -1,9 +1,11 @@
+import functools
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from scipy.special import gammaln
 
 import flmlab.chains as chains_module
-from flmlab.benchmarks import build_long_k_path, log_factorials, make_benchmark
+from flmlab.benchmarks import binomial_law, binomial_pmfs, build_long_k_path, make_benchmark
 from flmlab.chains import (
     LevelChain,
     expected_hitting_time,
@@ -56,34 +58,146 @@ def test_mutation_rows_match_brute_force(n, p):
         np.testing.assert_allclose(mutation_class_row(n, p, k), expected, atol=1e-14)
 
 
-def unpruned_mutation_class_row(n, p, k):
-    """Reference: every (up, down) log-term exponentiated and summed by destination."""
-    up = np.arange(n - k + 1)
-    down = np.arange(k + 1)
-    log_odds = math.log(p) - math.log1p(-p)
-    log_up = gammaln(n - k + 1) - gammaln(up + 1) - gammaln(n - k - up + 1) + up * log_odds
-    log_down = gammaln(k + 1) - gammaln(down + 1) - gammaln(k - down + 1) + down * log_odds
-    terms = (log_up[:, None] + log_down[None, :] + n * math.log1p(-p)).ravel()
-    dest = (k + up[:, None] - down[None, :]).ravel()
-    peak = np.full(n + 1, -np.inf)
-    np.maximum.at(peak, dest, terms)
-    scaled = np.bincount(dest, weights=np.exp(terms - peak[dest]), minlength=n + 1)
-    return np.exp(peak) * scaled
+def exact_binomial_law(m, p, floor=Decimal("1e-85")):
+    """{j: b(j; m, p)} in 50-digit decimals, over the j where b is at least
+    ``floor``: math.comb at the mode, exact ratios outward.  p is the
+    double's exact value."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        pp = Decimal(p)
+        qq = 1 - pp
+        mode = min(m, int((m + 1) * p))
+        peak = Decimal(math.comb(m, mode)) * pp**mode * qq ** (m - mode)
+        law = {mode: peak}
+        for step in (1, -1):
+            j, b = mode, peak
+            while 0 <= j + step <= m and b >= floor:
+                b = b * (m - j) / (j + 1) * pp / qq if step > 0 else b * j / (m - j + 1) * qq / pp
+                j += step
+                law[j] = b
+        return law
+
+
+def exact_mutation_entries(n, p, k, ones, floor=Decimal("1e-85")):
+    """P(k -> l) for each l in ``ones`` as sum_d b(d; k, p) b(d + l - k; n - k, p),
+    to about 40 digits wherever it is above floor * 1e45 (the terms dropped
+    with the laws' values below ``floor`` are below it each)."""
+    down, up = exact_binomial_law(k, p, floor), exact_binomial_law(n - k, p, floor)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return [sum((b * up[d + l - k] for d, b in down.items() if d + l - k in up), Decimal(0)) for l in ones]
+
+
+@functools.lru_cache(maxsize=None)
+def rounded_binomial_law(m, p):
+    """b(j; m, p) for j = 0..m, each the double nearest its 50-digit value
+    (0 below the smallest subnormal), scaled by REFERENCE_SCALE."""
+    law = np.zeros(m + 1)
+    for j, b in exact_binomial_law(m, p, floor=Decimal("1e-330")).items():
+        law[j] = float(b)
+    law *= REFERENCE_SCALE
+    law.flags.writeable = False
+    return law
+
+
+# 2^511 each, so that the product of two laws' values below 2^-2044 is the
+# only one that is not a normal double (and no product overflows)
+REFERENCE_SCALE = 2.0**511
+
+
+def _split(a):
+    """a = hi + lo with hi the top 26 bits (Veltkamp), so products of halves are exact."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _exact_sums(terms):
+    """Sums along the last axis, whose length is a power of two, with one
+    rounding: a tree of exact additions (Knuth's TwoSum) of the two halves,
+    whose errors are added up apart (each below 2^-53 of its sum, so their
+    own rounding stays below 2^-100 of the total)."""
+    err = np.zeros(terms.shape[:-1])
+    while terms.shape[-1] > 1:
+        half = terms.shape[-1] // 2
+        a, b = terms[:, :half], terms[:, half:]
+        s = a + b
+        z = s - a
+        err += ((a - (s - z)) + (b - z)).sum(axis=1)
+        terms = s
+    return terms[:, 0] + err
+
+
+def reference_mutation_class_row(n, p, k):
+    """Reference row sum_d b(d; k, p) b(d + l - k; n - k, p) in doubles alone:
+    each law value correctly rounded (rounded_binomial_law), each product
+    exact as a pair of doubles (Dekker), the larger parts summed exactly
+    (_exact_sums), the smaller ones (below 2^-53 of the larger) plainly, and
+    the two rounded once.  So every entry is within 1.5 ulps of the exact
+    sum, wherever it is a normal double."""
+    up, down = rounded_binomial_law(n - k, p), rounded_binomial_law(k, p)
+    d0, d1 = np.flatnonzero(down)[[0, -1]].tolist()
+    u0, u1 = np.flatnonzero(up)[[0, -1]].tolist()
+    width = d1 - d0 + 1
+    a = np.zeros(1 << (width - 1).bit_length())  # zeros past the last down-flip
+    a[:width] = down[d0 : d1 + 1]
+    a_hi, a_lo = _split(a)
+    # column l = k + u - d reads up[u] at u = l - k + d for d = d0..d1, here
+    # from up's nonzero stretch padded with zeros on either side
+    padded = np.concatenate((np.zeros(width - 1), up[u0 : u1 + 1], np.zeros(a.size - 1)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, a.size)[: u1 - u0 + width]  # l = k + u0 - d1 + i
+    row = np.zeros(n + 1)
+    block = max(1, 2**17 // a.size)
+    for i in range(0, len(windows), block):
+        b = windows[i : i + block]
+        b_hi, b_lo = _split(b)
+        hi = b * a
+        lo = ((b_hi * a_hi - hi) + b_hi * a_lo + b_lo * a_hi) + b_lo * a_lo
+        row[k + u0 - d1 + i : k + u0 - d1 + i + len(b)] = _exact_sums(hi) + lo.sum(axis=1)
+    return row / REFERENCE_SCALE**2
+
+
+# The kernel's relative error: a few ulps near the modes of its two pmfs, and
+# in their tails a few ulps of |log b|, the exponent that Loader's method
+# feeds to exp; so an entry v is held to EXACT_REL + EXACT_PER_NAT |ln v|.
+# Over the grids below the kernel reached 0.70 of it (n = 5000, p = 0.3).
+EXACT_REL, EXACT_PER_NAT = 2e-14, 2e-15
+
+
+def assert_rows_exact(row, reference):
+    """Each entry within the stated tolerance of the reference where that is
+    a normal double, and below the smallest normal double elsewhere."""
+    normal = reference >= np.finfo(float).tiny
+    ref = reference[normal]
+    bound = (EXACT_REL + EXACT_PER_NAT * np.abs(np.log(ref))) * ref
+    assert np.all(np.abs(row[normal] - ref) <= bound), np.max(np.abs(row[normal] - ref) / bound)
+    assert np.all(row[~normal] < np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("n,p", [(12, 0.3), (40, 1 / 40), (40, 0.9), (300, 0.5)])
+def test_reference_rows_match_exact_sums(n, p):
+    for k in range(0, n + 1, 1 if n <= 40 else 37):
+        reference = reference_mutation_class_row(n, p, k)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for l, exact in enumerate(exact_mutation_entries(n, p, k, range(n + 1), Decimal("1e-360"))):
+                if exact >= Decimal(np.finfo(float).tiny):
+                    assert abs(Decimal(reference[l]) - exact) <= Decimal(1.5 * 2.0**-52) * exact, (k, l)
 
 
 ROW_GRID = [(n, p) for n in (1, 2, 10, 200, 600) for p in (1 / n, 10 / n, 0.3) if p < 1.0]
 
 
 @pytest.mark.parametrize("n,p", ROW_GRID)
-def test_pruned_mutation_rows_bit_identical(n, p):
+def test_mutation_rows_match_exact_sums(n, p):
     for k in range(n + 1):
-        assert np.array_equal(mutation_class_row(n, p, k), unpruned_mutation_class_row(n, p, k)), k
+        assert_rows_exact(mutation_class_row(n, p, k), reference_mutation_class_row(n, p, k))
 
 
 @pytest.mark.parametrize("p", [1 / 2000, 10 / 2000, 0.3])
-def test_pruned_mutation_rows_bit_identical_spot_rows(p):
+def test_mutation_rows_match_exact_sums_spot_rows(p):
     for k in (0, 1, 2, 500, 1000, 1998, 1999, 2000):
-        assert np.array_equal(mutation_class_row(2000, p, k), unpruned_mutation_class_row(2000, p, k)), k
+        assert_rows_exact(mutation_class_row(2000, p, k), reference_mutation_class_row(2000, p, k))
 
 
 PARTIAL_ROW_GRID = [
@@ -92,15 +206,14 @@ PARTIAL_ROW_GRID = [
 
 
 @pytest.mark.parametrize("n,p", PARTIAL_ROW_GRID)
-def test_partial_mutation_rows_bit_identical(n, p):
-    # n <= 3 with k in {0, n} and p in {0.5, 0.9} gives one-row and
-    # one-column rectangles, where a column sum could go pairwise
+def test_partial_mutation_rows_match_exact_sums(n, p):
+    # n <= 3 with k in {0, n} and p in {0.5, 0.9} gives one-entry pmfs
     for k in range(n + 1):
-        full = unpruned_mutation_class_row(n, p, k)
+        full = reference_mutation_class_row(n, p, k)
         for lowest in sorted({0, k, k + 1, n}):
             row = mutation_class_row(n, p, k, lowest)
             assert row.shape == (n + 1,)
-            assert np.array_equal(row[lowest:], full[lowest:]), (k, lowest)
+            assert_rows_exact(row[lowest:], full[lowest:])
             assert not row[:lowest].any(), (k, lowest)
 
 
@@ -109,35 +222,29 @@ BLOCK_GRID = [(n, p) for n in (1, 2, 3, 57, 600) for p in (1 / n, 10 / n, 0.3, 0
 
 @pytest.mark.parametrize("n,p", BLOCK_GRID)
 def test_row_blocks_equal_stacked_single_rows(n, p):
-    lf = log_factorials(n)
     for per_row in (False, True):  # lowest 0, or k + 1 for each parent k
-        singles = np.array([mutation_class_row(n, p, k, k + 1 if per_row else 0, log_fact=lf) for k in range(n + 1)])
+        singles = np.array([mutation_class_row(n, p, k, k + 1 if per_row else 0) for k in range(n + 1)])
         # blocks of 32 parents, then one block over every parent 0..n
         for k, count in [*((k, min(32, n + 1 - k)) for k in range(0, n + 1, 32)), (0, n + 1)]:
             lowest = np.arange(k + 1, k + count + 1) if per_row else 0
-            block = mutation_class_row(n, p, k, lowest, log_fact=lf, count=count)
+            block = mutation_class_row(n, p, k, lowest, count=count)
             assert block.shape == (count, n + 1)
             assert np.array_equal(block, singles[k : k + count]), (per_row, k, count)
 
 
 @pytest.mark.parametrize("per_row", [False, True])
-def test_row_block_at_full_window_width_equals_stacked_single_rows(monkeypatch, per_row):
-    # at p = 0.5 and n = 2000 the mode's terms reach below the floor only
-    # about 900 indices away, so the block's windows span all n + 1 indices
+def test_row_block_at_full_window_width_equals_stacked_single_rows(per_row):
+    # at p = 0.5 and n = 2000 the down-flip laws of this block (576..607
+    # trials) stay above the smallest double over their whole support, and the
+    # up-flip laws' windows are about 1300 wide: the widest windows a block gets
     n, p, k = 2000, 0.5, 576
-    lf = log_factorials(n)
-    widths = []
-    terms = chains_module._log_binomial_terms
-
-    def recorded(lf, m, j, log_odds):
-        widths.append(j.shape[1])
-        return terms(lf, m, j, log_odds)
-
-    monkeypatch.setattr(chains_module, "_log_binomial_terms", recorded)
+    down = np.arange(k, k + 32)
+    offset, table = binomial_pmfs(np.concatenate([n - down, down]), p)
+    assert np.array_equal((table[32:] > 0).sum(axis=1), down + 1)
+    assert (table[:32] > 0).sum(axis=1).min() > 1200
     lowest = np.arange(k + 1, k + 33) if per_row else 0
-    block = mutation_class_row(n, p, k, lowest, log_fact=lf, count=32)
-    assert max(widths) == n + 1
-    singles = [mutation_class_row(n, p, k + i, k + i + 1 if per_row else 0, log_fact=lf) for i in range(32)]
+    block = mutation_class_row(n, p, k, lowest, count=32)
+    singles = [mutation_class_row(n, p, k + i, k + i + 1 if per_row else 0) for i in range(32)]
     assert np.array_equal(block, np.array(singles))
 
 
@@ -148,31 +255,69 @@ def test_row_block_rejects_parents_past_n():
         mutation_class_row(4, 0.1, 0, count=0)
 
 
-def assert_rows_close(row, reference):
-    """Each entry within 1e-14 relative of the reference where that is a
-    normal double, and exactly 0 wherever the reference is 0."""
-    assert np.array_equal(row == 0.0, reference == 0.0)
-    normal = reference >= np.finfo(float).tiny
-    assert np.all(np.abs(row[normal] - reference[normal]) <= 1e-14 * reference[normal])
-
-
 TOLERANCE_GRID = [
     (n, p) for n in (1, 2, 3, 10, 57, 200, 600) for p in (1 / n, 10 / n, 0.3, 0.5, 0.9) if p < 1.0
 ]
 
 
 @pytest.mark.parametrize("n,p", TOLERANCE_GRID)
-def test_banded_mutation_rows_within_tolerance(n, p):
+def test_upward_mutation_rows_match_exact_sums(n, p):
     for k in range(0, n + 1, 1 if n <= 200 else 7):
-        reference = unpruned_mutation_class_row(n, p, k)
-        assert_rows_close(mutation_class_row(n, p, k), reference)
-        assert_rows_close(mutation_class_row(n, p, k, k + 1)[k + 1 :], reference[k + 1 :])
+        reference = reference_mutation_class_row(n, p, k)
+        assert_rows_exact(mutation_class_row(n, p, k), reference)
+        assert_rows_exact(mutation_class_row(n, p, k, k + 1)[k + 1 :], reference[k + 1 :])
 
 
 @pytest.mark.parametrize("p", [1 / 5000, 10 / 5000, 0.3, 0.5, 0.9])
-def test_banded_mutation_rows_within_tolerance_spot_rows(p):
+def test_upward_mutation_rows_match_exact_sums_spot_rows(p):
     for k in (0, 1, 2, 2500, 4998, 4999, 5000):
-        assert_rows_close(mutation_class_row(5000, p, k), unpruned_mutation_class_row(5000, p, k))
+        assert_rows_exact(mutation_class_row(5000, p, k), reference_mutation_class_row(5000, p, k))
+
+
+@pytest.mark.parametrize("n,p", TOLERANCE_GRID)
+def test_trimmed_rows_equal_whole_rows(n, p):
+    # a row asked for the columns >= lowest drops the flips that reach none of
+    # them, and each column it keeps sums the same terms in the same order
+    for k in range(0, n + 1, 1 if n <= 200 else 7):
+        whole = mutation_class_row(n, p, k)
+        for lowest in sorted({k, k + 1, (k + n + 1) // 2, n}):
+            row = mutation_class_row(n, p, k, min(lowest, n))
+            assert np.array_equal(row[lowest:], whole[lowest:]), (k, lowest)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 57, 600, 1000, 1100, 2000])
+def test_binomial_start_law_matches_exact_values(n):
+    # a uniform string's ones-count law, which the chains start from; each
+    # math.comb(n, j) / 2**n is the correctly rounded double, 0 past 2^-1075
+    exact = np.array([math.comb(n, j) / 2**n for j in range(n + 1)])
+    assert_rows_exact(binomial_law(n, 0.5), exact)
+
+
+# relative error allowed on the pinned entries (those above 1e-40: 20 steps
+# up from five parents, and the row's mean and +-1 and +-3 standard
+# deviations); the kernel reached 2.3e-15 at 1/n and 10/n, 4.7e-15 at 0.5
+PINNED_REL = {"1/n": 1e-13, "10/n": 1e-13, "0.5": 1e-14}
+
+
+PINNED_GRID = [(n, rate) for n in (10, 100, 1000, 10**4, 10**5) for rate in sorted(PINNED_REL) if (n, rate) != (10, "10/n")]
+
+
+@pytest.mark.parametrize("n,rate", PINNED_GRID)
+def test_sampled_mutation_entries_pinned_to_exact_sums(n, rate):
+    p = {"1/n": 1 / n, "10/n": 10 / n, "0.5": 0.5}[rate]
+    checked = 0
+    for k in sorted({0, 1, n // 3, n // 2, n - 1}):
+        sd = math.sqrt(n * p * (1 - p))
+        mean = k + (n - 2 * k) * p
+        ones = sorted({k + e for e in range(-2, 21)} | {round(mean + t * sd) for t in (-3, -1, 0, 1, 3)})
+        ones = [l for l in ones if 0 <= l <= n]
+        row = mutation_class_row(n, p, k)
+        for l, value in zip(ones, exact_mutation_entries(n, p, k, ones)):
+            if value < Decimal("1e-40"):
+                continue  # its decimal sum is not pinned to 40 digits
+            assert row[l] == pytest.approx(float(value), rel=PINNED_REL[rate], abs=0.0), (k, l)
+            checked += 1
+    assert checked >= 10
 
 
 def convolved_mutation_class_row(n, p, k):
@@ -251,9 +396,7 @@ def reference_onemax_level_matrix(n, p, start):
         t[k, k] = max(0.0, 1.0 - t[k, k + 1 :].sum())
     t[n, n] = 1.0
     if start == "random":
-        j = np.arange(n + 1)
-        s = np.exp(gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1) - n * math.log(2.0))
-        s /= s.sum()
+        s = binomial_law(n, 0.5)  # its accuracy: test_binomial_start_law_matches_exact_values
     else:
         s = np.zeros(n + 1)
         s[start] = 1.0
@@ -531,11 +674,9 @@ def test_jump_chain_matches_double_loop_reference():
                 if position[b] > i:
                     t[i, position[b]] = row[b]
             t[i, i] = max(0.0, 1.0 - t[i, i + 1 :].sum())
-        # the start law over ones-counts, built apart from the code under test
+        # the start law over ones-counts: a uniform string's
         if start == "random":
-            j = np.arange(n + 1)
-            class_start = np.exp(gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1) - n * math.log(2.0))
-            class_start /= class_start.sum()
+            class_start = binomial_law(n, 0.5)
         else:
             class_start = np.zeros(n + 1)
             class_start[start] = 1.0

@@ -222,7 +222,7 @@ def test_compare_leadingones_exact_is_the_level_sum(capsys):
 
 
 def test_compare_exact_vs_bound_row_allows_relative_rounding(capsys):
-    # the exact inputs' sum v/p rounds 1.4e-9 (3.6e-16 relative) above the backward recursion
+    # the exact inputs' sum v/p rounds 4.7e-10 (1.2e-16 relative) above the backward recursion
     _, out, _ = run_main(
         capsys, "compare", "--benchmark", "onemax", "--n", "600", "--p", "10/n",
         "--replicates", "2", "--max-iterations", "1", "--format", "csv",
@@ -509,17 +509,29 @@ def test_oracle_full_state_class_it_cannot_leave_exits_1(argv):
     assert "Warning" not in result.stderr
 
 
+@pytest.mark.parametrize("argv", ["--n 2000 --p 0.5", "--n 3000 --p 0.9"])
+def test_oracle_onemax_rows_pass_the_row_sum_check_at_large_rates(capsys, argv):
+    # log-space rows summed to 1 + 2.3e-12 here and failed the chain's row-sum
+    # check; pmf rows pass it, and the chain then stops at its absorbing levels
+    # (1185.. and 1576..), whose leave mass 1 - diag rounds to 0
+    code, out, err = run_main(capsys, "oracle", "--benchmark", "onemax", *argv.split())
+    assert_one_line_error(code, out, err)
+    assert "absorbing non-top level" in err
+
+
 def test_simulate_jump_level_k_beyond_float_binomials():
-    # C(1100, 550) overflows a double; the level-k start is drawn from
-    # log-binomial weights, with no warning on stderr
-    result = run_cli_process(
-        "simulate", "--benchmark", "jump", "--n", "1100", "--k", "3", "--init", "level:3",
-        "--replicates", "1", "--max-iterations", "5",
-    )
-    assert result.returncode == 0
-    assert result.stderr == ""
-    # the run starts on level k, the non-gap strings with at most n - k ones
-    assert json.loads(result.stdout)["visit_freq"][:4] == [0, 0, 0, 1]
+    # C(1100, 550) overflows a double, and at k = 1099 both weights C(1100, a)
+    # 2^-1100 underflow; the level-k start is drawn from weights relative to
+    # their peak, with no warning on stderr
+    for k in (3, 1099):
+        result = run_cli_process(
+            "simulate", "--benchmark", "jump", "--n", "1100", "--k", str(k), "--init", f"level:{k}",
+            "--replicates", "1", "--max-iterations", "5",
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        # the run starts on level k, the non-gap strings with at most n - k ones
+        assert json.loads(result.stdout)["visit_freq"][: k + 1] == [0] * k + [1]
 
 
 NO_SCIPY_SCRIPT = r"""

@@ -21,8 +21,8 @@ from flmlab.cli import main
 # (argv, exit status, SHA-256 of stdout + written files)
 GOLDEN = [
     # bounds: every family, JSON and CSV, --from/--to, --init forms, errors
-    ("bounds --benchmark onemax --n 100 --from 50 --to 100", 0, "563a9575cba6239f95ad6b78badf99b035f9f326cbaee489c5bdf584eb958ed7"),
-    ("bounds --benchmark onemax --n 60 --format csv", 0, "9bdc14b4bf208cccf421cd1fd34f50e0bd3876b1719f178b77be062195e0eff5"),
+    ("bounds --benchmark onemax --n 100 --from 50 --to 100", 0, "f26c011adc3e5810a36be4b99d7afcbd1c8340e9f501979419561ccb77a5e861"),
+    ("bounds --benchmark onemax --n 60 --format csv", 0, "184dd888b6ebdd1c99f7d7a6ef2d6590ac7c70678faeee35181dc1ea461d10d5"),
     ("bounds --benchmark onemax --n 40 --from 10 --p 2/n --format csv --out {out}", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("bounds --benchmark leadingones --n 30", 0, "2b4e994fc2cb65ad653a950e97a2c0d47f6cfc9ab0e4057eb0a87af2653fb376"),
     ("bounds --benchmark leadingones --n 30 --p 0.05 --format csv", 0, "35e38c9f57c353709aef28658ef1ea99cba6b49b8b5099791267c904341c2fa0"),
@@ -37,9 +37,9 @@ GOLDEN = [
     ("bounds --benchmark onemax", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # oracle: level chains, full-state, every chain start, CSV; the v values of the
     # full-state cases are also pinned to a stated tolerance in test_full_state_tolerance.py
-    ("oracle --benchmark onemax --n 10", 0, "ed7f364ce50c93f2f43801e6c678efb85c6feef9f6a2e81f1b80e46f0fcb42ad"),
-    ("oracle --benchmark onemax --n 10 --p 2/n --format csv", 0, "34e4647c520adb2de8f1c733c6dee59d3db41b7127a3addf2f0bfa8a4806a0ed"),
-    ("oracle --benchmark onemax --n 10 --init level:3", 0, "7833f96d171ac572e8343e4621229afe80017b9f7192e5e2d398746ac9344ead"),
+    ("oracle --benchmark onemax --n 10", 0, "b4b2825b3b38b40f3705b5089ce9a22775a4922867eb4a14d94391db2f9c2f0c"),
+    ("oracle --benchmark onemax --n 10 --p 2/n --format csv", 0, "0d8715f2677bf9a781c2b480f044487228c3bc72ca2ad8a068d5a78c13c91165"),
+    ("oracle --benchmark onemax --n 10 --init level:3", 0, "37b8ea68adac622819c91b05ff9a94a37a6b813662b594057737f60186cf3ab3"),
     ("oracle --benchmark onemax --n 8 --full-state", 0, "d7acc61948b6667e4c4db3c75ef8909a5662fc08435c707fe9ce1d42a001515f"),
     ("oracle --benchmark onemax --n 8 --full-state --init level:2 --format csv", 0, "ee17362ee0b2d6a89c78d4d7d5b16b90142a7a07c4772204bba19c3d8cf18b40"),
     ("oracle --benchmark onemax --n 8 --init point:00110011", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -47,8 +47,8 @@ GOLDEN = [
     ("oracle --benchmark leadingones --n 6", 0, "1ac78c8d71b1e36d210e9d8353f0a7646030c76365d57e6e8cd313c3b2a584ba"),
     ("oracle --benchmark leadingones --n 6 --p 1/3 --init level:2 --format csv --out {out}", 0, "8eedba955a069142323dec24e2fc7b365cf00537597ce3a9d4cfaf641c2e8e90"),
     ("oracle --benchmark leadingones --n 20", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("oracle --benchmark jump --n 10 --k 3", 0, "286714451fa98d7009fbf3bacb24fbeac8323c29a0df32529cb5f99085786bba"),
-    ("oracle --benchmark jump --n 10 --k 3 --init level:4 --format csv", 0, "a1a13bd091c1fc3a64272aed8562edac441e22b750cf057693dfab1dc8dd62ca"),
+    ("oracle --benchmark jump --n 10 --k 3", 0, "f53da838e2e49eddb0b297980471a0181f1d2283c4cbcfff6ec16522d9c7b193"),
+    ("oracle --benchmark jump --n 10 --k 3 --init level:4 --format csv", 0, "9bc866c704adf9325e867c0c1a4bbd936abdbded0cd942a9e0ec2eba4d075dd6"),
     ("oracle --benchmark jump --n 8 --k 3 --full-state", 0, "0d6636f9f8de08efed5c64bf4a5d8176983f89b639290920c139ccbf98efbe32"),
     ("oracle --benchmark longpath --n 8 --k 2", 0, "ce680447a92e72c2907ab49cce60a73a3f4acc168f1bcf1694a530512b3aa82e"),
     ("oracle --benchmark longpath --n 8 --k 2 --init level:3 --format csv", 0, "03d92bad134821d4ded31e87249d8acfdd77ced2289f2fa333e225fd1bc0bc4d"),
@@ -74,12 +74,12 @@ GOLDEN = [
     ("compare --benchmark leadingones --n 6 --replicates 300 --seed 7 --init level:1 --format csv", 0, "301bbf1a2ff08df1672242196c957824aa899a12de05430c2a42d998fb0c64d9"),
     ("compare --benchmark leadingones --n 6 --replicates 100 --seed 7 --init point:000000 --format csv", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("compare --benchmark leadingones --n 6 --replicates 5 --max-iterations 0", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("compare --benchmark onemax --n 6 --replicates 200 --seed 8", 0, "5ed1c42b78984292b711acef47cb45cd6d2fa1f259f6de85c13248e4d83ee4b8"),
-    ("compare --benchmark onemax --n 6 --replicates 200 --seed 8 --init level:2 --format csv", 0, "9c8d3b5a7a80e8b2e1a6ef2fa0d9bc9eef6508ec0804e6b0f033546a4fe09ac9"),
+    ("compare --benchmark onemax --n 6 --replicates 200 --seed 8", 0, "79b394d015b1d472aefd4ba9107c1df1c1629be480e632f9e68e0a5bda911d06"),
+    ("compare --benchmark onemax --n 6 --replicates 200 --seed 8 --init level:2 --format csv", 0, "b0884c1dcb421fa1247d98aa003b79e032b860df561e3a08dd77276ad928e63f"),
     ("compare --benchmark onemax --n 6 --replicates 20 --seed 8 --init point:000000", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("compare --benchmark jump --n 6 --k 2 --replicates 300 --seed 9 --format csv", 0, "8054526048486dc8e1e7ad5270a7068b05f9b47171fa4415aeff2a6cd44db15f"),
+    ("compare --benchmark jump --n 6 --k 2 --replicates 300 --seed 9 --format csv", 0, "a2ced769add53ac48bc4efec66eb64deea22efd556d5471c9d3e583f367d9f50"),
     ("compare --benchmark jump --n 6 --k 2 --replicates 300 --seed 9 --init level:3", 0, "54e4d29d119c8585101b7446dc2569343f2555eba484851724ce34591e03aecb"),
-    ("compare --benchmark jump --n 6 --k 2 --replicates 200 --seed 9 --p 2/n --format csv", 0, "dfaf69655782ba3f369ceae25b1739da36e2f8a83c3e14dcfa434f13c411fc40"),
+    ("compare --benchmark jump --n 6 --k 2 --replicates 200 --seed 9 --p 2/n --format csv", 0, "fcf39c6a8c18ca88e36cee598ec181aa5ceabe628cecd217260ea66945a4c89c"),
     # exit 3: from --init random the exact value is the chain's from path position 0,
     # while the replicates start uniformly (a known defect; 57.42 from a uniform start)
     ("compare --benchmark longpath --n 6 --k 2 --replicates 200 --seed 10", 3, "a432b95ce66809884f1730e3366618b0b5de5f16e01d5f4f5acb73010d2e7b59"),

@@ -128,12 +128,12 @@ def test_onemax_bounds_adjacent_levels_have_no_correction():
         assert om.tilde_t == pytest.approx(1.0 / leave[k])
 
 
-# SHA-256 of the float64 bytes of onemax_leave_probs(n, 1/n), recorded while
-# every mutation row was still built whole
+# SHA-256 of the float64 bytes of onemax_leave_probs(n, 1/n), recorded with
+# the mutation rows built from two binomial pmfs (Loader's method)
 ONEMAX_LEAVE_PROBS_SHA256 = {
-    10: "74273c93a5f5086709488791047db4c95af09fc60474554cd60ca5436ae23e60",
-    200: "6ac64cee65f9b2e7e9f95c9a3a2101acd09b114f813e91e4da3c72677a1710dc",
-    800: "5b3c1e3c96127008578c247ca765fbdb9f90c4f3f08998ad66384140ae7e4036",
+    10: "982562a0282e5d92a7449d541712db37bee217c0f670d1ac48463f0151d3d08a",
+    200: "f3cb8c3db8e6b911a907a8c941661434e70bc34b5948402e58133a00c0a378dd",
+    800: "77df0b316fe34429ddebe4d7b009b5a57c8ad1610faa2c698aea0f86176d9e22",
 }
 
 
@@ -217,7 +217,7 @@ def test_jump_skip_bound_random_constant(n, k):
 
 
 def test_onemax_leave_probs_hold_a_row_block_at_peak():
-    # rows are built 32 parents at a time: the full (n+1)^2 table would take 69 MiB
+    # rows are built about 1 MiB at a time: the full (n+1)^2 table would take 69 MiB
     tracemalloc.start()
     try:
         probs = onemax_leave_probs(3000, 1 / 3000)
