@@ -41,12 +41,10 @@ FULL_STATE_MAX_N = 14
 # entries of the float64 or uint32 temporaries built at once by the full-state
 # oracle and the long k-path chain
 BLOCK_ENTRIES = 2**16
-# float64 (largest class)^2 arrays alive at once at peak: I - T_cc, factored
-# in place, and room for one block and the class's uint8 distances to its
-# higher states, which take under 8 bytes per member pair while the class
-# holds 2^n / 8 states or more, as the largest class of OneMax, LeadingOnes
-# and jump does at n <= 14; RSS growth over n = 12-14 measured 1.14
-# (LeadingOnes n = 14) to 1.72 (jump n = 12, k = 3) of them, one BLAS thread
+# float64 (largest class)^2 arrays the full-state guard counts: I - T_cc,
+# factored in place, and room for one block of its fill, the Cholesky's panels
+# and a few 2^n vectors; RSS growth over n = 12-14 measured 1.01 (LeadingOnes
+# n = 14) to 1.43 (OneMax n = 12) of one such array, one BLAS thread
 FULL_STATE_CLASS_ARRAYS = 2
 CHOLESKY_BLOCK = 64  # columns of I - T_cc factored at once
 # float64 m x m arrays of a long k-path chain alive at once at peak, measured
@@ -455,6 +453,24 @@ def _solve_spd_in_place(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _mutate_in_place(v: np.ndarray, p: float) -> np.ndarray:
+    """Overwrite ``v`` (2^n states along axis 0) with ``M v`` and return it.
+
+    Standard bit mutation is the Kronecker product ``M = (x)_i [[1-p, p], [p,
+    1-p]]``, so ``M v`` takes n butterfly stages (Van Loan, "The ubiquitous
+    Kronecker product", 2000): stage i maps each pair (a, b) of states s and
+    ``s ^ 2^i`` to ``((1-p) a + p b, p a + (1-p) b)``.  Every term is a product
+    of non-negative numbers, so no sum cancels."""
+    q = 1.0 - p
+    swapped = np.empty_like(v)
+    for i in range(len(v).bit_length() - 1):
+        pairs = v.reshape(-1, 2, 2**i, *v.shape[1:])
+        np.multiply(pairs[:, ::-1], p, out=swapped.reshape(pairs.shape))
+        v *= q
+        v += swapped
+    return v
+
+
 def full_state_expected_time(
     benchmark,
     p: float,
@@ -473,7 +489,9 @@ def full_state_expected_time(
     since every row is strictly diagonally dominant: each non-optimal state
     sends ``p^d (1-p)^(n-d) > 0`` to the optimum.  So each class is solved by a
     Cholesky factorization in place, with no copy of the matrix; a class the
-    run cannot leave at this rate in doubles raises ValueError.
+    run cannot leave at this rate in doubles raises ValueError.  The mass to
+    and the flow into the higher states come from two products with the
+    mutation matrix M (:func:`_mutate_in_place`, 3n 2^n flops each).
     Every output is a sum of g: ``E[T] = sum_s g_s``; ``v_L`` is the start
     mass of level L plus the moves into L from lower levels; ``p_L = v_L /
     sum_{s in L} g_s`` below the top is the leave rate a run shows at L (0 for
@@ -519,21 +537,17 @@ def full_state_expected_time(
         members = np.flatnonzero(in_class)
         if not np.any(inflow[members]):
             continue
-        higher = np.flatnonzero((fitness >= value) & ~in_class)  # accepted moves out of the class
-        # the class's Hamming distances to its higher states, kept as bytes, and
-        # its own rows of T, filled a block of rows at a time; no transition
-        # mass to the higher states is held beyond one block
-        c, h = len(members), len(higher)
-        dist = np.empty((c, h), dtype=np.uint8)
+        is_higher = (fitness >= value) & ~in_class  # accepted moves out of the class
+        # each member's accepted mass to the higher states is (M 1_higher)[members];
+        # the class's own rows of T are filled a block of rows at a time
+        leave = _mutate_in_place(is_higher.astype(float), p)[members]
+        c = len(members)
         a = np.empty((c, c))
-        leave = np.empty(c)  # accepted mass of leaving each state
-        step = max(1, BLOCK_ENTRIES // max(c, h))
+        step = max(1, BLOCK_ENTRIES // c)
         # every distance indexes `mass`, so mode="clip" only skips the bounds
         # check; take runs about twice as fast as fancy indexing here
         for r in range(0, c, step):
             rows = codes[members[r : r + step], None]
-            np.bitwise_count(rows ^ codes[higher], out=dist[r : r + step])
-            leave[r : r + step] = mass.take(dist[r : r + step], mode="clip").sum(axis=1)
             mass.take(np.bitwise_count(rows ^ codes[members]), out=a[r : r + step], mode="clip")
         diag = np.diag_indices_from(a)
         a[diag] = 0.0
@@ -549,16 +563,9 @@ def full_state_expected_time(
         if not np.all(np.isfinite(g[members])):
             raise ValueError(f"absorbing non-top fitness class reachable: {value}, "
                              f"which a run cannot leave at p = {p}")
-        # g_c times the class's rows of T, by blocks of columns: a multiple of 8
-        # wide, the last one taking the rest, so that OpenBLAS's gemv sums each
-        # entry as it does in one product over all columns (it sums a tail of
-        # fewer than 4 columns in another order)
-        flow = np.empty(h)
-        step = max(8, BLOCK_ENTRIES // c // 8 * 8)
-        cuts = [0, *range(step, h - step, step), h]
-        for s, e in zip(cuts, cuts[1:]):
-            flow[s:e] = g[members] @ mass.take(dist[:, s:e], mode="clip")
-        del dist
+        # the flow into the higher states is (M g_c)[higher]: M is symmetric
+        higher = np.flatnonzero(is_higher)
+        flow = _mutate_in_place(np.where(in_class, g, 0.0), p)[higher]
         inflow[higher] += flow
         up = levels[higher] > levels[members[0]]  # a class lies within one level
         visit += np.bincount(levels[higher[up]], weights=flow[up], minlength=top + 1)

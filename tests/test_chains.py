@@ -729,6 +729,41 @@ def test_jump_skip_probability_desk_check():
     assert q <= 20 * 2**-10
 
 
+def exact_mutation_products(n, p, x):
+    """M x rounded once from exact sums: M[s, t] = p^d q^(n-d), d = popcount(s ^ t),
+    with q the double 1 - p (as the transform takes it)."""
+
+    def integers(values):  # numerators over one power-of-two denominator
+        ratios = [float(value).as_integer_ratio() for value in values]
+        den = max(d for _, d in ratios)
+        return [num * (den // d) for num, d in ratios], den
+
+    (p_int, q_int), den = integers([p, 1.0 - p])
+    weights = np.array([p_int**d * q_int ** (n - d) for d in range(n + 1)], dtype=object)
+    codes = np.arange(2**n)
+    matrix = weights[np.bitwise_count(codes[:, None] ^ codes)]
+    x_int, x_den = integers(x.flat)
+    sums = matrix.dot(np.array(x_int, dtype=object).reshape(x.shape))
+    return np.array([s / (den**n * x_den) for s in sums.flat]).reshape(x.shape)  # int / int rounds once
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("p", [1e-200, "1/n", 0.3, 0.5, 0.9])
+def test_mutation_transform_matches_dense_matrix(n, p):
+    p = 1 / n if p == "1/n" else p
+    rng = np.random.default_rng(n)
+    # non-negative columns over 40 decades, a quarter of the entries 0
+    x = rng.random((2**n, 3)) * 10.0 ** rng.integers(-20, 20, size=(2**n, 3)) * (rng.random((2**n, 3)) < 0.75)
+    want = exact_mutation_products(n, p, x)
+    # n stages of two products and a sum of non-negative terms: 2n roundings
+    # (Higham's gamma_2n), plus 2^-1075 per product that underflows
+    u = 2.0**-53
+    bound = 2 * n * u / (1 - 2 * n * u) * want + n * 2.0**-1074
+    for got in (chains_module._mutate_in_place(x[:, 0].copy(), p)[:, None],
+                chains_module._mutate_in_place(x.copy(), p)):
+        assert np.all(np.abs(got - want[:, : got.shape[1]]) <= bound[:, : got.shape[1]])
+
+
 def test_full_state_single_bit_onemax():
     result = full_state_expected_time(make_benchmark("onemax", 1), 0.5)
     assert result.expected_time == pytest.approx(1.0, abs=1e-12)
@@ -774,9 +809,9 @@ def test_full_state_holds_about_one_class_matrix_at_peak(kind, n, k, largest):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # I - T_cc of the largest class, its uint8 distances to the higher states
-    # and one block; no (class x higher states) float64 matrix
-    assert peak <= 1.6 * 8 * largest**2
+    # I - T_cc of the largest class, one block of its fill and the Cholesky's
+    # panels (1.09-1.13 measured); no (class x higher states) array of any type
+    assert peak <= 1.25 * 8 * largest**2
 
 
 RSS_GROWTH_SCRIPT = r"""

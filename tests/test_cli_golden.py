@@ -40,19 +40,19 @@ GOLDEN = [
     ("oracle --benchmark onemax --n 10", 0, "b4b2825b3b38b40f3705b5089ce9a22775a4922867eb4a14d94391db2f9c2f0c"),
     ("oracle --benchmark onemax --n 10 --p 2/n --format csv", 0, "0d8715f2677bf9a781c2b480f044487228c3bc72ca2ad8a068d5a78c13c91165"),
     ("oracle --benchmark onemax --n 10 --init level:3", 0, "37b8ea68adac622819c91b05ff9a94a37a6b813662b594057737f60186cf3ab3"),
-    ("oracle --benchmark onemax --n 8 --full-state", 0, "d7acc61948b6667e4c4db3c75ef8909a5662fc08435c707fe9ce1d42a001515f"),
-    ("oracle --benchmark onemax --n 8 --full-state --init level:2 --format csv", 0, "ee17362ee0b2d6a89c78d4d7d5b16b90142a7a07c4772204bba19c3d8cf18b40"),
+    ("oracle --benchmark onemax --n 8 --full-state", 0, "7bc922e18a2b421e64b13e8d6915f9d6f005f922324237c2039e0e512b05f96d"),
+    ("oracle --benchmark onemax --n 8 --full-state --init level:2 --format csv", 0, "e2b78f149304d27698ac3b8a728b15e7dba65188b8864b281b3e7011a3c1fd55"),
     ("oracle --benchmark onemax --n 8 --init point:00110011", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("oracle --benchmark onemax --n 8 --init bogus", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("oracle --benchmark leadingones --n 6", 0, "1ac78c8d71b1e36d210e9d8353f0a7646030c76365d57e6e8cd313c3b2a584ba"),
-    ("oracle --benchmark leadingones --n 6 --p 1/3 --init level:2 --format csv --out {out}", 0, "8eedba955a069142323dec24e2fc7b365cf00537597ce3a9d4cfaf641c2e8e90"),
+    ("oracle --benchmark leadingones --n 6", 0, "ba760057ea30a6c6e0a1eb47505a0f69fca9a773890d79822065e63f9b0d9169"),
+    ("oracle --benchmark leadingones --n 6 --p 1/3 --init level:2 --format csv --out {out}", 0, "ae6eabf1e038e3b929fe2aeb7b3c5552be78a2382c90ff9c051f0c3f7d0955ce"),
     ("oracle --benchmark leadingones --n 20", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("oracle --benchmark jump --n 10 --k 3", 0, "f53da838e2e49eddb0b297980471a0181f1d2283c4cbcfff6ec16522d9c7b193"),
     ("oracle --benchmark jump --n 10 --k 3 --init level:4 --format csv", 0, "9bc866c704adf9325e867c0c1a4bbd936abdbded0cd942a9e0ec2eba4d075dd6"),
-    ("oracle --benchmark jump --n 8 --k 3 --full-state", 0, "0d6636f9f8de08efed5c64bf4a5d8176983f89b639290920c139ccbf98efbe32"),
+    ("oracle --benchmark jump --n 8 --k 3 --full-state", 0, "112136644995f5fc13ebd3ca8b2fbdc889474ae44724328eb9341a4aaea74c9f"),
     ("oracle --benchmark longpath --n 8 --k 2", 0, "ce680447a92e72c2907ab49cce60a73a3f4acc168f1bcf1694a530512b3aa82e"),
     ("oracle --benchmark longpath --n 8 --k 2 --init level:3 --format csv", 0, "03d92bad134821d4ded31e87249d8acfdd77ced2289f2fa333e225fd1bc0bc4d"),
-    ("oracle --benchmark longpath --n 6 --k 2 --full-state", 0, "95810e96c565326305f655f1f9ddc821f18cbac7d96b4203815ae55030490d87"),
+    ("oracle --benchmark longpath --n 6 --k 2 --full-state", 0, "c0466ad73fdb13f983d7f1ba6f0257a06bff89a3a146a11ab1954ce757ad67c6"),
     # simulate: every family and init form, JSON, CSV on stdout and to files
     ("simulate --benchmark onemax --n 8 --replicates 30 --seed 1", 0, "f52843809ea05fb93fcf4942d31a7f120f9c3285cf9810fd75845ce739514a5c"),
     ("simulate --benchmark onemax --n 8 --replicates 30 --seed 2 --init point:00110011 --format csv", 0, "5a7c7ef24f0f8c39a6db4447495332ff7d2528d1d2dc1eb8c2bb9b17e9cf04b0"),
