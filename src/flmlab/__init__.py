@@ -1,9 +1,11 @@
 """Runtime-analysis laboratory for the (1+1) evolutionary algorithm.
 
 Fitness-level runtime bounds (classic, viscosity and visit-probability
-variants), exact level-chain and full-state oracles for OneMax, jump
-functions and long k-paths, closed-form per-benchmark formulas, and a
-seeded Monte Carlo harness that validates every bound empirically.
+variants); exact oracles: level chains for OneMax, jump functions and long
+k-paths, LeadingOnes' closed form, and a full-state solver over all 2^n
+strings (n <= 14) for every benchmark, LeadingOnes included; closed-form
+per-benchmark formulas; and a seeded Monte Carlo harness that validates
+every bound empirically.
 """
 
 from .benchmarks import (

@@ -289,7 +289,10 @@ def build_long_k_path(n: int, k: int) -> LongKPath:
         raise ValueError(f"k must divide n, got n={n}, k={k}")
     length = long_k_path_length(n, k)
     if length > DEFAULT_PATH_POINT_CAP:
-        raise ValueError(f"path would have {length} points, exceeding the cap {DEFAULT_PATH_POINT_CAP}")
+        # a count of 20 digits or more is named by its formula: from n/k of
+        # about 14 300 on, Python refuses to write it out in decimal
+        count = length if length < 10**19 else f"{k}*2^{n // k} - {k - 1}"
+        raise ValueError(f"path at n={n}, k={k} would have {count} points, exceeding the cap {DEFAULT_PATH_POINT_CAP}")
 
     suffixes = np.tri(k + 1, k, -1, dtype=np.uint8)[:, ::-1]  # row j: k - j zeros, then j ones
     points = suffixes  # dimension-k base path

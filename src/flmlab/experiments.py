@@ -20,7 +20,9 @@ import numpy as np
 from .benchmarks import Benchmark, make_benchmark, pack_words
 from .bounds import BoundResult
 from .ea import DEFAULT_MAX_ITERATIONS, BlockResult, block_lanes, run_block, uniform_random_words
-from .ea import run_ea  # noqa: F401  (the one-run form of the engine, re-exported beside run_block)
+# unused here: kept only because perfbench/tracing.py wraps experiments.run_ea,
+# which run_experiment no longer calls (ROADMAP item 9)
+from .ea import run_ea  # noqa: F401
 
 __all__ = [
     "ExperimentConfig",

@@ -387,6 +387,14 @@ def test_bounds_longpath_overflow_exits_1(capsys):
     assert err == "error: long k-path length k*2^(n/k) at n=2400, k=2 overflows a double\n"
 
 
+@pytest.mark.parametrize("command", ["path-check", "simulate --benchmark longpath", "oracle --benchmark longpath"])
+def test_long_k_path_over_the_cap_names_the_cap(capsys, command):
+    # 2*2^50000 - 1 points: more digits than Python writes out in decimal
+    code, out, err = run_main(capsys, *command.split(), "--n", "100000", "--k", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: path at n=100000, k=2 would have 2*2^50000 - 1 points, exceeding the cap 1000000\n"
+
+
 @pytest.mark.parametrize(
     "init,code,message",
     [("random", 0, None), ("level:0", 0, None), ("level:5", 1, "stated for")],
