@@ -1,11 +1,11 @@
 """Runtime-analysis laboratory for the (1+1) evolutionary algorithm.
 
 Fitness-level runtime bounds (classic, viscosity and visit-probability
-variants); exact oracles: level chains for OneMax, jump functions and long
-k-paths, LeadingOnes' closed form, and a full-state solver over all 2^n
-strings (n <= 14) for every benchmark, LeadingOnes included; closed-form
-per-benchmark formulas; and a seeded Monte Carlo harness that validates
-every bound empirically.
+variants); exact oracles: one level route per benchmark (level chains for
+OneMax, jump functions and long k-paths; LeadingOnes' p_i = p(1-p)^i and
+v_i = 1/2 in closed form) and a full-state solver over all 2^n strings
+(n <= 14) for each; closed-form per-benchmark formulas; and a seeded Monte
+Carlo harness that validates every bound empirically.
 """
 
 from .benchmarks import (

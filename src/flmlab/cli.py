@@ -39,11 +39,11 @@ EXIT_FAIL_VERDICT = 3
 
 
 def _add_common(parser: argparse.ArgumentParser, benchmark: bool = True) -> None:
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--seed", type=int, default=0, help="64-bit unsigned master seed")
     parser.add_argument("--out", default=None, help="output file (default: standard output)")
     parser.add_argument("--config", default=None, help="JSON file mirroring the flags")
     if benchmark:
+        parser.add_argument("--format", choices=("json", "csv"), default="json")
+        parser.add_argument("--seed", type=int, default=0, help="64-bit unsigned master seed")
         parser.add_argument("--benchmark", choices=tuple(_FAMILIES), required=True)
         parser.add_argument("--n", type=int, required=True)
         parser.add_argument("--k", type=int, default=None)
@@ -158,12 +158,13 @@ def _full_state_start(benchmark: benchmarks.Benchmark, start):
 
 
 # ---------------------------------------------------------------------------
-# per-family ingredients: exact chain, bounds document, compare inputs
+# per-family ingredients: exact level route, bounds document, compare inputs
 # ---------------------------------------------------------------------------
 
 
-def _onemax_chain(args, p: float) -> chains.LevelChain:
-    return chains.onemax_level_matrix(args.n, p, start=args.start.level if args.start.form == "level" else "random")
+def _onemax_exact(args, p: float) -> chains.ChainSummary:
+    start = args.start.level if args.start.form == "level" else "random"
+    return chains.summarize(chains.onemax_level_matrix(args.n, p, start=start))
 
 
 def _onemax_bounds(args, p: float):
@@ -195,8 +196,26 @@ def _onemax_compare(args, p: float, summary: chains.ChainSummary):
     # the calculators validate the leave probabilities before any division
     upper = bounds.flm_upper_classic(summary.leave_probs)
     lower = bounds.flm_lower_visit(summary.leave_probs, summary.visit_probs[:-1])
-    visit_lower = {i: float(v) for i, v in enumerate(summary.visit_probs[:-1])}
-    return [upper, lower], summary.expected_time, visit_lower
+    return [upper, lower], dict(enumerate(summary.visit_probs[:-1].tolist()))  # the exact visits
+
+
+def _leadingones_exact(args, p: float) -> chains.ChainSummary:
+    """LeadingOnes' levels in closed form: the bits behind the first zero stay uniform, so level i
+    is left with p(1-p)^i, and each level above the start is visited with probability 1/2."""
+    n, level = args.n, args.start.level  # level None: a uniform start, at level L < n with mass 2^-(L+1)
+    # oracle's CSV peaks at about 205 bytes a level (RSS growth, n = 4*10^6; its JSON at 177)
+    chains._check_dense_bytes(256 * (n + 1), f"LeadingOnes level route over {n + 1} levels")
+    v = np.append(np.full(n, 0.5), 1.0)
+    if level is not None:
+        if not 0 <= level <= n:
+            raise ValueError(f"LeadingOnes level must be in [0, {n}], got {level}")
+        v[:level], v[level] = 0.0, 1.0  # no lower level, and level L surely
+    leave = formulas.leadingones_leave_probs(n, p)
+    try:  # from the optimum (level n) no level is left, whatever the leave probabilities
+        expected = 0.0 if level == n else bounds.flm_upper_visit(leave, v[:-1]).value
+    except ValueError:  # a leave probability rounds to 0, or the sum passes the largest double
+        raise ValueError(f"LeadingOnes expected runtime at n={n}, p={p!r} overflows a double") from None
+    return chains.ChainSummary(leave, v, expected)
 
 
 def _leadingones_bounds(args, p: float):
@@ -210,31 +229,18 @@ def _leadingones_bounds(args, p: float):
     ]
 
 
-def _leadingones_compare(args, p: float, summary: None):
-    # the bits behind the first zero stay uniform, so a run visits every level
-    # above its start with probability 1/2 (from random: every level below n)
-    v = np.full(args.n, 0.5)
-    if args.start.form == "level":
-        level = args.start.level
-        if not 0 <= level <= args.n:
-            raise ValueError(f"LeadingOnes level must be in [0, {args.n}], got {level}")
-        v[:level] = 0.0  # no lower level
-        v[level : level + 1] = 1.0  # level L surely (no level when L = n)
-    # the closed form, checked against the sum; from a uniform start it is
-    # stated, and its overflow is the error that bounds reports too
-    lower_upper = _leadingones_bounds(args, p)[1] if args.start.form == "random" else []
-    exact = bounds.flm_upper_visit(formulas.leadingones_leave_probs(args.n, p), v).value
-    return lower_upper[::-1], exact, dict(enumerate(v.tolist()))  # reports list the upper first
+def _leadingones_compare(args, p: float, summary: chains.ChainSummary):
+    return _where_stated(_leadingones_bounds, args, p)[1], dict(enumerate(summary.visit_probs[:-1].tolist()))
 
 
-def _jump_chain(args, p: float) -> chains.LevelChain:
+def _jump_exact(args, p: float) -> chains.ChainSummary:
     k, start = _require_k(args), "random"
     if args.start.form == "level":  # the law over ones-counts that sample_level(L) draws from
         ones, weights = benchmarks.jump_level_weights(args.n, k, args.start.level)
         start = np.zeros(args.n + 1)
         start[ones] = weights
         start /= start.sum()
-    return chains.jump_level_matrix(args.n, k, p, start=start)
+    return chains.summarize(chains.jump_level_matrix(args.n, k, p, start=start))
 
 
 def _jump_bounds(args, p: float):
@@ -260,13 +266,13 @@ def _jump_compare(args, p: float, summary: chains.ChainSummary):
     fields, bound_list = _where_stated(_jump_bounds, args, p)
     # the skip bound's complement, on the canonical non-gap level
     visit_lower = {args.k: 1.0 - float(fields[f"skip_bound_{fields['init']}"])} if fields else {}
-    return bound_list, summary.expected_time, visit_lower
+    return bound_list, visit_lower
 
 
-def _longpath_chain(args, p: float) -> chains.LevelChain:
+def _longpath_exact(args, p: float) -> chains.ChainSummary:
     path = benchmarks.build_long_k_path(args.n, _require_k(args))
     # "random" as position 0 is a known defect (ROADMAP item 1, LONGPATH_INIT): the engine starts it uniformly
-    return chains.longpath_level_matrix(path, p, start=0 if args.start.form == "random" else args.start.level)
+    return chains.summarize(chains.longpath_level_matrix(path, p, start=args.start.level or 0))
 
 
 def _longpath_bounds(args, p: float):
@@ -291,10 +297,9 @@ def _longpath_bounds(args, p: float):
 def _longpath_compare(args, p: float, summary: chains.ChainSummary):
     _, bound_list = _where_stated(_longpath_bounds, args, p)
     if not bound_list:
-        return [], summary.expected_time, {}
+        return [], {}
     v_low = formulas.longpath_level_visit_lower(args.n, args.k, p)
-    visit_lower = {i: v_low for i in range(1, len(summary.visit_probs) - 1)}
-    return bound_list, summary.expected_time, visit_lower
+    return bound_list, {i: v_low for i in range(1, len(summary.visit_probs) - 1)}
 
 
 @dataclass(frozen=True)
@@ -302,13 +307,14 @@ class _Family:
     """Everything the CLI knows about one benchmark family; each entry reads
     ``args.start``, its command's parsed --init ("arbitrary" and points: bounds only).
 
-    ``chain`` builds the exact level chain; a full-state-only family has none.
-    ``bounds`` returns the family's fields of the ``bounds`` document and its
-    bounds, and raises where they are not stated; ``compare`` returns those
-    bounds (OneMax: its chain's), exact runtime and visit lower bounds.
+    ``exact`` returns the exact p_i, v_i and E[T] of the family's levels (its
+    level chain's; LeadingOnes' in closed form). ``bounds`` returns the family's
+    fields of the ``bounds`` document and its bounds, and raises where they are
+    not stated; ``compare`` returns, from ``exact``'s summary, those bounds
+    (OneMax: its chain's) and visit lower bounds.
     """
 
-    chain: Optional[Callable]
+    exact: Callable
     bounds: Callable
     compare: Callable
 
@@ -316,10 +322,10 @@ class _Family:
 # The entries call library functions through their modules at call time, so
 # wrappers installed on those modules (as by a profiler) see every call.
 _FAMILIES = {
-    "onemax": _Family(_onemax_chain, _onemax_bounds, _onemax_compare),
-    "leadingones": _Family(None, _leadingones_bounds, _leadingones_compare),
-    "jump": _Family(_jump_chain, _jump_bounds, _jump_compare),
-    "longpath": _Family(_longpath_chain, _longpath_bounds, _longpath_compare),
+    "onemax": _Family(_onemax_exact, _onemax_bounds, _onemax_compare),
+    "leadingones": _Family(_leadingones_exact, _leadingones_bounds, _leadingones_compare),
+    "jump": _Family(_jump_exact, _jump_bounds, _jump_compare),
+    "longpath": _Family(_longpath_exact, _longpath_bounds, _longpath_compare),
 }
 
 
@@ -344,14 +350,13 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_oracle(args) -> int:
     p = resolve_mutation_rate(args.p, args.n)
-    family = _FAMILIES[args.benchmark]
     args.start = parse_start(args.init, args.n, ("random", "level:<int>"))
-    if args.full_state or family.chain is None:
+    if args.full_state:
         benchmark = benchmarks.make_benchmark(args.benchmark, args.n, args.k)
         summary = chains.full_state_expected_time(benchmark, p, start=_full_state_start(benchmark, args.start))
         oracle = "full-state"
     else:
-        summary = chains.summarize(family.chain(args, p))
+        summary = _FAMILIES[args.benchmark].exact(args, p)
         oracle = "level-chain"
     leave, visit, expected = summary.leave_probs, summary.visit_probs, summary.expected_time
     doc = {"levels": len(visit), "p": leave, "v": visit, "expected_T": expected, "oracle": oracle}
@@ -404,20 +409,15 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _compare_inputs(args, p: float):
-    """Bounds, exact oracle value and proven visit lower bounds for compare."""
-    family = _FAMILIES[args.benchmark]
-    summary = None if family.chain is None else chains.summarize(family.chain(args, p))
-    return family.compare(args, p, summary)
-
-
 def _cmd_compare(args) -> int:
     config = _experiment_config(args)  # Monte Carlo flags checked before the exact chain is built
     p = resolve_mutation_rate(args.p, args.n)
     args.start = parse_start(args.init, args.n, ("random", "level:<int>"))
-    bound_list, exact, visit_lower = _compare_inputs(args, p)  # every input check before the first replicate
+    family = _FAMILIES[args.benchmark]
+    summary = family.exact(args, p)  # every input check before the first replicate
+    bound_list, visit_lower = family.compare(args, p, summary)
     stats = run_experiment(config, args.start)
-    report = compare_report(stats, bound_list, exact=exact, visit_lower=visit_lower)
+    report = compare_report(stats, bound_list, exact=summary.expected_time, visit_lower=visit_lower)
     doc = {
         "benchmark": args.benchmark,
         "n": args.n,
@@ -426,7 +426,7 @@ def _cmd_compare(args) -> int:
         "seed": args.seed,
         "statistics": stats.as_dict(),
         "bounds": [_bound_entry(b) for b in bound_list],
-        "exact": exact,
+        "exact": summary.expected_time,
         "report": report.as_dict(),
     }
     _emit(args, doc, ("quantity", "empirical", "theoretical", "verdict"), map(astuple, report.rows))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .benchmarks import long_k_path_length
+from .benchmarks import _pmf_ends, long_k_path_length
 from .chains import mutation_class_row, row_block
 
 __all__ = [
@@ -77,11 +77,11 @@ def leadingones_exact(n: int, p: float) -> float:
 
 
 def leadingones_leave_probs(n: int, p: float) -> np.ndarray:
-    """Exact per-level leaving probabilities p (1-p)^i on LeadingOnes; they
-    do not depend on where in the level the parent sits."""
+    """Exact per-level leaving probabilities p (1-p)^i on LeadingOnes, each
+    within a few ulps; they do not depend on where in the level the parent sits."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"mutation rate must be in (0, 1), got {p}")
-    return p * (1.0 - p) ** np.arange(n, dtype=float)
+    return p * _pmf_ends(np.arange(n, dtype=float), p)[0]  # (1-p)^i = b(0; i, p)
 
 
 def onemax_skip_bound(n: int, i: int) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -64,16 +65,26 @@ def test_oracle_emits_chain_summary_schema(capsys):
     assert doc["v"][-1] == pytest.approx(1.0)
 
 
-def test_oracle_leadingones_uses_full_state(capsys):
+def test_oracle_leadingones_takes_its_level_route(capsys):
     code, out, _ = run_main(capsys, "oracle", "--benchmark", "leadingones", "--n", "6", "--p", "1/2")
     assert code == 0
     doc = json.loads(out)
-    assert doc["oracle"] == "full-state"
-    for v in doc["v"][:-1]:
-        assert v == pytest.approx(0.5, abs=1e-9)
-    # the visit/leave identity reproduces the expected runtime
-    identity = sum(v / p for v, p in zip(doc["v"][:-1], doc["p"]))
-    assert identity == pytest.approx(doc["expected_T"], abs=1e-9)
+    assert doc["oracle"] == "level-chain"
+    assert doc["v"] == [0.5] * 6 + [1.0]
+    # the paper's identity on the route's own rows, as it sums them
+    assert float(np.sum(np.array(doc["v"][:-1]) / np.array(doc["p"]))) == doc["expected_T"]
+
+
+@pytest.mark.parametrize("n", [2000, 100000])
+def test_oracle_leadingones_at_large_n_is_the_closed_form(capsys, n):
+    from flmlab.formulas import leadingones_exact
+
+    code, out, _ = run_main(capsys, "oracle", "--benchmark", "leadingones", "--n", str(n))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["oracle"] == "level-chain"
+    closed = leadingones_exact(n, 1 / n)
+    assert abs(doc["expected_T"] - closed) <= 1e-13 * closed
 
 
 def test_oracle_full_state_rows_give_its_own_expected_time(capsys):
@@ -236,12 +247,13 @@ def test_compare_fail_verdict_exits_3(monkeypatch, capsys):
     # an impossible lower bound forces a FAIL row
     import flmlab.cli as cli_module
 
-    def broken_inputs(args, p):
+    def broken_inputs(args, p, summary):
         from flmlab.bounds import BoundResult
 
-        return [BoundResult(10**9, "lower", "impossible")], None, {}
+        return [BoundResult(10**9, "lower", "impossible")], {}
 
-    monkeypatch.setattr(cli_module, "_compare_inputs", broken_inputs)
+    onemax = dataclasses.replace(cli_module._FAMILIES["onemax"], compare=broken_inputs)
+    monkeypatch.setitem(cli_module._FAMILIES, "onemax", onemax)
     code, out, _ = run_main(
         capsys, "compare", "--benchmark", "onemax", "--n", "6", "--p", "1/n",
         "--replicates", "100", "--seed", "1",
@@ -304,6 +316,25 @@ def test_level_chain_over_memory_exits_1_before_allocating(monkeypatch, capsys):
         assert peak < 2**20, argv
 
 
+@pytest.mark.parametrize("argv", ["oracle", "compare --replicates 2"])
+def test_leadingones_level_route_over_memory_exits_1_before_allocating(monkeypatch, capsys, argv):
+    import tracemalloc
+
+    import flmlab.chains as chains_module
+
+    # an 8 GiB machine: the closed form's arrays and oracle's output text take about 205 bytes a level
+    monkeypatch.setattr(chains_module, "_physical_memory", lambda: 8 * 2**30)
+    tracemalloc.start()
+    try:
+        code, out, err = run_main(capsys, *argv.split(), "--benchmark", "leadingones", "--n", str(10**8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: LeadingOnes level route over 100000001 levels") and "physical memory" in err
+    assert peak < 2**20
+
+
 def test_compare_checks_monte_carlo_flags_before_the_chain(capsys):
     # n = 100000 would trip the chain's memory guard; the replicate count answers first
     for flag, value, named in (
@@ -354,7 +385,7 @@ def test_flm_threads_environment_default(monkeypatch, capsys):
 
 def test_oracle_validation_failure_exits_1(capsys):
     # full-state oracle is capped at n = 14
-    code, _, err = run_main(capsys, "oracle", "--benchmark", "leadingones", "--n", "20", "--p", "1/2")
+    code, _, err = run_main(capsys, "oracle", "--full-state", "--benchmark", "leadingones", "--n", "20", "--p", "1/2")
     assert code == 1
     assert "error" in err
 
@@ -376,6 +407,12 @@ def test_compare_leadingones_overflow_is_the_bounds_message(capsys):
     assert (code, out) == (1, "")
     assert err == "error: LeadingOnes expected runtime at n=2000, p=0.5 overflows a double\n"
     assert run_main(capsys, "bounds", *argv) == (1, "", err)
+
+
+def test_leadingones_overflow_is_one_line_in_every_exact_command(capsys):
+    argv = ("--benchmark", "leadingones", "--n", "2000", "--p", "0.5")
+    results = {command: run_main(capsys, command, *argv) for command in ("oracle", "compare", "bounds")}
+    assert set(results.values()) == {(1, "", "error: LeadingOnes expected runtime at n=2000, p=0.5 overflows a double\n")}
 
 
 def test_bounds_longpath_overflow_exits_1(capsys):

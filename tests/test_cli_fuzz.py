@@ -62,7 +62,8 @@ def cli_argv(draw) -> list[str]:
         argv += [*flag("--replicates"), *flag("--max-iterations")]
     if command == "oracle" and draw(st.booleans()):
         argv.append("--full-state")
-    argv += [*flag("--seed"), "--format", draw(st.sampled_from(("json", "csv")))]
+    if command != "path-check":  # path-check takes neither flag
+        argv += [*flag("--seed"), "--format", draw(st.sampled_from(("json", "csv")))]
     return argv
 
 

@@ -44,9 +44,11 @@ GOLDEN = [
     ("oracle --benchmark onemax --n 8 --full-state --init level:2 --format csv", 0, "e2b78f149304d27698ac3b8a728b15e7dba65188b8864b281b3e7011a3c1fd55"),
     ("oracle --benchmark onemax --n 8 --init point:00110011", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("oracle --benchmark onemax --n 8 --init bogus", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("oracle --benchmark leadingones --n 6", 0, "ba760057ea30a6c6e0a1eb47505a0f69fca9a773890d79822065e63f9b0d9169"),
-    ("oracle --benchmark leadingones --n 6 --p 1/3 --init level:2 --format csv --out {out}", 0, "ae6eabf1e038e3b929fe2aeb7b3c5552be78a2382c90ff9c051f0c3f7d0955ce"),
-    ("oracle --benchmark leadingones --n 20", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("oracle --full-state --benchmark leadingones --n 6", 0, "ba760057ea30a6c6e0a1eb47505a0f69fca9a773890d79822065e63f9b0d9169"),
+    ("oracle --full-state --benchmark leadingones --n 6 --p 1/3 --init level:2 --format csv --out {out}", 0, "ae6eabf1e038e3b929fe2aeb7b3c5552be78a2382c90ff9c051f0c3f7d0955ce"),
+    ("oracle --benchmark leadingones --n 6", 0, "16b9ee764c39f83189f554d93b306a501b894e2231afb4f3d4212e7faf0e57d1"),
+    ("oracle --benchmark leadingones --n 6 --p 1/3 --init level:2 --format csv --out {out}", 0, "117c6600f71dc47df279b696d6f7a6332a97c3dbe679b5440b46f60cbc3ce153"),
+    ("oracle --benchmark leadingones --n 20", 0, "9d35a306587285f14441099f2c95aaaadb1d39fa06a0046baa6fcde9ea960e9c"),
     ("oracle --benchmark jump --n 10 --k 3", 0, "f53da838e2e49eddb0b297980471a0181f1d2283c4cbcfff6ec16522d9c7b193"),
     ("oracle --benchmark jump --n 10 --k 3 --init level:4 --format csv", 0, "9bc866c704adf9325e867c0c1a4bbd936abdbded0cd942a9e0ec2eba4d075dd6"),
     ("oracle --benchmark jump --n 8 --k 3 --full-state", 0, "112136644995f5fc13ebd3ca8b2fbdc889474ae44724328eb9341a4aaea74c9f"),
@@ -70,8 +72,8 @@ GOLDEN = [
     ("simulate --benchmark onemax --n 8 --replicates 5 --max-iterations 0", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("simulate --benchmark onemax --n 0 --replicates 5", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # compare: every family, JSON and CSV, chain starts, rates without jump bounds
-    ("compare --benchmark leadingones --n 6 --replicates 300 --seed 7", 0, "70c0e4b119a90cd3edf208357e01a17c00a6af25830fa726321bd065952fce3b"),
-    ("compare --benchmark leadingones --n 6 --replicates 300 --seed 7 --init level:1 --format csv", 0, "301bbf1a2ff08df1672242196c957824aa899a12de05430c2a42d998fb0c64d9"),
+    ("compare --benchmark leadingones --n 6 --replicates 300 --seed 7", 0, "6ffc66f5b05ce619bbe2d3a70a5d3d207c83137990a5cbfe36e39c0a7e6d0b05"),
+    ("compare --benchmark leadingones --n 6 --replicates 300 --seed 7 --init level:1 --format csv", 0, "407d95edd1dc5916e85924938ae0a8e9a1a8d7ff9b4501eb2f19f64e38e544a5"),
     ("compare --benchmark leadingones --n 6 --replicates 100 --seed 7 --init point:000000 --format csv", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("compare --benchmark leadingones --n 6 --replicates 5 --max-iterations 0", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("compare --benchmark onemax --n 6 --replicates 200 --seed 8", 0, "79b394d015b1d472aefd4ba9107c1df1c1629be480e632f9e68e0a5bda911d06"),

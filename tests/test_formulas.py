@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import math
 import tracemalloc
@@ -75,7 +76,7 @@ def test_leadingones_ratio_to_asymptote_monotone():
 
 def test_leadingones_level_sum_matches_closed_form():
     # compare's exact value, sum v_i / p_i with v_i = 1/2, against the
-    # geometric-series closed form (measured worst: 7.1e-14 relative)
+    # geometric-series closed form (measured worst: 7.7e-16 relative)
     worst = 0.0
     for n in range(2, 2001):
         for p in (1 / n, 2 / n):
@@ -83,7 +84,7 @@ def test_leadingones_level_sum_matches_closed_form():
                 level_sum = flm_upper_visit(leadingones_leave_probs(n, p), np.full(n, 0.5)).value
                 closed = leadingones_exact(n, p)
                 worst = max(worst, abs(level_sum - closed) / closed)
-    assert worst <= 1e-13
+    assert worst <= 2e-15
 
 
 def test_leadingones_exact_rejects_bad_rate():
@@ -101,6 +102,20 @@ def test_longpath_bound_overflow_is_one_error_naming_its_parameters():
 def test_leadingones_leave_probs_closed_form():
     probs = leadingones_leave_probs(4, 0.25)
     np.testing.assert_allclose(probs, [0.25 * 0.75**i for i in range(4)])
+
+
+@pytest.mark.parametrize("n,p", [(2000, 1 / 2000), (1000, 0.3), (10**5, 1e-5)])
+def test_leadingones_level_sum_within_1e_15_of_decimal(n, p):
+    # (1-p)^i from the rounded 1 - p lost about i ulps: these sums were 6.4e-14,
+    # 7.9e-14 and 2.6e-12 off; the reference is the geometric series at the
+    # double p, 0.5/p * (r^n - 1)/(r - 1) with r = 1/(1-p), in 60 digits
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        rate = decimal.Decimal(p)
+        r = 1 / (1 - rate)
+        reference = decimal.Decimal("0.5") / rate * (r**n - 1) / (r - 1)
+        level_sum = flm_upper_visit(leadingones_leave_probs(n, p), np.full(n, 0.5)).value
+        assert abs(decimal.Decimal(level_sum) - reference) <= decimal.Decimal("1e-15") * reference
 
 
 def test_onemax_skip_bound_values():

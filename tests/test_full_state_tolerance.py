@@ -34,12 +34,12 @@ RECORDED = [
         [0.0, 0.0, 0.9999999999999999, 0.7081832982964746, 0.7824728214288919, 0.8321428295514699, 0.8837631180208895, 0.939305219210097, 1.0000000000000018],
     ),
     (
-        'oracle --benchmark leadingones --n 6',
+        'oracle --full-state --benchmark leadingones --n 6',
         29.789760000000005,
         [0.5, 0.4999999999999999, 0.5, 0.5000000000000001, 0.5000000000000001, 0.5, 1.0000000000000004],
     ),
     (
-        'oracle --benchmark leadingones --n 6 --p 1/3 --init level:2 --format csv --out {out}',
+        'oracle --full-state --benchmark leadingones --n 6 --p 1/3 --init level:2 --format csv --out {out}',
         30.796875000000032,
         [0.0, 0.0, 1.0, 0.5000000000000002, 0.5000000000000003, 0.5000000000000001, 1.0000000000000007],
     ),

@@ -7,7 +7,7 @@
 - Each command of the Output table prints the JSON keys and CSV headers the
   table lists; the Exit status section's example messages are what their
   commands print, and the flag defaults are those the Command line section
-  gives, as is `path-check` ignoring `--format` and `--seed`.
+  gives, as is `path-check` rejecting `--format` and `--seed` (exit 2).
 - The library sketch runs, and the values its ``# array(...)`` comments state
   are the values of their lines.
 - The Known defects table names exactly the suite's xfail tests, each with the
@@ -123,9 +123,12 @@ def test_flag_defaults():
         assert got == ("json", 0, None, "1/n", "random", 1000, 10**9)
 
 
-def test_path_check_ignores_format_and_seed():
-    argv = ["path-check", "--n", "4", "--k", "2"]
-    assert run(argv + ["--format", "csv", "--seed", "5"]) == run(argv)
+@pytest.mark.parametrize("flag", [["--format", "csv"], ["--seed", "5"]], ids=["format", "seed"])
+def test_path_check_rejects_format_and_seed(flag):
+    assert "`path-check` takes neither `--format` nor `--seed` (exit 2)" in " ".join(section("Command line").split())
+    code, out, err = run(["path-check", "--n", "4", "--k", "2", *flag])
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 def test_library_sketch_runs_and_its_comments_hold(capsys):

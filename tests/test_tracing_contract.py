@@ -31,7 +31,7 @@ CALLS = [
     "oracle --benchmark onemax --n 20",
     "oracle --benchmark jump --n 10 --k 3",
     "oracle --benchmark longpath --n 6 --k 2",
-    "oracle --benchmark leadingones --n 5",
+    "oracle --full-state --benchmark leadingones --n 5",
     "bounds --benchmark onemax --n 30",
     "bounds --benchmark leadingones --n 30",
     "bounds --benchmark jump --n 10 --k 3",
