@@ -9,10 +9,11 @@ leaves the block before the next draw; the others go on.  An iteration reads
 no level: it records each strict fitness rise as (iteration, fitness before,
 fitness after), and once per draw one ``level`` call reads those values and
 books each rise that changes the level as one event.  No lane's level or
-entry time is kept.  The calls of an iteration cost about the same for one
-lane as for hundreds, so the engine is fast per iteration only while many
-lanes are live: a block of a few lanes, and ``run_ea`` above all, pays them
-for each iteration of one run.
+entry time is kept.  An iteration's calls cost about the same for one lane
+as for hundreds, so at n <= 15 a block reads fitness from a table of all 2^n
+strings and plays each draw of at most ``SCALAR_LANES`` live lanes lane by
+lane on Python ints, with the same masks and choices.  Above that, a few
+lanes, and ``run_ea`` above all, pay the calls for each iteration of one run.
 
 Standard bit mutation for many iterations of every lane is drawn at once:
 the flipped positions of the flat ``(steps, lanes, n)`` bit cube form a
@@ -37,6 +38,8 @@ __all__ = ["BlockResult", "RunResult", "block_lanes", "flip_masks", "geometric_g
 
 DEFAULT_MAX_ITERATIONS = 10**9
 BUFFER_BYTES = 1 << 18  # the size bound of each engine buffer
+SCALAR_LANES = 32  # the most live lanes a draw plays lane by lane
+COLUMN_SLICE = 4096  # masks of one lane turned into ints at once
 
 
 def block_lanes(n: int) -> int:
@@ -163,6 +166,26 @@ def _book_levels(level, when, before, after, visits, leaves, iterations) -> None
     np.subtract.at(iterations, new, when)
 
 
+def _play_lane(values, best, x, fx, column, t, when, before, after):
+    """One lane down its column of masks on Python ints from iteration ``t``:
+    appends each fitness rise to ``when``/``before``/``after`` and stops at
+    fitness ``best``.  Returns the lane's string and fitness."""
+    for lo in range(0, len(column), COLUMN_SLICE):
+        for step, mask in enumerate(column[lo : lo + COLUMN_SLICE].tolist(), t + lo + 1):
+            y = x ^ mask
+            fy = values[y]
+            if fy >= fx:
+                x = y
+                if fy > fx:
+                    when.append(step)
+                    before.append((fx,))
+                    after.append((fy,))
+                    fx = fy
+                    if fx == best:
+                        return x, fx
+    return x, fx
+
+
 def run_block(
     benchmark,
     rate: float,
@@ -184,6 +207,9 @@ def run_block(
     values, so levels change only there.  ``_book_levels`` books them once
     per draw of masks.  The buffers grow with ``len(starts)``;
     ``block_lanes`` keeps them within ``BUFFER_BYTES``.
+
+    At n <= 15 one ``fitness`` call tabulates all 2^n strings, and a draw for
+    at most ``SCALAR_LANES`` lanes runs lane by lane in ``_play_lane``.
     """
     if not 0.0 < rate < 1.0:
         raise ValueError(f"mutation rate must be in (0, 1), got {rate}")
@@ -191,8 +217,12 @@ def run_block(
     fitness, level, is_optimum = benchmark.fitness, benchmark.level, benchmark.is_optimum
     x = np.array(starts, dtype=np.uint64)
     lanes = len(x)
+    table = None
+    if 8 << n <= BUFFER_BYTES:  # every string's fitness, indexed by the string's one word
+        table = fitness(np.arange(1 << n, dtype=np.uint64)[:, None])
+        values, best = table.tolist(), int(table.max())  # the optimum's fitness is the largest
     visits, leaves, iterations = np.zeros((3, top + 1), dtype=np.int64)
-    fx = fitness(x)
+    fx = fitness(x) if table is None else table[x.view(np.int64)[:, 0]]
     start = level(fx)
     np.add.at(visits, start, 1)
     hits = start == top
@@ -209,29 +239,39 @@ def run_block(
         x, fx, lane = x[live], fx[live], lane[live]
         if not len(lane):
             break
-        y = np.empty_like(x)
-        x_rows, y_rows = x.view(row)[:, 0], y.view(row)[:, 0]
         masks = flip_masks(refill_steps(n, rate, len(lane)), len(lane), n, rate, rng)
+        steps = min(len(masks), max_iterations - t)  # the cap does not change the stream
         when, before, after = [], [], []  # the fitness rises of this draw
-        for step in range(min(len(masks), max_iterations - t)):  # the cap does not change the stream
-            t += 1
-            np.bitwise_xor(x, masks[step], out=y)
-            fy = fitness(y)
-            np.copyto(x_rows, y_rows, where=fy >= fx)
-            rise = (fy > fx).nonzero()[0]
-            if not len(rise):
-                continue
-            risen = fy.take(rise)
-            when.append(t)
-            before.append(fx.take(rise))
-            after.append(risen)
-            np.maximum(fx, fy, out=fx)
-            done = lane.take(rise[is_optimum(risen)])
-            if len(done):
-                runtimes[done] = t
-                hits[done] = True
-                if hits[lane].all():
-                    break
+        if table is not None and len(lane) <= SCALAR_LANES:
+            for j in range(len(lane)):
+                x[j, 0], fx[j] = _play_lane(values, best, int(x[j, 0]), int(fx[j]), masks[:steps, j, 0], t, when,
+                                            before, after)
+                if fx[j] == best:  # reached in this draw, by the last rise booked
+                    runtimes[lane[j]], hits[lane[j]] = when[-1], True
+            t += steps
+        else:
+            y = np.empty_like(x)
+            x_rows, y_rows = x.view(row)[:, 0], y.view(row)[:, 0]
+            key = y.view(np.int64)[:, 0]  # with a table, each offspring's index in it
+            for step in range(steps):
+                t += 1
+                np.bitwise_xor(x, masks[step], out=y)
+                fy = fitness(y) if table is None else table[key]
+                np.copyto(x_rows, y_rows, where=fy >= fx)
+                rise = (fy > fx).nonzero()[0]
+                if not len(rise):
+                    continue
+                risen = fy.take(rise)
+                when.append(t)
+                before.append(fx.take(rise))
+                after.append(risen)
+                np.maximum(fx, fy, out=fx)
+                done = lane.take(rise[is_optimum(risen)])
+                if len(done):
+                    runtimes[done] = t
+                    hits[done] = True
+                    if hits[lane].all():
+                        break
         if when:
             when = np.repeat(when, [len(a) for a in after])
             _book_levels(level, when, np.concatenate(before), np.concatenate(after), visits, leaves, iterations)

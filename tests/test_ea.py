@@ -10,6 +10,7 @@ from flmlab.benchmarks import make_benchmark, make_leadingones, make_onemax, pac
 from flmlab.chains import onemax_level_matrix
 from flmlab.ea import (
     BUFFER_BYTES,
+    SCALAR_LANES,
     _gap_chunk,
     block_lanes,
     flip_masks,
@@ -217,8 +218,12 @@ def test_level_trace_strictly_increasing_and_sums_to_runtime():
 def test_fitness_nondecreasing_over_iterations(monkeypatch):
     # a one-lane run evaluates its start and then one offspring per iteration;
     # recording those and the masks it drew gives the parent of every
-    # offspring (the offspring XOR its mask), whose fitness never falls
-    bm = make_leadingones(10)
+    # offspring (the offspring XOR its mask), whose fitness never falls.  At
+    # n = 16 the engine builds no fitness table, so each iteration still
+    # calls fitness (the table's runs are checked by the per-lane replay)
+    n = 16
+    assert 8 << n > BUFFER_BYTES
+    bm = make_leadingones(n)
     offspring, masks = [], []
     inner_fitness, inner_masks = bm.fitness, ea.flip_masks
 
@@ -244,7 +249,31 @@ def test_fitness_nondecreasing_over_iterations(monkeypatch):
         # each parent is its predecessor's offspring iff that is not worse
         accepted = inner_fitness(steps[:-1]) >= fitness[1:-1]
         assert np.array_equal(parents[2:], np.where(accepted[:, None], steps[:-1], parents[1:-1]))
-        assert inner_fitness(steps[-1:])[0] == 10
+        assert inner_fitness(steps[-1:])[0] == n
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_fitness_table_built_exactly_when_it_fits_one_buffer(n):
+    # at n = 15 one fitness call evaluates all 2^15 strings and the block reads
+    # that table from then on; at n = 16 it evaluates the starts and then the
+    # live lanes' offspring once per iteration
+    bm = make_onemax(n)
+    rows, inner_fitness = [], bm.fitness
+
+    def counting_fitness(x):
+        rows.append(len(x))
+        return inner_fitness(x)
+
+    bm.fitness = counting_fitness
+    rng = np.random.default_rng(n)
+    block = run_block(bm, 1 / n, rng, uniform_random_words(40, n, rng))
+    assert block.hits.all()
+    if 8 << n <= BUFFER_BYTES:
+        assert rows == [1 << n]
+    else:
+        assert rows[0] == 40 and max(rows[1:]) <= 40
+        assert len(rows) == 1 + block.runtimes.max()
+    assert (8 << n <= BUFFER_BYTES) == (n == 15)
 
 
 def test_level_that_falls_as_fitness_rises_is_rejected():
@@ -439,9 +468,9 @@ def _replay_starts(kind, bm, rng, lanes=None):
     """Start strings that reach the cases the replay test covers."""
     n = bm.n
     if lanes:
-        # few lanes, so a draw serves thousands of steps: the first lane, one
-        # level below the optimum, finishes early in the first draw and rides
-        # it out while the others, at level 0, run on to the cap
+        # the first lane, one level below the optimum, finishes early and
+        # rides out its draw while others, from level 0, run on to the cap (a
+        # draw for few lanes serves thousands of steps)
         rest = [bm.sample_level(0, rng) for _ in range(lanes - 1)]
         return np.array([bm.sample_level(bm.top_level - 1, rng)] + rest)
     if kind == "longpath":
@@ -475,6 +504,18 @@ REPLAY_CASES = [
     ("longpath", 130, 65, 1300),
     # (kind, n, k, max_iterations, lanes): a block of a few lanes
     ("leadingones", 60, None, 800, 3),
+    # n <= 15 reads fitness from a table and plays each draw of few live
+    # lanes lane by lane
+    ("onemax", 12, None, 10**9),
+    ("leadingones", 13, None, 10**9),
+    # the two sides of the table's bound
+    ("onemax", 15, None, 10**9),
+    ("leadingones", 15, None, 10**9),
+    ("leadingones", 16, None, 10**9),
+    # a few lanes with a table: one finishes and rides out the draw the cap cuts
+    ("leadingones", 14, None, 150, 3),
+    # 200 lanes: two lockstep draws, then one lane by lane that the cap cuts
+    ("leadingones", 15, None, 430, 200),
 ]
 
 
@@ -487,7 +528,8 @@ def test_block_matches_per_lane_reference(monkeypatch):
         return draws[-1]
 
     monkeypatch.setattr(ea, "flip_masks", recording_masks)
-    totals = {"jump": 0, "longpath": 0, "shared_finishes": 0, "cap_inside_draw": 0, "rode_out_to_cap": 0}
+    totals = {"jump": 0, "longpath": 0, "shared_finishes": 0, "cap_inside_draw": 0, "rode_out_to_cap": 0,
+              "crossed_to_per_lane": 0}
     for seed, (kind, n, k, cap, *lanes) in enumerate(REPLAY_CASES):
         bm = make_benchmark(kind, n, k)
         rng = np.random.default_rng(3000 + seed)
@@ -505,6 +547,10 @@ def test_block_matches_per_lane_reference(monkeypatch):
         totals["shared_finishes"] += events["shared_finishes"]
         totals["cap_inside_draw"] += events["cap_inside_draw"]
         totals["rode_out_to_cap"] += events["rode_out_to_cap"]
+        # a table block whose draws went from lockstep to lane by lane
+        totals["crossed_to_per_lane"] += (
+            8 << n <= BUFFER_BYTES and draws[0].shape[1] > SCALAR_LANES >= draws[-1].shape[1]
+        )
         assert not lanes or events["rode_out_to_cap"], (kind, n)
         assert cap == 10**9 or not block.hits.all(), (kind, n)
     assert all(totals.values()), totals
